@@ -85,17 +85,7 @@ fn main() {
                 .unwrap_or_else(|| s.parse().ok())
         })
         .unwrap_or(0x5EED_FA17);
-    let kinds = [
-        SmrKind::NbrPlus,
-        SmrKind::Nbr,
-        SmrKind::Debra,
-        SmrKind::Hp,
-        SmrKind::Ibr,
-        SmrKind::Wfe,
-        SmrKind::EpochPop,
-        SmrKind::HpPop,
-        SmrKind::Leaky,
-    ];
+    let kinds = SmrKind::bench_set();
     let sizes = [200u64, 2_048];
     let mixes = [
         WorkloadMix::UPDATE_HEAVY,
@@ -107,7 +97,7 @@ fn main() {
         for &size in &sizes {
             for &mix in &mixes {
                 for &threads in &threads_sweep {
-                    for &kind in &kinds {
+                    for &kind in kinds {
                         eprintln!(
                             "[round {round}] harris-list size={size} mix={} threads={threads} smr={}",
                             mix.label(),

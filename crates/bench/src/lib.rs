@@ -61,25 +61,6 @@ pub mod helpers {
         )
     }
 
-    /// The reclaimer subset used by the throughput benches (keeps
-    /// `cargo bench` time reasonable while covering every family, including
-    /// the Publish-on-Ping schemes — ROADMAP follow-up from PR 3: they run
-    /// in the paper-figure benches via the shared `PrefilledTrial` path, not
-    /// just in `throughput`/`stress`/tests).
-    pub fn bench_smr_set() -> &'static [SmrKind] {
-        &[
-            SmrKind::NbrPlus,
-            SmrKind::Nbr,
-            SmrKind::Debra,
-            SmrKind::Ibr,
-            SmrKind::Wfe,
-            SmrKind::Hp,
-            SmrKind::EpochPop,
-            SmrKind::HpPop,
-            SmrKind::Leaky,
-        ]
-    }
-
     /// Criterion settings shared by all throughput benches.
     pub fn criterion_times() -> (usize, Duration, Duration) {
         (10, Duration::from_millis(300), Duration::from_millis(900))
@@ -103,11 +84,12 @@ pub mod helpers {
             .collect()
     }
 
-    /// [`prefilled_runners_for`] over the default bench reclaimer set.
+    /// [`prefilled_runners_for`] over the registry's `bench` column
+    /// ([`SmrKind::bench_set`]).
     pub fn prefilled_runners<F: DsFamily>(
         key_range: u64,
         threads: usize,
     ) -> Vec<(SmrKind, Box<dyn PrefilledTrial>)> {
-        prefilled_runners_for::<F>(bench_smr_set(), key_range, threads)
+        prefilled_runners_for::<F>(SmrKind::bench_set(), key_range, threads)
     }
 }

@@ -7,37 +7,25 @@
 //! reservations), scans all reservations, and frees every unreserved record it
 //! retired before the broadcast.
 
-use crate::neutralize::{HandshakeOutcome, NeutralizationCore};
-use smr_common::telemetry::{self, trace, TraceKind};
-use smr_common::{
-    BlockPool, LimboBag, Magazine, Retired, ScanPolicy, ScanState, Shared, Smr, SmrConfig, SmrNode,
-    ThreadStats,
-};
-use std::sync::Arc;
+use crate::neutralize::NeutralizationCore;
+use smr_common::telemetry::{trace, TraceKind};
+use smr_common::{Magazine, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats};
 
 /// Per-thread context for [`Nbr`].
 pub struct NbrCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch for the per-scan reservation snapshot.
-    reserved: Vec<usize>,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
 }
 
 impl NbrCtx {
     /// The thread's slot index.
     pub fn tid(&self) -> usize {
-        self.tid
+        self.local.tid()
     }
 }
 
 /// The NBR reclaimer (Algorithm 1).
 pub struct Nbr {
     core: NeutralizationCore,
-    policy: ScanPolicy,
-    pool: Arc<BlockPool>,
 }
 
 impl Nbr {
@@ -52,114 +40,21 @@ impl Nbr {
     /// records freed (0 when the handshake timed out and the round was
     /// conceded — see DESIGN.md substitution S1).
     fn reclaim_with_signals(&self, ctx: &mut NbrCtx) -> usize {
-        // Combiner adoption: sweep peer bags published while an earlier scan
-        // was mid-flight. Adopted records join the prefix before the
-        // broadcast below, so they are covered by the same handshake
-        // argument as the thread's own retires.
-        if self.core.config().combine {
-            let (published, bags) = self.core.combiner().adopt();
-            if bags > 0 {
-                ctx.stats.combine_adoptions += bags;
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
+        self.core.reclaim().scan(&mut ctx.local, |local, tail| {
+            if !self.core.neutralize_all(local) {
+                return 0;
             }
-            for r in published {
-                ctx.limbo.push(r);
-            }
-        }
-        // Survivor adoption: fold departed threads' orphans into this
-        // round's prefix — they were unlinked before their owner departed,
-        // so the broadcast below covers them like the thread's own retires
-        // (`take_orphans` is non-blocking).
-        let orphaned = self.core.take_orphans();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        let tail = ctx.limbo.len();
-        if tail == 0 {
-            return 0;
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        let sw = telemetry::stopwatch_if(self.core.config().telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, tail as u64, 0);
-        let ping_sw = telemetry::stopwatch_if(self.core.config().telemetry);
-        let (seq, sent) = self.core.signal_all(ctx.tid);
-        ctx.stats.signals_sent += sent;
-        let freed = match self.core.await_neutralization(ctx.tid, seq) {
-            HandshakeOutcome::TimedOut => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_stall.record(ping_sw.elapsed_ns());
-                }
-                ctx.stats.ping_concessions += 1;
-                ctx.stats.reclaim_skips += 1;
-                0
-            }
-            HandshakeOutcome::AllNeutralized => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_rtt.record(ping_sw.elapsed_ns());
-                }
-                self.core
-                    .collect_reservations_into(ctx.tid, &mut ctx.reserved);
-                // SAFETY: every record in the prefix was unlinked before the
-                // broadcast; the handshake established that every other thread
-                // either restarted its read phase (discarding unreserved
-                // pointers) or is confined to its reservations, which we
-                // exclude below. This is exactly Lemma 1/8 of the paper.
-                unsafe {
-                    ctx.limbo.reclaim_prefix_unreserved(
-                        tail,
-                        &ctx.reserved,
-                        &mut ctx.stats,
-                        &mut ctx.mag,
-                    )
-                }
-            }
-        };
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
-        freed
-    }
-
-    /// HiWatermark trigger: run the scan as the domain's active scanner, or —
-    /// when a peer's scan is already mid-flight — publish this thread's bag
-    /// to the combiner so that scan (or the next one) sweeps it in the same
-    /// ping round instead of stacking a second broadcast.
-    fn scan_or_publish(&self, ctx: &mut NbrCtx) {
-        if !self.core.config().combine {
-            self.reclaim_with_signals(ctx);
-            return;
-        }
-        if self.core.combiner().try_begin() {
-            self.reclaim_with_signals(ctx);
-            self.core.combiner().finish();
-            return;
-        }
-        let records = ctx.limbo.drain();
-        let published = records.len() as u64;
-        match self.core.combiner().publish(ctx.tid, records) {
-            Ok(()) => {
-                ctx.stats.combine_publishes += 1;
-                trace::emit(ctx.tid, TraceKind::CombinePublish, published, 0);
-            }
-            Err(records) => {
-                // The slot still holds an unadopted bag: keep the records
-                // and retry at the next trigger.
-                for r in records {
-                    ctx.limbo.push(r);
-                }
-            }
-        }
+            self.core
+                .collect_reservations_into(local.tid(), &mut local.addrs);
+            // SAFETY: every record in the prefix `[0, tail)` — this thread's
+            // own retires plus the orphans and combiner bags adopted before
+            // `tail` was captured — was unlinked before the broadcast; the
+            // handshake established that every other thread either
+            // restarted its read phase (discarding unreserved pointers) or
+            // is confined to its reservations, which we exclude below. This
+            // is exactly Lemma 1/8 of the paper.
+            unsafe { local.sweep_unreserved(tail) }
+        })
     }
 }
 
@@ -170,12 +65,8 @@ impl Smr for Nbr {
     const USES_PHASES: bool = true;
 
     fn new(config: SmrConfig) -> Self {
-        let policy = ScanPolicy::from_config(&config);
-        let pool = BlockPool::from_config(&config);
         Self {
             core: NeutralizationCore::new(config),
-            policy,
-            pool,
         }
     }
 
@@ -184,19 +75,8 @@ impl Smr for Nbr {
     }
 
     fn register(&self, tid: usize) -> NbrCtx {
-        self.core.register(tid);
         NbrCtx {
-            tid,
-            limbo: LimboBag::with_capacity_and_batch(
-                self.core.config().hi_watermark + 1,
-                self.core.config().retire_batch_cap(),
-            ),
-            scan: ScanState::new(),
-            reserved: Vec::with_capacity(
-                self.core.config().max_reservations * self.core.config().max_threads,
-            ),
-            mag: Magazine::from_config(&self.pool, self.core.config()),
-            stats: ThreadStats::default(),
+            local: self.core.register(tid),
         }
     }
 
@@ -204,32 +84,29 @@ impl Smr for Nbr {
         // One last reclamation attempt; anything still unsafe is handed to the
         // orphan pool and destroyed when the reclaimer itself drops.
         self.reclaim_with_signals(ctx);
-        let leftovers = ctx.limbo.drain();
-        self.core.adopt_orphans(leftovers);
-        ctx.mag.flush();
-        self.core.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut NbrCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn begin_read_phase(&self, ctx: &mut NbrCtx) {
-        self.core.begin_read_phase(ctx.tid);
+        self.core.begin_read_phase(ctx.local.tid());
     }
 
     #[inline]
     fn end_read_phase(&self, ctx: &mut NbrCtx, reservations: &[usize]) {
-        self.core.end_read_phase(ctx.tid, reservations);
+        self.core.end_read_phase(ctx.local.tid(), reservations);
     }
 
     #[inline]
     fn checkpoint(&self, ctx: &mut NbrCtx) -> bool {
-        if self.core.checkpoint(ctx.tid) {
-            ctx.stats.neutralizations += 1;
-            trace::emit(ctx.tid, TraceKind::Neutralized, 0, 0);
+        if self.core.checkpoint(ctx.local.tid()) {
+            ctx.local.stats.neutralizations += 1;
+            trace::emit(ctx.local.tid(), TraceKind::Neutralized, 0, 0);
             true
         } else {
             false
@@ -238,33 +115,40 @@ impl Smr for Nbr {
 
     #[inline]
     fn end_op(&self, ctx: &mut NbrCtx) {
-        self.core.quiesce(ctx.tid);
+        self.core.quiesce(ctx.local.tid());
         // Operation-exit heartbeat: outside any phase a broadcast is always
         // legal, so a thread that never reaches the HiWatermark still empties
         // its bag within a bounded number of its own operations.
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        if self.core.reclaim().heartbeat_due(&mut ctx.local) {
             self.reclaim_with_signals(ctx);
         }
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut NbrCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: records stage in a small thread-local batch and
-        // the watermark policy is only consulted when a batch flushes, so the
-        // bag can overshoot the trigger by at most RETIRE_BATCH_CAP - 1.
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), 0));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-            if self.policy.scan_on_retire(ctx.limbo.len()) {
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::LimboHigh,
-                    ctx.limbo.len() as u64,
-                    self.policy.hi_watermark as u64,
-                );
-                self.scan_or_publish(ctx);
+        // The watermark policy is only consulted when a staged batch
+        // flushes, so the bag can overshoot the trigger by at most
+        // RETIRE_BATCH_CAP - 1.
+        let retired = Retired::new(ptr.as_raw(), 0);
+        if self.core.reclaim().retire(&mut ctx.local, retired) {
+            // Run the scan as the domain's active scanner, or — when a
+            // peer's scan is already mid-flight — publish this thread's bag
+            // so that scan (or the next one) sweeps it in the same ping
+            // round instead of stacking a second broadcast.
+            //
+            // `false`: unlike every other combining scheme, a hand-off does
+            // not restart NBR's heartbeat window, so a publisher's next
+            // operation exit with garbage usually broadcasts for a
+            // near-empty bag — as NBR has done since it began combining.
+            // Restarting it (one `true`) cuts NBR's signals-per-free from
+            // 0.0076 to 0.0045, NBR+'s level: with the combiner both
+            // amortise a round over 2–3 bags, and
+            // `garbage_bound::nbr_plus_piggybacks_instead_of_signalling`
+            // (default config, `plus_rate < nbr_rate`) becomes a coin flip.
+            // Which of the two gives way needs a decision, not a refactor
+            // (ROADMAP, "NBR's hand-off pacing").
+            if let Some(_turn) = self.core.reclaim().scan_or_publish(&mut ctx.local, false) {
+                self.reclaim_with_signals(ctx);
             }
         }
     }
@@ -274,21 +158,15 @@ impl Smr for Nbr {
     }
 
     fn thread_stats(&self, ctx: &NbrCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut NbrCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &NbrCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for Nbr {
-    fn drop(&mut self) {
-        self.core.drain_orphans();
+        ctx.local.limbo.len()
     }
 }
 
@@ -457,7 +335,7 @@ mod tests {
         alloc_and_retire(&nbr, &mut victim, 5);
         nbr.unregister(&mut victim);
         assert_eq!(
-            nbr.neutralization().orphan_count(),
+            nbr.neutralization().reclaim().orphan_count(),
             5,
             "records that could not be proven safe must be orphaned, not leaked or freed"
         );

@@ -20,13 +20,9 @@
 //! signals). The benches report `signals_sent` so this effect is visible
 //! (see the `ablation_nbr` bench and EXPERIMENTS.md).
 
-use crate::neutralize::{HandshakeOutcome, NeutralizationCore};
-use smr_common::telemetry::{self, trace, TraceKind};
-use smr_common::{
-    BlockPool, LimboBag, Magazine, Retired, ScanPolicy, ScanState, Shared, Smr, SmrConfig, SmrNode,
-    ThreadStats,
-};
-use std::sync::Arc;
+use crate::neutralize::NeutralizationCore;
+use smr_common::telemetry::{trace, TraceKind};
+use smr_common::{Magazine, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats};
 
 /// How many retire calls at the LoWatermark are amortized over one scan of the
 /// announcement timestamps (Section 5.1: "we amortize the overhead of scanning
@@ -35,13 +31,7 @@ const LO_WM_SCAN_PERIOD: u64 = 4;
 
 /// Per-thread context for [`NbrPlus`].
 pub struct NbrPlusCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch for the per-scan reservation snapshot.
-    reserved: Vec<usize>,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
     /// True until the thread (re-)enters the LoWatermark region
     /// (`firstLoWmEntryFlag` of Algorithm 2).
     first_lo_wm_entry: bool,
@@ -60,15 +50,13 @@ pub struct NbrPlusCtx {
 impl NbrPlusCtx {
     /// The thread's slot index.
     pub fn tid(&self) -> usize {
-        self.tid
+        self.local.tid()
     }
 }
 
 /// The NBR+ reclaimer (Algorithm 2).
 pub struct NbrPlus {
     core: NeutralizationCore,
-    policy: ScanPolicy,
-    pool: Arc<BlockPool>,
 }
 
 impl NbrPlus {
@@ -85,90 +73,37 @@ impl NbrPlus {
     }
 
     /// Free every unreserved record in the prefix `[0, up_to)` of the bag.
-    fn reclaim_freeable(&self, ctx: &mut NbrPlusCtx, up_to: usize) -> usize {
+    fn reclaim_freeable(&self, local: &mut ReclaimLocal, up_to: usize) -> usize {
         self.core
-            .collect_reservations_into(ctx.tid, &mut ctx.reserved);
+            .collect_reservations_into(local.tid(), &mut local.addrs);
         // SAFETY: callers establish that every record in the prefix was
         // retired before a verified RGP (HiWatermark path) or before the
         // bookmark of an observed RGP (LoWatermark path); unreserved records
         // are therefore safe (Lemmas 8/9 of the paper).
-        unsafe {
-            ctx.limbo
-                .reclaim_prefix_unreserved(up_to, &ctx.reserved, &mut ctx.stats, &mut ctx.mag)
-        }
+        unsafe { local.sweep_unreserved(up_to) }
     }
 
     /// HiWatermark path: induce an RGP (signals + verified handshake) and
-    /// reclaim everything retired before the broadcast.
+    /// reclaim everything retired before the broadcast. Records adopted by
+    /// the scan prologue (orphans, combiner bags) append *after* the
+    /// LoWatermark bookmark prefix, so the bookmark indices stay valid, and
+    /// they join this round's prefix before the broadcast.
     fn reclaim_at_hi_watermark(&self, ctx: &mut NbrPlusCtx) -> usize {
-        // Combiner adoption: sweep peer bags published while an earlier scan
-        // was mid-flight. Adopted records append *after* the LoWatermark
-        // bookmark prefix, so the bookmark indices stay valid, and they join
-        // this round's prefix before the broadcast below.
-        if self.core.config().combine {
-            let (published, bags) = self.core.combiner().adopt();
-            if bags > 0 {
-                ctx.stats.combine_adoptions += bags;
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
-            }
-            for r in published {
-                ctx.limbo.push(r);
-            }
-        }
-        // Survivor adoption: fold departed threads' orphans into this
-        // round's prefix — they were unlinked before their owner departed,
-        // so the broadcast below covers them like the thread's own retires
-        // (`take_orphans` is non-blocking).
-        let orphaned = self.core.take_orphans();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        let tail = ctx.limbo.len();
-        if tail == 0 {
-            return 0;
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        let sw = telemetry::stopwatch_if(self.core.config().telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, tail as u64, 0);
-        self.core.announce_rgp_begin(ctx.tid);
-        let ping_sw = telemetry::stopwatch_if(self.core.config().telemetry);
-        let (seq, sent) = self.core.signal_all(ctx.tid);
-        ctx.stats.signals_sent += sent;
-        let freed = match self.core.await_neutralization(ctx.tid, seq) {
-            HandshakeOutcome::TimedOut => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_stall.record(ping_sw.elapsed_ns());
-                }
-                ctx.stats.ping_concessions += 1;
+        let mut verified = false;
+        let freed = self.core.reclaim().scan(&mut ctx.local, |local, tail| {
+            self.core.announce_rgp_begin(local.tid());
+            verified = self.core.neutralize_all(local);
+            if !verified {
                 // The RGP could not be verified: roll the announcement back so
                 // LoWatermark observers cannot mistake it for a completed one.
-                self.core.announce_rgp_abort(ctx.tid);
-                ctx.stats.reclaim_skips += 1;
-                0
+                self.core.announce_rgp_abort(local.tid());
+                return 0;
             }
-            HandshakeOutcome::AllNeutralized => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_rtt.record(ping_sw.elapsed_ns());
-                }
-                self.core.announce_rgp_end(ctx.tid);
-                let freed = self.reclaim_freeable(ctx, tail);
-                Self::clean_up(ctx);
-                freed
-            }
-        };
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
+            self.core.announce_rgp_end(local.tid());
+            self.reclaim_freeable(local, tail)
+        });
+        if verified {
+            Self::clean_up(ctx);
         }
         freed
     }
@@ -176,30 +111,26 @@ impl NbrPlus {
     /// The piggyback core (ungated): if some *other* thread completed an RGP
     /// since this thread's LoWatermark snapshot, free the bookmark prefix —
     /// every record in it was retired before the snapshot, so the observed
-    /// RGP proves it unreachable (Lemma 9), no signals needed.
+    /// RGP proves it unreachable (Lemma 9), no signals needed. It is a scan
+    /// like any other to the pipeline (counted, timed, restarts the
+    /// heartbeat window so the next op exit does not immediately re-fire
+    /// and broadcast over the bag remainder); records the prologue adopts
+    /// land past the bookmark and wait for the next broadcast.
     fn piggyback_if_rgp_elapsed(&self, ctx: &mut NbrPlusCtx) -> usize {
-        if ctx.first_lo_wm_entry {
+        if ctx.first_lo_wm_entry
+            || !self
+                .core
+                .rgp_elapsed_since(ctx.local.tid(), &ctx.scan_snapshot)
+        {
             return 0;
         }
-        if self.core.rgp_elapsed_since(ctx.tid, &ctx.scan_snapshot) {
-            let bookmark = ctx.bookmark;
-            let sw = telemetry::stopwatch_if(self.core.config().telemetry);
-            trace::emit(ctx.tid, TraceKind::ScanBegin, bookmark as u64, 1);
-            let freed = self.reclaim_freeable(ctx, bookmark);
-            trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 1);
-            if let Some(sw) = sw {
-                ctx.stats.tel.scan.record(sw.elapsed_ns());
-            }
-            ctx.stats.rgp_reclaims += 1;
-            // A piggyback is a reclamation event: restart the heartbeat
-            // window so the next op exit does not immediately re-fire and
-            // broadcast over the bag remainder.
-            ctx.scan.note_scan();
-            Self::clean_up(ctx);
-            freed
-        } else {
-            0
-        }
+        let bookmark = ctx.bookmark;
+        let freed = self.core.reclaim().scan(&mut ctx.local, |local, _tail| {
+            self.reclaim_freeable(local, bookmark)
+        });
+        ctx.local.stats.rgp_reclaims += 1;
+        Self::clean_up(ctx);
+        freed
     }
 
     /// LoWatermark path: bookmark, snapshot, and opportunistically reclaim if
@@ -207,7 +138,7 @@ impl NbrPlus {
     /// announcement scan is amortized over [`LO_WM_SCAN_PERIOD`] retires).
     fn try_reclaim_at_lo_watermark(&self, ctx: &mut NbrPlusCtx) -> usize {
         if ctx.first_lo_wm_entry {
-            ctx.bookmark = ctx.limbo.len();
+            ctx.bookmark = ctx.local.limbo.len();
             self.core
                 .snapshot_announcements_into(&mut ctx.scan_snapshot);
             ctx.first_lo_wm_entry = false;
@@ -226,36 +157,15 @@ impl NbrPlus {
     /// already mid-flight — publish this thread's bag to the combiner so
     /// that scan sweeps it in the same ping round.
     fn scan_or_publish(&self, ctx: &mut NbrPlusCtx) {
-        if !self.core.config().combine {
+        if let Some(_turn) = self.core.reclaim().scan_or_publish(&mut ctx.local, true) {
             self.reclaim_at_hi_watermark(ctx);
-            return;
-        }
-        if self.core.combiner().try_begin() {
-            self.reclaim_at_hi_watermark(ctx);
-            self.core.combiner().finish();
-            return;
-        }
-        let records = ctx.limbo.drain();
-        let published = records.len() as u64;
-        match self.core.combiner().publish(ctx.tid, records) {
-            Ok(()) => {
-                ctx.stats.combine_publishes += 1;
-                trace::emit(ctx.tid, TraceKind::CombinePublish, published, 0);
-                // The bag is empty now, so the LoWatermark bookmark refers
-                // to nothing: reset Algorithm 2's bookkeeping and restart
-                // the heartbeat window (publication is a reclamation event
-                // from this thread's perspective).
-                ctx.bookmark = 0;
-                Self::clean_up(ctx);
-                ctx.scan.note_scan();
-            }
-            Err(records) => {
-                // The slot still holds an unadopted bag: keep the records
-                // and retry at the next trigger.
-                for r in records {
-                    ctx.limbo.push(r);
-                }
-            }
+        } else if ctx.local.limbo.is_empty() {
+            // Published: the bag is empty now, so the LoWatermark bookmark
+            // refers to nothing — reset Algorithm 2's bookkeeping (the
+            // pipeline already restarted the heartbeat window: publication
+            // is a reclamation event from this thread's perspective).
+            ctx.bookmark = 0;
+            Self::clean_up(ctx);
         }
     }
 }
@@ -267,12 +177,8 @@ impl Smr for NbrPlus {
     const USES_PHASES: bool = true;
 
     fn new(config: SmrConfig) -> Self {
-        let policy = ScanPolicy::from_config(&config);
-        let pool = BlockPool::from_config(&config);
         Self {
             core: NeutralizationCore::new(config),
-            policy,
-            pool,
         }
     }
 
@@ -281,19 +187,8 @@ impl Smr for NbrPlus {
     }
 
     fn register(&self, tid: usize) -> NbrPlusCtx {
-        self.core.register(tid);
         NbrPlusCtx {
-            tid,
-            limbo: LimboBag::with_capacity_and_batch(
-                self.core.config().hi_watermark + 1,
-                self.core.config().retire_batch_cap(),
-            ),
-            scan: ScanState::new(),
-            reserved: Vec::with_capacity(
-                self.core.config().max_reservations * self.core.config().max_threads,
-            ),
-            mag: Magazine::from_config(&self.pool, self.core.config()),
-            stats: ThreadStats::default(),
+            local: self.core.register(tid),
             first_lo_wm_entry: true,
             bookmark: 0,
             scan_snapshot: Vec::new(),
@@ -304,32 +199,29 @@ impl Smr for NbrPlus {
 
     fn unregister(&self, ctx: &mut NbrPlusCtx) {
         self.reclaim_at_hi_watermark(ctx);
-        let leftovers = ctx.limbo.drain();
-        self.core.adopt_orphans(leftovers);
-        ctx.mag.flush();
-        self.core.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut NbrPlusCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn begin_read_phase(&self, ctx: &mut NbrPlusCtx) {
-        self.core.begin_read_phase(ctx.tid);
+        self.core.begin_read_phase(ctx.local.tid());
     }
 
     #[inline]
     fn end_read_phase(&self, ctx: &mut NbrPlusCtx, reservations: &[usize]) {
-        self.core.end_read_phase(ctx.tid, reservations);
+        self.core.end_read_phase(ctx.local.tid(), reservations);
     }
 
     #[inline]
     fn checkpoint(&self, ctx: &mut NbrPlusCtx) -> bool {
-        if self.core.checkpoint(ctx.tid) {
-            ctx.stats.neutralizations += 1;
-            trace::emit(ctx.tid, TraceKind::Neutralized, 0, 0);
+        if self.core.checkpoint(ctx.local.tid()) {
+            ctx.local.stats.neutralizations += 1;
+            trace::emit(ctx.local.tid(), TraceKind::Neutralized, 0, 0);
             true
         } else {
             false
@@ -338,7 +230,7 @@ impl Smr for NbrPlus {
 
     #[inline]
     fn end_op(&self, ctx: &mut NbrPlusCtx) {
-        self.core.quiesce(ctx.tid);
+        self.core.quiesce(ctx.local.tid());
         // Operation-exit heartbeat. Piggyback-aware: the heartbeat interval
         // (1024 ops ≈ half a HiWatermark of retires on an update-heavy mix)
         // is shorter than the natural Lo→Hi bag cycle, so a heartbeat that
@@ -351,14 +243,16 @@ impl Smr for NbrPlus {
         // memory in short trials) without any signals; the broadcast is the
         // fallback, and the retire-path HiWatermark scan remains the
         // bounded-garbage backstop.
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        if self.core.reclaim().heartbeat_due(&mut ctx.local) {
+            let policy = self.core.reclaim().policy();
             if self.piggyback_if_rgp_elapsed(ctx) > 0 {
                 // Rode a peer's completed RGP — no signals.
             } else if !ctx.heartbeat_deferred
                 && !ctx.first_lo_wm_entry
-                && self.policy.can_defer_broadcast(ctx.limbo.len())
-                && self.core.rgp_in_flight_since(ctx.tid, &ctx.scan_snapshot)
+                && policy.can_defer_broadcast(ctx.local.limbo.len())
+                && self
+                    .core
+                    .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
             {
                 // A peer's grace period is mid-handshake (typically: we just
                 // acked its ping, its other peers have not yet). Broadcasting
@@ -374,7 +268,7 @@ impl Smr for NbrPlus {
                 // re-firing (and re-scanning the registry) on every
                 // subsequent op exit.
                 ctx.heartbeat_deferred = true;
-                ctx.scan.note_scan();
+                ctx.local.note_scan();
             } else {
                 self.reclaim_at_hi_watermark(ctx);
             }
@@ -383,24 +277,15 @@ impl Smr for NbrPlus {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut NbrPlusCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: records stage in a small thread-local batch;
-        // the HiWatermark trigger is only consulted when a batch flushes
-        // (bounded overshoot of RETIRE_BATCH_CAP - 1), while the cheap
-        // amortized LoWatermark/piggyback path keeps running per retire so
-        // a completed peer RGP is still ridden promptly.
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), 0));
-        ctx.stats.retires += 1;
-        let len = ctx.limbo.len();
-        if flushed {
-            ctx.stats.observe_limbo(len);
-        }
-        if flushed && self.policy.scan_on_retire(len) {
-            trace::emit(
-                ctx.tid,
-                TraceKind::LimboHigh,
-                len as u64,
-                self.policy.hi_watermark as u64,
-            );
+        // Records stage in a small thread-local batch; the HiWatermark
+        // trigger is only consulted when a batch flushes (bounded overshoot
+        // of RETIRE_BATCH_CAP - 1), while the cheap amortized
+        // LoWatermark/piggyback path keeps running per retire so a
+        // completed peer RGP is still ridden promptly.
+        let retired = Retired::new(ptr.as_raw(), 0);
+        let at_hi = self.core.reclaim().retire(&mut ctx.local, retired);
+        let policy = self.core.reclaim().policy();
+        if at_hi {
             // Broadcast-stacking defence. When every thread retires at the
             // same rate (a timed trial starts all bags empty on one
             // barrier), the whole group crosses HiWatermark within a few
@@ -415,19 +300,21 @@ impl Smr for NbrPlus {
             // broadcast for a bounded bag overshoot (`hi + lo`) — our ack
             // at the next checkpoint is part of what completes it.
             if self.piggyback_if_rgp_elapsed(ctx) > 0
-                && !self.policy.scan_on_retire(ctx.limbo.len())
+                && !policy.scan_on_retire(ctx.local.limbo.len())
             {
                 // Rode a peer's completed RGP back below the mark.
             } else if !ctx.first_lo_wm_entry
-                && self.policy.can_defer_broadcast(ctx.limbo.len())
-                && self.core.rgp_in_flight_since(ctx.tid, &ctx.scan_snapshot)
+                && policy.can_defer_broadcast(ctx.local.limbo.len())
+                && self
+                    .core
+                    .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
             {
                 // A peer's grace period is mid-handshake; keep running so it
                 // can complete, then piggyback on it.
             } else {
                 self.scan_or_publish(ctx);
             }
-        } else if self.policy.opportunistic_on_retire(len) {
+        } else if policy.opportunistic_on_retire(ctx.local.limbo.len()) {
             self.try_reclaim_at_lo_watermark(ctx);
         }
     }
@@ -437,21 +324,15 @@ impl Smr for NbrPlus {
     }
 
     fn thread_stats(&self, ctx: &NbrPlusCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut NbrPlusCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &NbrPlusCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for NbrPlus {
-    fn drop(&mut self) {
-        self.core.drain_orphans();
+        ctx.local.limbo.len()
     }
 }
 

@@ -56,7 +56,7 @@
 //! `Acquire` loads (see DESIGN.md, "Memory-ordering argument for single-fence
 //! scans").
 
-use smr_common::{CachePadded, PingChannel, PingOutcome, Registry, ScanCombiner, SmrConfig};
+use smr_common::{CachePadded, PingChannel, ReclaimCore, ReclaimLocal, Registry, SmrConfig};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Per-thread shared neutralization state (single-writer for `restartable`,
@@ -92,77 +92,58 @@ impl SignalSlot {
     }
 }
 
-/// The shared core used by both `Nbr` and `NbrPlus`: thread registry, signal
-/// slots, the global signal sequence, and the orphan pool for records whose
-/// retiring thread deregistered before they became safe.
+/// The shared core used by both `Nbr` and `NbrPlus`: the reclaim pipeline
+/// (a combining one — NBR and NBR+ threads whose HiWatermark fires
+/// mid-broadcast publish their bag instead of stacking a second signal
+/// storm), the signal slots and the signal channel.
 pub struct NeutralizationCore {
-    config: SmrConfig,
-    registry: Registry,
+    reclaim: ReclaimCore,
     slots: Vec<CachePadded<SignalSlot>>,
     /// The pending/acked handshake, shared with the Publish-on-Ping
     /// reclaimers (`smr-pop`) via `smr-common`.
     ping: PingChannel,
-    /// Flat-combined scan publication for this ping domain: NBR and NBR+
-    /// threads whose HiWatermark fires mid-broadcast publish here instead
-    /// of stacking a second signal storm.
-    combiner: ScanCombiner,
-    orphans: std::sync::Mutex<Vec<smr_common::Retired>>,
 }
 
 impl std::fmt::Debug for NeutralizationCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NeutralizationCore")
-            .field("threads", &self.registry.registered())
+            .field("threads", &self.registry().registered())
             .field("signal_seq", &self.ping.current_seq())
             .finish()
     }
 }
 
-/// Outcome of a reclaimer's attempt to observe neutralization of all threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandshakeOutcome {
-    /// Every registered thread was observed neutralized (acknowledged the
-    /// signal) or non-restartable; reclamation may proceed.
-    AllNeutralized,
-    /// Some thread stayed in a read phase without acknowledging within the
-    /// bounded spin window; the reclaimer must skip this round.
-    TimedOut,
-}
-
 impl NeutralizationCore {
     /// Creates the shared state for `config.max_threads` threads.
     pub fn new(config: SmrConfig) -> Self {
-        config.validate();
+        let reclaim = ReclaimCore::combining(config);
+        let config = reclaim.config();
         let slots = (0..config.max_threads)
             .map(|_| CachePadded::new(SignalSlot::new(config.max_reservations)))
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
             slots,
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
-            combiner: ScanCombiner::new(config.max_threads),
-            orphans: std::sync::Mutex::new(Vec::new()),
-            config,
+            reclaim,
         }
     }
 
-    /// The flat-combining domain shared by every thread on this core's
-    /// [`PingChannel`].
+    /// The reclaim pipeline this neutralization domain runs on.
     #[inline]
-    pub fn combiner(&self) -> &ScanCombiner {
-        &self.combiner
+    pub fn reclaim(&self) -> &ReclaimCore {
+        &self.reclaim
     }
 
     /// The configuration.
     #[inline]
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.reclaim.config()
     }
 
     /// The thread registry.
     #[inline]
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.reclaim.registry()
     }
 
     /// The signal slot of thread `tid`.
@@ -172,11 +153,12 @@ impl NeutralizationCore {
     }
 
     /// Registers the calling thread under slot `tid`, resetting its slot.
-    pub fn register(&self, tid: usize) {
-        assert!(
-            self.registry.register_tid(tid),
-            "thread slot {tid} already registered"
-        );
+    pub fn register(&self, tid: usize) -> ReclaimLocal {
+        let mut local: ReclaimLocal = self.reclaim.register(tid);
+        let config = self.config();
+        local
+            .addrs
+            .reserve_exact(config.max_reservations * config.max_threads);
         let slot = self.slot(tid);
         slot.restartable.store(false, Ordering::SeqCst);
         // Catch up with the global sequence: this thread holds no pointers, so
@@ -185,10 +167,13 @@ impl NeutralizationCore {
         for r in slot.reservations.iter() {
             r.store(0, Ordering::SeqCst);
         }
+        local
     }
 
-    /// Deregisters a thread slot.
-    pub fn deregister(&self, tid: usize) {
+    /// Deregisters a thread: withdraws its reservations and hands whatever
+    /// its bag still holds to the orphan pool.
+    pub fn unregister(&self, local: &mut ReclaimLocal) {
+        let tid = local.tid();
         smr_common::check::clear_claims(tid);
         let slot = self.slot(tid);
         slot.restartable.store(false, Ordering::SeqCst);
@@ -200,43 +185,7 @@ impl NeutralizationCore {
         // still spinning on this thread's ack: the departed flag wakes it
         // immediately instead of costing the remaining allowance.
         self.ping.mark_departed(tid);
-        self.registry.deregister(tid);
-    }
-
-    /// Moves records that could not be reclaimed before deregistration into
-    /// the orphan pool; they are destroyed when the reclaimer itself drops.
-    pub fn adopt_orphans(&self, records: Vec<smr_common::Retired>) {
-        if records.is_empty() {
-            return;
-        }
-        self.orphans.lock().unwrap().extend(records);
-    }
-
-    /// Takes every orphaned record, transferring ownership to a surviving
-    /// thread, which folds them into its own limbo bag so they flow through
-    /// the ordinary reservation-checked reclamation path. Non-blocking: if
-    /// the pool is contended the caller gets nothing this round.
-    pub fn take_orphans(&self) -> Vec<smr_common::Retired> {
-        match self.orphans.try_lock() {
-            Ok(mut records) => std::mem::take(&mut *records),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Frees every orphaned record. Only called from `Drop` of the owning
-    /// reclaimer, at which point no thread can hold references.
-    pub(crate) fn drain_orphans(&self) {
-        let mut orphans = self.orphans.lock().unwrap();
-        for r in orphans.drain(..) {
-            // SAFETY: the reclaimer is being dropped; all threads have
-            // deregistered, so no references to retired records remain.
-            unsafe { r.reclaim() };
-        }
-    }
-
-    /// Number of records currently parked in the orphan pool.
-    pub fn orphan_count(&self) -> usize {
-        self.orphans.lock().unwrap().len()
+        self.reclaim.unregister(local);
     }
 
     // ------------------------------------------------------------------
@@ -337,51 +286,49 @@ impl NeutralizationCore {
     // ------------------------------------------------------------------
 
     /// Sends a neutralization signal to every registered thread except
-    /// `sender` (Algorithm 1, line 16). Returns the sequence number of this
-    /// broadcast and the number of signals sent. Delivery (including the
-    /// simulated per-signal `pthread_kill` cost, `SmrConfig::signal_cost_ns`)
-    /// is the shared [`PingChannel`]'s `ping_all`.
+    /// `sender` without waiting for the handshake (diagnostics/tests; a
+    /// reclaimer uses [`NeutralizationCore::neutralize_all`]). Returns the
+    /// sequence number of this broadcast and the number of signals sent.
     pub fn signal_all(&self, sender: usize) -> (u64, u64) {
-        self.ping.ping_all(sender, &self.registry)
+        self.ping.ping_all(sender, self.registry())
     }
 
-    /// Waits (bounded) until every registered thread other than `sender` is
-    /// observed neutralized with respect to `seq`: either non-restartable or
-    /// having acknowledged `seq`.
+    /// A non-restartable thread (write phase or quiescent) needs no
+    /// acknowledgement: its published reservations are honoured, exactly as
+    /// in Algorithm 1.
+    #[inline]
+    fn is_exempt(&self, tid: usize) -> bool {
+        !self.slot(tid).restartable.load(Ordering::SeqCst)
+    }
+
+    /// Signals every other registered thread (Algorithm 1, line 16) and
+    /// waits (bounded) until each is observed neutralized: either
+    /// non-restartable or having acknowledged this broadcast. Delivery
+    /// (including the simulated per-signal `pthread_kill` cost,
+    /// `SmrConfig::signal_cost_ns`) and the wait are the pipeline's ping
+    /// round over the shared [`PingChannel`].
     ///
-    /// The wait (the shared [`PingChannel`]'s `await_acks`) backs off from
-    /// spinning to yielding so that, on oversubscribed machines, a
-    /// descheduled reader gets the CPU it needs to reach its next checkpoint
-    /// (with real signals the kernel would deliver the handler regardless of
-    /// scheduling; the yield is the cooperative substitute). The total number
-    /// of iterations is bounded by `SmrConfig::ack_spin_limit`; on expiry the
-    /// round is conceded and the caller skips reclamation.
-    pub fn await_neutralization(&self, sender: usize, seq: u64) -> HandshakeOutcome {
-        let outcome = self.ping.await_acks(
-            sender,
-            seq,
-            &self.registry,
-            self.config.ack_spin_limit,
-            // A non-restartable thread (write phase or quiescent) needs no
-            // acknowledgement: its published reservations are honoured,
-            // exactly as in Algorithm 1.
-            |tid| !self.slot(tid).restartable.load(Ordering::SeqCst),
-            || {},
-        );
-        match outcome {
-            PingOutcome::AllAcked => HandshakeOutcome::AllNeutralized,
-            PingOutcome::TimedOut => HandshakeOutcome::TimedOut,
-        }
+    /// The wait backs off from spinning to yielding so that, on
+    /// oversubscribed machines, a descheduled reader gets the CPU it needs
+    /// to reach its next checkpoint (with real signals the kernel would
+    /// deliver the handler regardless of scheduling; the yield is the
+    /// cooperative substitute). The total number of iterations is bounded
+    /// by `SmrConfig::ack_spin_limit`; on expiry the round is conceded —
+    /// `false` — and the caller skips reclamation.
+    pub fn neutralize_all(&self, local: &mut ReclaimLocal) -> bool {
+        self.reclaim
+            .ping_round(local, &self.ping, |tid| self.is_exempt(tid), || {})
     }
 
     /// Collects every reservation currently announced by any registered thread
-    /// other than `collector` (Algorithm 1, line 22) into `reserved`, sorted
-    /// and deduplicated — at most `R × N` entries, gathered with one `SeqCst`
-    /// fence plus per-slot `Acquire` loads (single-fence scan, DESIGN.md).
+    /// other than `collector` (Algorithm 1, line 22) into `reserved` — at most
+    /// `R × N` entries, gathered with one `SeqCst` fence plus per-slot
+    /// `Acquire` loads (single-fence scan, DESIGN.md). The sweep sorts and
+    /// deduplicates them.
     pub fn collect_reservations_into(&self, collector: usize, reserved: &mut Vec<usize>) {
         reserved.clear();
         fence(Ordering::SeqCst);
-        for tid in self.registry.active_tids() {
+        for tid in self.registry().active_tids() {
             if tid == collector {
                 continue;
             }
@@ -392,17 +339,6 @@ impl NeutralizationCore {
                 }
             }
         }
-        reserved.sort_unstable();
-        reserved.dedup();
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`NeutralizationCore::collect_reservations_into`].
-    pub fn collect_reservations(&self, collector: usize) -> Vec<usize> {
-        let mut reserved =
-            Vec::with_capacity(self.config.max_reservations * self.registry.registered());
-        self.collect_reservations_into(collector, &mut reserved);
-        reserved
     }
 
     // ------------------------------------------------------------------
@@ -435,17 +371,10 @@ impl NeutralizationCore {
     }
 
     /// Snapshot of every thread's announcement timestamp (Algorithm 2,
-    /// line 15). Index = tid; inactive slots report their last value, which is
-    /// harmless (they cannot regress).
-    pub fn snapshot_announcements(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.snapshot_announcements_into(&mut out);
-        out
-    }
-
-    /// [`NeutralizationCore::snapshot_announcements`] into a reusable buffer
-    /// (the LoWatermark path re-enters per retire burst; a fresh vector per
-    /// snapshot would put malloc back on the reclamation path).
+    /// line 15) into a reusable buffer (the LoWatermark path re-enters per
+    /// retire burst; a fresh vector per snapshot would put malloc back on
+    /// the reclamation path). Index = tid; inactive slots report their last
+    /// value, which is harmless (they cannot regress).
     pub fn snapshot_announcements_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend(self.slots.iter().map(|s| s.announce_ts()));
@@ -455,7 +384,7 @@ impl NeutralizationCore {
     /// entire relaxed grace period (begun **and** verified after the snapshot
     /// was taken) — Algorithm 2, lines 17–23.
     pub fn rgp_elapsed_since(&self, observer: usize, snapshot: &[u64]) -> bool {
-        for tid in self.registry.active_tids() {
+        for tid in self.registry().active_tids() {
             if tid == observer || tid >= snapshot.len() {
                 continue;
             }
@@ -482,7 +411,7 @@ impl NeutralizationCore {
     /// stops registering here and the deferring thread falls through to its
     /// own broadcast.
     pub fn rgp_in_flight_since(&self, observer: usize, snapshot: &[u64]) -> bool {
-        for tid in self.registry.active_tids() {
+        for tid in self.registry().active_tids() {
             if tid == observer || tid >= snapshot.len() {
                 continue;
             }
@@ -492,20 +421,42 @@ impl NeutralizationCore {
         }
         false
     }
-
-    /// Current value of the global signal sequence (diagnostics/tests).
-    pub fn signal_sequence(&self) -> u64 {
-        self.ping.current_seq()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_common::PingOutcome;
 
     fn core_with(threads: usize) -> NeutralizationCore {
         let cfg = SmrConfig::for_tests().with_max_threads(threads);
         NeutralizationCore::new(cfg)
+    }
+
+    /// The handshake half of `neutralize_all`, for a broadcast the test sent
+    /// itself with `signal_all`.
+    fn await_neutralization(core: &NeutralizationCore, sender: usize, seq: u64) -> PingOutcome {
+        core.ping.await_acks(
+            sender,
+            seq,
+            core.registry(),
+            core.config().ack_spin_limit,
+            |tid| core.is_exempt(tid),
+            || {},
+        )
+    }
+
+    fn collect_reservations(core: &NeutralizationCore, collector: usize) -> Vec<usize> {
+        let mut reserved = Vec::new();
+        core.collect_reservations_into(collector, &mut reserved);
+        reserved.sort_unstable();
+        reserved
+    }
+
+    fn snapshot_announcements(core: &NeutralizationCore) -> Vec<u64> {
+        let mut out = Vec::new();
+        core.snapshot_announcements_into(&mut out);
+        out
     }
 
     #[test]
@@ -518,8 +469,8 @@ mod tests {
         // signals sent before it existed.
         core.register(1);
         assert_eq!(
-            core.await_neutralization(0, core.signal_sequence()),
-            HandshakeOutcome::AllNeutralized
+            await_neutralization(&core, 0, core.ping.current_seq()),
+            PingOutcome::AllAcked
         );
     }
 
@@ -534,10 +485,7 @@ mod tests {
         assert_eq!(sent, 1);
         assert!(core.checkpoint(1), "signal must be observed");
         assert!(!core.checkpoint(1), "signal must be consumed by the ack");
-        assert_eq!(
-            core.await_neutralization(0, seq),
-            HandshakeOutcome::AllNeutralized
-        );
+        assert_eq!(await_neutralization(&core, 0, seq), PingOutcome::AllAcked);
     }
 
     #[test]
@@ -549,11 +497,11 @@ mod tests {
         core.end_read_phase(1, &[0xdead0, 0xbeef0]);
         let (seq, _) = core.signal_all(0);
         assert_eq!(
-            core.await_neutralization(0, seq),
-            HandshakeOutcome::AllNeutralized,
+            await_neutralization(&core, 0, seq),
+            PingOutcome::AllAcked,
             "a non-restartable (write-phase) thread must not block the handshake"
         );
-        let reserved = core.collect_reservations(0);
+        let reserved = collect_reservations(&core, 0);
         assert_eq!(reserved, vec![0xbeef0, 0xdead0]);
     }
 
@@ -567,8 +515,8 @@ mod tests {
         core.begin_read_phase(1);
         let (seq, _) = core.signal_all(0);
         assert_eq!(
-            core.await_neutralization(0, seq),
-            HandshakeOutcome::TimedOut,
+            await_neutralization(&core, 0, seq),
+            PingOutcome::TimedOut,
             "an unacknowledged reader must force the reclaimer to concede"
         );
     }
@@ -580,9 +528,9 @@ mod tests {
         core.register(1);
         core.begin_read_phase(1);
         core.end_read_phase(1, &[0x1000]);
-        assert_eq!(core.collect_reservations(0), vec![0x1000]);
+        assert_eq!(collect_reservations(&core, 0), vec![0x1000]);
         core.begin_read_phase(1);
-        assert!(core.collect_reservations(0).is_empty());
+        assert!(collect_reservations(&core, 0).is_empty());
     }
 
     #[test]
@@ -591,7 +539,7 @@ mod tests {
         core.register(0);
         core.register(1);
         core.register(2);
-        let snap = core.snapshot_announcements();
+        let snap = snapshot_announcements(&core);
         assert!(!core.rgp_elapsed_since(2, &snap));
         core.announce_rgp_begin(0);
         assert!(
@@ -610,7 +558,7 @@ mod tests {
         core.register(0);
         core.register(1);
         core.announce_rgp_begin(0); // observer snapshots mid-broadcast
-        let snap = core.snapshot_announcements();
+        let snap = snapshot_announcements(&core);
         core.announce_rgp_end(0);
         assert!(
             !core.rgp_elapsed_since(1, &snap),
@@ -627,7 +575,7 @@ mod tests {
         let core = core_with(2);
         core.register(0);
         core.register(1);
-        let snap = core.snapshot_announcements();
+        let snap = snapshot_announcements(&core);
         core.announce_rgp_begin(0);
         core.announce_rgp_abort(0);
         assert!(!core.rgp_elapsed_since(1, &snap));
@@ -655,9 +603,6 @@ mod tests {
         core.begin_read_phase(1);
         core.quiesce(1);
         let (seq, _) = core.signal_all(0);
-        assert_eq!(
-            core.await_neutralization(0, seq),
-            HandshakeOutcome::AllNeutralized
-        );
+        assert_eq!(await_neutralization(&core, 0, seq), PingOutcome::AllAcked);
     }
 }

@@ -12,93 +12,128 @@ use crate::driver::{
 };
 use crate::workload::WorkloadSpec;
 use conc_ds::{AbTree, DgtTree, HarrisList, HmHashMap, HmList, LazyList};
-use nbr::{Nbr, NbrPlus};
-use smr_baselines::{Debra, HazardEras, HazardPointers, Ibr, Leaky, Qsbr, Rcu, Wfe};
 use smr_common::{Smr, SmrConfig};
-use smr_pop::{EpochPop, HpPop};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// The reclamation algorithms of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SmrKind {
-    /// NBR+ (Algorithm 2) — the paper's primary contribution.
-    NbrPlus,
-    /// NBR (Algorithm 1).
-    Nbr,
-    /// DEBRA-style epoch-based reclamation.
-    Debra,
-    /// Quiescent-state-based reclamation.
-    Qsbr,
-    /// RCU-style epoch reclamation.
-    Rcu,
-    /// Hazard pointers.
-    Hp,
-    /// Interval-based reclamation (2GEIBR).
-    Ibr,
-    /// Hazard eras.
-    He,
-    /// Wait-free eras (robust: bounded garbage under stalled threads).
-    Wfe,
-    /// Publish-on-Ping epoch reclamation (private epoch reservations,
-    /// published on ping over the cooperative channel).
-    EpochPop,
-    /// Publish-on-Ping hazard pointers (private per-hop slots, published on
-    /// ping over the cooperative channel).
-    HpPop,
-    /// No reclamation (leaky upper bound).
-    Leaky,
+/// The reclaimer types the registry names, re-exported so
+/// [`for_each_scheme!`](crate::for_each_scheme) expands in crates that do not
+/// depend on the scheme crates themselves.
+pub mod schemes {
+    pub use nbr::{Nbr, NbrPlus};
+    pub use smr_baselines::{Debra, HazardEras, HazardPointers, Ibr, Leaky, Qsbr, Rcu, Wfe};
+    pub use smr_pop::{EpochPop, HpPop};
 }
 
-impl SmrKind {
-    /// The label used in benchmark output (matches the paper's legends).
-    pub fn label(self) -> &'static str {
-        match self {
-            SmrKind::NbrPlus => "NBR+",
-            SmrKind::Nbr => "NBR",
-            SmrKind::Debra => "DEBRA",
-            SmrKind::Qsbr => "QSBR",
-            SmrKind::Rcu => "RCU",
-            SmrKind::Hp => "HP",
-            SmrKind::Ibr => "IBR",
-            SmrKind::He => "HE",
-            SmrKind::Wfe => "WFE",
-            SmrKind::EpochPop => "EpochPOP",
-            SmrKind::HpPop => "HP-POP",
-            SmrKind::Leaky => "none",
+/// **The** scheme registry: the one list a new reclaimer is added to.
+///
+/// Invokes `$callback!` once with every scheme as a
+/// `{ Variant, snake_name, Type, "label", e1, bench, interval }` row:
+///
+/// * `Variant` / `"label"` — the [`SmrKind`] variant and its report label
+///   (the paper's legend);
+/// * `snake_name` — identifier fragment for generated test names
+///   (`smoke_<snake_name>_lazy_list`, `<snake_name>_hash`, …);
+/// * `e1` — in the set experiment E1 (Figure 3) compares;
+/// * `bench` — in the subset the Criterion figure benches and the `stress`
+///   bin sweep (keeps `cargo bench` time reasonable while covering every
+///   family, including the Publish-on-Ping schemes);
+/// * `interval` — stamps monotonically increasing birth eras (what makes
+///   the smr-check oracle's incarnation-disjointness rule sound).
+///
+/// Everything that enumerates reclaimers — [`SmrKind`] and its dispatch
+/// tables, the bench/stress subsets, smr-check's matrix, the smoke-test
+/// matrix — is generated from these rows, in this (canonical) order.
+#[macro_export]
+macro_rules! for_each_scheme {
+    ($callback:ident) => {
+        $callback! {
+            // Variant  snake      type                                         label       e1     bench  interval
+            { NbrPlus,  nbr_plus,  $crate::families::schemes::NbrPlus,          "NBR+",     true,  true,  false }
+            { Nbr,      nbr,       $crate::families::schemes::Nbr,              "NBR",      false, true,  false }
+            { Debra,    debra,     $crate::families::schemes::Debra,            "DEBRA",    true,  true,  false }
+            { Qsbr,     qsbr,      $crate::families::schemes::Qsbr,             "QSBR",     true,  false, false }
+            { Rcu,      rcu,       $crate::families::schemes::Rcu,              "RCU",      true,  false, false }
+            { Ibr,      ibr,       $crate::families::schemes::Ibr,              "IBR",      true,  true,  true  }
+            { He,       he,        $crate::families::schemes::HazardEras,       "HE",       false, false, true  }
+            { Wfe,      wfe,       $crate::families::schemes::Wfe,              "WFE",      false, true,  true  }
+            { Hp,       hp,        $crate::families::schemes::HazardPointers,   "HP",       true,  true,  false }
+            { EpochPop, epoch_pop, $crate::families::schemes::EpochPop,         "EpochPOP", false, true,  false }
+            { HpPop,    hp_pop,    $crate::families::schemes::HpPop,            "HP-POP",   false, true,  false }
+            { Leaky,    leaky,     $crate::families::schemes::Leaky,            "none",     true,  true,  false }
         }
+    };
+}
+
+macro_rules! define_smr_kind {
+    ($({ $variant:ident, $snake:ident, $ty:ty, $label:literal, $e1:literal, $bench:literal, $interval:literal })*) => {
+        /// The reclamation algorithms of the paper's evaluation and the
+        /// schemes grown around them — one variant per
+        /// [`for_each_scheme!`](crate::for_each_scheme) row.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum SmrKind {
+            $(
+                #[doc = concat!("The `", $label, "` reclaimer ([`", stringify!($ty), "`]).")]
+                $variant,
+            )*
+        }
+
+        /// Every kind, in the registry's canonical order.
+        const ALL: &[SmrKind] = &[$(SmrKind::$variant,)*];
+        /// Per kind, its `[e1, bench]` subset columns.
+        const SUBSETS: &[[bool; 2]] = &[$([$e1, $bench],)*];
+
+        impl SmrKind {
+            /// The label used in benchmark output (matches the paper's legends).
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(SmrKind::$variant => $label,)*
+                }
+            }
+
+            /// Whether the scheme stamps monotonically increasing birth eras
+            /// (IBR, HE, WFE) — the interval family.
+            pub fn interval(self) -> bool {
+                match self {
+                    $(SmrKind::$variant => $interval,)*
+                }
+            }
+        }
+    };
+}
+for_each_scheme!(define_smr_kind);
+
+/// The kinds whose subset column `column` is set, packed to the front.
+const fn select(column: usize) -> ([SmrKind; ALL.len()], usize) {
+    let mut out = [ALL[0]; ALL.len()];
+    let (mut n, mut i) = (0, 0);
+    while i < ALL.len() {
+        if SUBSETS[i][column] {
+            out[n] = ALL[i];
+            n += 1;
+        }
+        i += 1;
+    }
+    (out, n)
+}
+
+static E1: ([SmrKind; ALL.len()], usize) = select(0);
+static BENCH: ([SmrKind; ALL.len()], usize) = select(1);
+
+impl SmrKind {
+    /// Every implemented reclaimer, in the registry's canonical order.
+    pub fn all() -> &'static [SmrKind] {
+        ALL
     }
 
     /// The full set compared in experiment E1 (Figure 3).
     pub fn e1_set() -> &'static [SmrKind] {
-        &[
-            SmrKind::NbrPlus,
-            SmrKind::Debra,
-            SmrKind::Qsbr,
-            SmrKind::Rcu,
-            SmrKind::Ibr,
-            SmrKind::Hp,
-            SmrKind::Leaky,
-        ]
+        &E1.0[..E1.1]
     }
 
-    /// Every implemented reclaimer (E1 set plus NBR, HE, WFE and the
-    /// Publish-on-Ping family).
-    pub fn all() -> &'static [SmrKind] {
-        &[
-            SmrKind::NbrPlus,
-            SmrKind::Nbr,
-            SmrKind::Debra,
-            SmrKind::Qsbr,
-            SmrKind::Rcu,
-            SmrKind::Ibr,
-            SmrKind::He,
-            SmrKind::Wfe,
-            SmrKind::Hp,
-            SmrKind::EpochPop,
-            SmrKind::HpPop,
-            SmrKind::Leaky,
-        ]
+    /// The subset the Criterion figure benches and the `stress` bin sweep.
+    pub fn bench_set() -> &'static [SmrKind] {
+        &BENCH.0[..BENCH.1]
     }
 
     /// Parses a label (as printed by [`SmrKind::label`]).
@@ -185,20 +220,14 @@ impl DsFamily for HmHashMapFamily {
 /// Runs one trial of `spec` for data-structure family `F` under the reclaimer
 /// named by `kind`.
 pub fn run_with<F: DsFamily>(kind: SmrKind, spec: &WorkloadSpec, config: SmrConfig) -> TrialResult {
-    match kind {
-        SmrKind::NbrPlus => run_trial::<NbrPlus, F::Ds<NbrPlus>>(spec, config),
-        SmrKind::Nbr => run_trial::<Nbr, F::Ds<Nbr>>(spec, config),
-        SmrKind::Debra => run_trial::<Debra, F::Ds<Debra>>(spec, config),
-        SmrKind::Qsbr => run_trial::<Qsbr, F::Ds<Qsbr>>(spec, config),
-        SmrKind::Rcu => run_trial::<Rcu, F::Ds<Rcu>>(spec, config),
-        SmrKind::Hp => run_trial::<HazardPointers, F::Ds<HazardPointers>>(spec, config),
-        SmrKind::Ibr => run_trial::<Ibr, F::Ds<Ibr>>(spec, config),
-        SmrKind::He => run_trial::<HazardEras, F::Ds<HazardEras>>(spec, config),
-        SmrKind::Wfe => run_trial::<Wfe, F::Ds<Wfe>>(spec, config),
-        SmrKind::EpochPop => run_trial::<EpochPop, F::Ds<EpochPop>>(spec, config),
-        SmrKind::HpPop => run_trial::<HpPop, F::Ds<HpPop>>(spec, config),
-        SmrKind::Leaky => run_trial::<Leaky, F::Ds<Leaky>>(spec, config),
+    macro_rules! dispatch {
+        ($({ $variant:ident, $snake:ident, $ty:ty, $($flags:tt)* })*) => {
+            match kind {
+                $(SmrKind::$variant => run_trial::<$ty, F::Ds<$ty>>(spec, config),)*
+            }
+        };
     }
+    for_each_scheme!(dispatch)
 }
 
 /// A prefilled (reclaimer × structure) instance that can run the measured
@@ -238,20 +267,14 @@ pub fn build_prefilled<F: DsFamily>(
             _smr: PhantomData,
         })
     }
-    match kind {
-        SmrKind::NbrPlus => mk::<NbrPlus, F::Ds<NbrPlus>>(spec, config),
-        SmrKind::Nbr => mk::<Nbr, F::Ds<Nbr>>(spec, config),
-        SmrKind::Debra => mk::<Debra, F::Ds<Debra>>(spec, config),
-        SmrKind::Qsbr => mk::<Qsbr, F::Ds<Qsbr>>(spec, config),
-        SmrKind::Rcu => mk::<Rcu, F::Ds<Rcu>>(spec, config),
-        SmrKind::Hp => mk::<HazardPointers, F::Ds<HazardPointers>>(spec, config),
-        SmrKind::Ibr => mk::<Ibr, F::Ds<Ibr>>(spec, config),
-        SmrKind::He => mk::<HazardEras, F::Ds<HazardEras>>(spec, config),
-        SmrKind::Wfe => mk::<Wfe, F::Ds<Wfe>>(spec, config),
-        SmrKind::EpochPop => mk::<EpochPop, F::Ds<EpochPop>>(spec, config),
-        SmrKind::HpPop => mk::<HpPop, F::Ds<HpPop>>(spec, config),
-        SmrKind::Leaky => mk::<Leaky, F::Ds<Leaky>>(spec, config),
+    macro_rules! dispatch {
+        ($({ $variant:ident, $snake:ident, $ty:ty, $($flags:tt)* })*) => {
+            match kind {
+                $(SmrKind::$variant => mk::<$ty, F::Ds<$ty>>(spec, config),)*
+            }
+        };
     }
+    for_each_scheme!(dispatch)
 }
 
 #[cfg(test)]
@@ -266,6 +289,26 @@ mod tests {
         }
         assert_eq!(SmrKind::parse("nbr+"), Some(SmrKind::NbrPlus));
         assert_eq!(SmrKind::parse("unknown"), None);
+    }
+
+    #[test]
+    fn registry_rows_are_distinct_and_subsets_keep_canonical_order() {
+        let all = SmrKind::all();
+        assert_eq!(all.len(), 12, "one row per implemented reclaimer");
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a, b);
+                assert!(!a.label().eq_ignore_ascii_case(b.label()));
+            }
+        }
+        let in_order = |subset: &[SmrKind]| {
+            let mut rest = all.iter();
+            subset.iter().all(|k| rest.any(|a| a == k))
+        };
+        assert!(in_order(SmrKind::e1_set()) && SmrKind::e1_set().len() == 7);
+        assert!(in_order(SmrKind::bench_set()) && SmrKind::bench_set().len() == 9);
+        let interval: Vec<_> = all.iter().filter(|k| k.interval()).collect();
+        assert_eq!(interval, [&SmrKind::Ibr, &SmrKind::He, &SmrKind::Wfe]);
     }
 
     #[test]

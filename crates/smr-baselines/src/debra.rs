@@ -8,7 +8,8 @@
 //!   clears the active bit when it ends one.
 //! * Records retired while the thread's local epoch is `e` go into the bag for
 //!   epoch `e`; once the global epoch has advanced to `e + 2` every operation
-//!   that could have seen those records has finished, so the bag is freed.
+//!   that could have seen those records has finished, so the bag is freed
+//!   (the [`EpochBags`] rotation shared with QSBR).
 //! * The global epoch advances only when every *active* thread has announced
 //!   the current epoch — so a single stalled or delayed thread stops all
 //!   reclamation (the *delayed thread vulnerability* discussed in Section 7 and
@@ -17,21 +18,14 @@
 //! Epoch-advance attempts are amortized over `epoch_freq` operations, mirroring
 //! DEBRA's amortized incremental scanning.
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState, Shared,
-    Smr, SmrConfig, SmrNode, ThreadStats,
+    CachePadded, EpochBags, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 const ACTIVE_BIT: u64 = 1;
 const QUIESCENT: u64 = u64::MAX;
-
-/// Number of epoch bags per thread (records retired in epoch `e` are freed
-/// once the thread observes epoch `e + 2`).
-const BAGS: usize = 3;
 
 struct EpochSlot {
     /// `epoch << 1 | active`, or `QUIESCENT` when the thread is between
@@ -41,25 +35,14 @@ struct EpochSlot {
 
 /// Per-thread context for [`Debra`].
 pub struct DebraCtx {
-    tid: usize,
-    bags: [LimboBag; BAGS],
-    bag_epochs: [u64; BAGS],
-    local_epoch: u64,
-    ops_since_advance: usize,
-    scan: ScanState,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal<EpochBags>,
 }
 
 /// The DEBRA epoch-based reclaimer.
 pub struct Debra {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    core: ReclaimCore,
     epoch: EraClock,
     slots: Vec<CachePadded<EpochSlot>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
 }
 
 impl Debra {
@@ -87,7 +70,7 @@ impl Debra {
     fn try_advance(&self, ctx: &mut DebraCtx) {
         fence(Ordering::SeqCst);
         let current = self.epoch.now();
-        for tid in self.registry.active_tids() {
+        for tid in self.core.registry().active_tids() {
             let a = self.slots[tid].announced.load(Ordering::Acquire);
             if a == QUIESCENT {
                 continue;
@@ -98,70 +81,20 @@ impl Debra {
             }
         }
         if self.epoch.advance_from(current) {
-            ctx.stats.epoch_advances += 1;
-            trace::emit(ctx.tid, TraceKind::EraAdvance, current + 1, 0);
+            ctx.local.note_era_advance(current + 1);
         }
     }
 
     /// Called whenever the thread observes a (possibly) new global epoch:
     /// frees every bag whose epoch is at least two behind and retargets the
     /// current bag.
+    #[inline]
     fn sync_local_epoch(&self, ctx: &mut DebraCtx, observed: u64) {
-        if observed == ctx.local_epoch {
-            return;
-        }
-        ctx.local_epoch = observed;
-        let reclaimable =
-            (0..BAGS).any(|i| !ctx.bags[i].is_empty() && ctx.bag_epochs[i] + 2 <= observed);
-        let sw = if reclaimable {
-            let limbo: usize = ctx.bags.iter().map(|b| b.len()).sum();
-            trace::emit(ctx.tid, TraceKind::ScanBegin, limbo as u64, 0);
-            telemetry::stopwatch_if(self.config.telemetry)
-        } else {
-            None
-        };
-        let frees_before = ctx.stats.frees;
-        for i in 0..BAGS {
-            if !ctx.bags[i].is_empty() && ctx.bag_epochs[i] + 2 <= observed {
-                // SAFETY: the global epoch advanced at least twice since every
-                // record in this bag was retired; every operation that could
-                // have held a reference has completed (classic EBR argument).
-                unsafe { ctx.bags[i].reclaim_all(&mut ctx.stats, &mut ctx.mag) };
-            }
-        }
-        if reclaimable {
-            trace::emit(
-                ctx.tid,
-                TraceKind::ScanEnd,
-                ctx.stats.frees - frees_before,
-                0,
-            );
-            if let Some(sw) = sw {
-                ctx.stats.tel.scan.record(sw.elapsed_ns());
-            }
-        }
-        // Point the "current" bag at the slot for the new epoch; it is either
-        // empty or was just reclaimed above.
-        let idx = (observed as usize) % BAGS;
-        if ctx.bags[idx].is_empty() {
-            ctx.bag_epochs[idx] = observed;
-        }
-        // Survivor adoption: departed threads' orphans join the current
-        // bag and wait two further advances like any fresh retire
-        // (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-            let idx = (observed as usize) % BAGS;
-            for r in orphaned {
-                ctx.bags[idx].push(r);
-            }
-        }
-    }
-
-    fn current_bag_index(ctx: &DebraCtx) -> usize {
-        (ctx.local_epoch as usize) % BAGS
+        // SAFETY: the global epoch only advances once every active thread
+        // has announced the current one, so two advances since a bag's
+        // records were retired mean every operation that could have held a
+        // reference has completed (classic EBR argument).
+        unsafe { self.core.epoch_scan(&mut ctx.local, observed) }
     }
 }
 
@@ -171,7 +104,6 @@ impl Smr for Debra {
     const NAME: &'static str = "DEBRA";
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let slots = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(EpochSlot {
@@ -180,76 +112,50 @@ impl Smr for Debra {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            core: ReclaimCore::new(config),
             epoch: EraClock::new(),
             slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> DebraCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let mut local: ReclaimLocal<EpochBags> = self.core.register(tid);
         self.slots[tid].announced.store(QUIESCENT, Ordering::SeqCst);
-        let now = self.epoch.now();
-        let cap = self.config.retire_batch_cap();
-        DebraCtx {
-            tid,
-            bags: [
-                LimboBag::with_batch(cap),
-                LimboBag::with_batch(cap),
-                LimboBag::with_batch(cap),
-            ],
-            bag_epochs: [now; BAGS],
-            local_epoch: now,
-            ops_since_advance: 0,
-            scan: ScanState::new(),
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        local.limbo.start_at(self.epoch.now());
+        DebraCtx { local }
     }
 
     fn unregister(&self, ctx: &mut DebraCtx) {
-        smr_common::check::unpin_epoch(ctx.tid);
-        self.announce(ctx.tid, 0, false);
-        let mut leftovers = Vec::new();
-        for bag in ctx.bags.iter_mut() {
-            leftovers.extend(bag.drain());
-        }
-        self.orphans.adopt(leftovers);
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        smr_common::check::unpin_epoch(ctx.local.tid());
+        self.announce(ctx.local.tid(), 0, false);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut DebraCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn begin_op(&self, ctx: &mut DebraCtx) {
         let e = self.epoch.now();
-        self.announce(ctx.tid, e, true);
+        self.announce(ctx.local.tid(), e, true);
         // Oracle: active at epoch `e` — no record retired at epoch ≥ e may
         // be freed while this op runs (the bag rule frees at retire + 2,
         // and the advance to retire + 2 needs every active announcement to
         // be past the retire epoch).
-        smr_common::check::pin_epoch(ctx.tid, e);
+        smr_common::check::pin_epoch(ctx.local.tid(), e);
         self.sync_local_epoch(ctx, e);
-        ctx.ops_since_advance += 1;
-        if ctx.ops_since_advance >= self.config.epoch_freq {
-            ctx.ops_since_advance = 0;
+        if self.core.epoch_tick(&mut ctx.local) {
             self.try_advance(ctx);
             // The epoch-paced advance is DEBRA's regular scan: restart the
             // heartbeat window so the op-exit trigger only fires when this
             // path has been starved (ScanState::tick_op's pacing contract).
-            ctx.scan.note_scan();
+            ctx.local.note_scan();
         }
     }
 
@@ -257,12 +163,10 @@ impl Smr for Debra {
     fn end_op(&self, ctx: &mut DebraCtx) {
         // Unpin before going quiescent — and before the scans below, which
         // may free this thread's own current-epoch retires.
-        smr_common::check::unpin_epoch(ctx.tid);
-        self.announce(ctx.tid, 0, false);
-        let pending = self.limbo_len(ctx);
-        if ctx.scan.tick_op(&self.policy, pending) {
-            ctx.stats.heartbeat_scans += 1;
-            ctx.scan.note_scan();
+        smr_common::check::unpin_epoch(ctx.local.tid());
+        self.announce(ctx.local.tid(), 0, false);
+        if self.core.heartbeat_due(&mut ctx.local) {
+            ctx.local.note_scan();
             // Heartbeat: nudge the epoch forward and free every bag two
             // grace periods old, so a slow-retiring thread still returns
             // memory between watermark-paced advances.
@@ -286,30 +190,21 @@ impl Smr for Debra {
         // unlink. Found by smr-check (use-after-free/deref on the Harris
         // list; replay: strategy=random/1 within the seeded sweep).
         self.sync_local_epoch(ctx, self.epoch.now());
-        let idx = Self::current_bag_index(ctx);
-        // Retire coalescing: the record stages in the current epoch's bag
-        // (stamped before staging, so a mid-batch epoch advance retargets
-        // later retires without disturbing the staged ones); the peak-limbo
-        // bookkeeping is amortized to batch flushes.
-        let flushed = ctx.bags[idx].stage(Retired::new(ptr.as_raw(), ctx.local_epoch));
-        ctx.stats.retires += 1;
-        if flushed {
-            let total: usize = ctx.bags.iter().map(|b| b.len()).sum();
-            ctx.stats.observe_limbo(total);
-        }
+        // The record stages in the current epoch's bag (stamped before
+        // staging, so a mid-batch epoch advance retargets later retires
+        // without disturbing the staged ones). DEBRA has no watermark
+        // trigger: the epoch rotation is its only sweep.
+        let retired = Retired::new(ptr.as_raw(), ctx.local.limbo.epoch());
+        self.core.retire(&mut ctx.local, retired);
     }
 
     #[inline]
     fn validation_stamp(&self, ctx: &mut DebraCtx) -> Option<u64> {
-        // Sound for DEBRA: `local_epoch` re-syncs to the global epoch at
+        // Sound for DEBRA: the local epoch re-syncs to the global epoch at
         // every `begin_op`, so stamp equality between two operations means
         // the global epoch never advanced in between — and a record retired
         // at epoch `e` is only freed once the global epoch reaches `e + 2`.
-        if self.config.memo {
-            Some(ctx.local_epoch)
-        } else {
-            None
-        }
+        self.core.config().memo.then_some(ctx.local.limbo.epoch())
     }
 
     fn flush(&self, ctx: &mut DebraCtx) {
@@ -323,22 +218,15 @@ impl Smr for Debra {
     }
 
     fn thread_stats(&self, ctx: &DebraCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut DebraCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &DebraCtx) -> usize {
-        ctx.bags.iter().map(|b| b.len()).sum()
-    }
-}
-
-impl Drop for Debra {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

@@ -13,14 +13,11 @@
 //! value. Retired records are scanned against every announced hazard and freed
 //! only when unprotected, which bounds garbage by `HiWatermark + K·N`.
 
-use crate::util::OrphanPool;
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    Atomic, BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState,
-    Shared, Smr, SmrConfig, SmrNode, ThreadStats,
+    Atomic, CachePadded, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr, SmrConfig,
+    SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 struct HazardSlots {
     slots: Box<[AtomicUsize]>,
@@ -28,30 +25,19 @@ struct HazardSlots {
 
 /// Per-thread context for [`HazardPointers`].
 pub struct HpCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch for the per-scan hazard snapshot (no allocation on
-    /// the reclamation path).
-    protected: Vec<usize>,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
 }
 
 /// The hazard-pointer reclaimer.
 pub struct HazardPointers {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    core: ReclaimCore,
     hazards: Vec<CachePadded<HazardSlots>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
 }
 
 impl HazardPointers {
     /// One pass over every active thread's hazard slots.
     fn collect_hazards(&self, out: &mut Vec<usize>) {
-        for tid in self.registry.active_tids() {
+        for tid in self.core.registry().active_tids() {
             for h in self.hazards[tid].slots.iter() {
                 let addr = h.load(Ordering::Acquire);
                 if addr != 0 {
@@ -62,63 +48,35 @@ impl HazardPointers {
     }
 
     fn scan_and_reclaim(&self, ctx: &mut HpCtx) {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, ctx.limbo.len() as u64, 0);
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag so they flow through the ordinary
-        // protection-checked sweep below (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        // Single-fence scan: one SeqCst fence orders this scan against every
-        // announcing thread's protect sequence (hazard store, then validating
-        // load); the per-slot loads themselves only need Acquire. See
-        // DESIGN.md, "Memory-ordering argument for single-fence scans".
-        fence(Ordering::SeqCst);
-        ctx.protected.clear();
-        // Two collection passes close the `protect_copy` scan race (ROADMAP
-        // item; argued in DESIGN.md, "Validate-after-copy for moved
-        // hazards"): a hazard moved from slot `src` to slot `dst` mid-scan
-        // can be missed by one pass (read `dst` before the copy, read `src`
-        // after its overwrite), but the copy into `dst` is sequenced before
-        // the overwrite of `src`, so a pass that starts after observing the
-        // overwrite — pass 2 starts after pass 1 read it — sees `dst`
-        // populated. Records protected in a stable slot are trivially seen
-        // by both passes. This covers exactly ONE relocation of a
-        // continuously-held record per scan, which is what the
-        // `Smr::protect_copy` relocation contract licenses callers to do.
-        self.collect_hazards(&mut ctx.protected);
-        self.collect_hazards(&mut ctx.protected);
-        ctx.protected.sort_unstable();
-        ctx.protected.dedup();
-        let before = ctx.limbo.len();
-        // SAFETY: a retired record is unlinked; any thread that could still
-        // dereference it must have announced (and validated) a hazard pointer
-        // to it before our scan's fence, so records absent from `protected`
-        // are safe (Michael's original argument; single-fence variant argued
-        // in DESIGN.md).
-        let freed = unsafe {
-            ctx.limbo.reclaim_prefix_unreserved(
-                usize::MAX,
-                &ctx.protected,
-                &mut ctx.stats,
-                &mut ctx.mag,
-            )
-        };
-        if freed == 0 && before > 0 {
-            ctx.stats.reclaim_skips += 1;
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
+        self.core.scan(&mut ctx.local, |local, _tail| {
+            // Single-fence scan: one SeqCst fence orders this scan against
+            // every announcing thread's protect sequence (hazard store, then
+            // validating load); the per-slot loads themselves only need
+            // Acquire. See DESIGN.md, "Memory-ordering argument for
+            // single-fence scans".
+            fence(Ordering::SeqCst);
+            local.addrs.clear();
+            // Two collection passes close the `protect_copy` scan race
+            // (ROADMAP item; argued in DESIGN.md, "Validate-after-copy for
+            // moved hazards"): a hazard moved from slot `src` to slot `dst`
+            // mid-scan can be missed by one pass (read `dst` before the
+            // copy, read `src` after its overwrite), but the copy into `dst`
+            // is sequenced before the overwrite of `src`, so a pass that
+            // starts after observing the overwrite — pass 2 starts after
+            // pass 1 read it — sees `dst` populated. Records protected in a
+            // stable slot are trivially seen by both passes. This covers
+            // exactly ONE relocation of a continuously-held record per scan,
+            // which is what the `Smr::protect_copy` relocation contract
+            // licenses callers to do.
+            self.collect_hazards(&mut local.addrs);
+            self.collect_hazards(&mut local.addrs);
+            // SAFETY: a retired record is unlinked; any thread that could
+            // still dereference it must have announced (and validated) a
+            // hazard pointer to it before our scan's fence, so records
+            // absent from `addrs` are safe (Michael's original argument;
+            // single-fence variant argued in DESIGN.md).
+            unsafe { local.sweep_unreserved(usize::MAX) }
+        });
     }
 
     fn clear_slots(&self, tid: usize) {
@@ -148,7 +106,6 @@ impl Smr for HazardPointers {
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let hazards = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(HazardSlots {
@@ -159,58 +116,47 @@ impl Smr for HazardPointers {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            core: ReclaimCore::new(config),
             hazards,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> HpCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let mut local: ReclaimLocal = self.core.register(tid);
         self.clear_slots(tid);
-        HpCtx {
-            tid,
-            limbo: LimboBag::with_capacity_and_batch(
-                self.config.hi_watermark + 1,
-                self.config.retire_batch_cap(),
-            ),
-            scan: ScanState::new(),
-            protected: Vec::with_capacity(self.config.hazards_per_thread * self.config.max_threads),
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        let config = self.core.config();
+        local
+            .addrs
+            .reserve_exact(config.hazards_per_thread * config.max_threads);
+        HpCtx { local }
     }
 
     fn unregister(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.tid);
+        self.clear_slots(ctx.local.tid());
         // Last chance to free what is already safe; the rest is orphaned.
         self.scan_and_reclaim(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut HpCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut HpCtx, slot: usize, src: &Atomic<T>) -> Shared<T> {
-        let slots = &self.hazards[ctx.tid].slots;
+        let tid = ctx.local.tid();
+        let slots = &self.hazards[tid].slots;
         debug_assert!(slot < slots.len(), "hazard slot index out of range");
         // The slot is being repurposed: whatever it validated before stops
         // being protected at the first announcement store below, so the
         // mirrored claim must drop *now* (a claim outliving its slot would
         // flag legal frees of the abandoned record).
-        smr_common::check::claim_addr(ctx.tid, slot, 0);
+        smr_common::check::claim_addr(tid, slot, 0);
         let mut p = src.load(Ordering::Acquire);
         loop {
             // Announce, fence (SeqCst store), then validate against the source.
@@ -220,10 +166,10 @@ impl Smr for HazardPointers {
                 // The claim is mirrored only for the *validated* value: a
                 // failing iteration's transient announcement protects nothing
                 // (the record may legitimately be freed while it is up).
-                smr_common::check::claim_addr(ctx.tid, slot, q.untagged_usize());
+                smr_common::check::claim_addr(tid, slot, q.untagged_usize());
                 return q;
             }
-            ctx.stats.protect_failures += 1;
+            ctx.local.stats.protect_failures += 1;
             p = q;
         }
     }
@@ -247,41 +193,29 @@ impl Smr for HazardPointers {
         // the scanner side instead, which collects every slot twice (see
         // `scan_and_reclaim` and DESIGN.md, "Validate-after-copy for moved
         // hazards").
-        self.hazards[ctx.tid].slots[dst_slot].store(ptr.untagged_usize(), Ordering::SeqCst);
-        smr_common::check::claim_addr(ctx.tid, dst_slot, ptr.untagged_usize());
+        let tid = ctx.local.tid();
+        self.hazards[tid].slots[dst_slot].store(ptr.untagged_usize(), Ordering::SeqCst);
+        smr_common::check::claim_addr(tid, dst_slot, ptr.untagged_usize());
     }
 
     #[inline]
     fn clear_protections(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.tid);
+        self.clear_slots(ctx.local.tid());
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.tid);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        self.clear_slots(ctx.local.tid());
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HpCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: the watermark trigger is consulted only when a
-        // batch flushes, so the bound gains RETIRE_BATCH_CAP - 1 of slack.
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), 0));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-            if self.policy.scan_on_retire(ctx.limbo.len()) {
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::LimboHigh,
-                    ctx.limbo.len() as u64,
-                    self.config.hi_watermark as u64,
-                );
-                self.scan_and_reclaim(ctx);
-            }
+        let retired = Retired::new(ptr.as_raw(), 0);
+        if self.core.retire(&mut ctx.local, retired) {
+            self.scan_and_reclaim(ctx);
         }
     }
 
@@ -290,22 +224,15 @@ impl Smr for HazardPointers {
     }
 
     fn thread_stats(&self, ctx: &HpCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut HpCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &HpCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for HazardPointers {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

@@ -22,81 +22,90 @@
 //! argument is in DESIGN.md, "Traversals through unlinked records under the
 //! interval reclaimers".
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    Atomic, BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState,
-    Shared, Smr, SmrConfig, SmrNode, ThreadStats,
+    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Registry, Retired, Shared,
+    Smr, SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Slot value meaning "no era announced".
-const NONE: u64 = 0;
+pub(crate) const NONE: u64 = 0;
 
-struct EraSlots {
-    slots: Box<[AtomicU64]>,
+/// The per-thread era reservation slots HE and WFE both publish into:
+/// `hazards_per_thread` single-writer slots per thread, [`NONE`] when empty.
+pub(crate) struct EraTable {
+    threads: Vec<CachePadded<Box<[AtomicU64]>>>,
 }
 
-/// Per-thread context for [`HazardEras`].
-pub struct HeCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch: per-thread era-hull bounds, each sorted.
-    lowers: Vec<u64>,
-    uppers: Vec<u64>,
-    allocs_since_advance: usize,
-    retires_since_scan: usize,
-    mag: Magazine,
-    stats: ThreadStats,
-}
+impl EraTable {
+    pub(crate) fn new(config: &SmrConfig) -> Self {
+        let threads = (0..config.max_threads)
+            .map(|_| {
+                CachePadded::new(
+                    (0..config.hazards_per_thread)
+                        .map(|_| AtomicU64::new(NONE))
+                        .collect(),
+                )
+            })
+            .collect();
+        Self { threads }
+    }
 
-/// The hazard-eras reclaimer.
-pub struct HazardEras {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
-    era: EraClock,
-    slots: Vec<CachePadded<EraSlots>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
-    /// Test-only resurrection of the pre-fix **point-era** sweep: each
-    /// announced era is treated as a degenerate `[e, e]` interval instead of
-    /// folding a thread's slots into their contiguous hull. This reopens the
-    /// exact marked-chain soundness hole PR 5 closed (a record born and
-    /// retired strictly between two announced eras is covered by neither
-    /// point) so the smr-check explorer can prove it rediscovers the bug.
-    /// Only settable under the `check` feature; never read by release builds.
-    #[cfg(feature = "check")]
-    resurrect_point_sweep: std::sync::atomic::AtomicBool,
-}
+    /// Thread `tid`'s slots.
+    #[inline]
+    pub(crate) fn of(&self, tid: usize) -> &[AtomicU64] {
+        &self.threads[tid]
+    }
 
-impl HazardEras {
+    /// Withdraws every era `tid` announced.
+    pub(crate) fn clear(&self, tid: usize) {
+        // Claims drop first: mirrored claims must stay a subset of the real
+        // announcements (a claim outliving its slot would flag legal frees).
+        smr_common::check::clear_claims(tid);
+        for s in self.of(tid) {
+            if s.load(Ordering::Relaxed) != NONE {
+                s.store(NONE, Ordering::Release);
+            }
+        }
+    }
+
+    /// Copies the era announced in `src_slot` (not the current one, which may
+    /// postdate the record's retirement) into `dst_slot`: that era covers the
+    /// record's lifetime, so it stays protected under `dst_slot`.
+    ///
+    /// Era slots are single-writer, so reading our own slots Relaxed is
+    /// exact; and when `dst_slot` *already* holds the source era — the
+    /// common case on list traversals, where every slot converges to the
+    /// current era within a few hops and then stays there until the next
+    /// era advance — the copy is idempotent: the value was published by an
+    /// earlier `SeqCst` store of this thread and every scan already sees
+    /// it, so the store (and its full fence on x86) can be skipped. This
+    /// removes the per-hop `SeqCst` pair the Harris list's `left`-promotion
+    /// paid on every unmarked hop (the BENCH_3 HE harris-list outlier; see
+    /// DESIGN.md, "Skipping idempotent era republishes").
+    #[inline]
+    pub(crate) fn copy(&self, tid: usize, dst_slot: usize, src_slot: usize) {
+        let slots = self.of(tid);
+        let era = slots[src_slot].load(Ordering::Relaxed);
+        if slots[dst_slot].load(Ordering::Relaxed) != era {
+            slots[dst_slot].store(era, Ordering::SeqCst);
+        }
+        if era != NONE {
+            smr_common::check::claim_era(tid, dst_slot, era);
+        }
+    }
+
     /// Snapshots every active thread's announced era *hull* — the contiguous
     /// interval `[min, max]` over its non-empty slots — pushing one bound
-    /// pair per announcing thread.
-    fn collect_hulls(&self, lowers: &mut Vec<u64>, uppers: &mut Vec<u64>) {
-        #[cfg(feature = "check")]
-        if self
-            .resurrect_point_sweep
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            // Resurrected pre-fix behaviour: every announced era is its own
-            // degenerate interval; the gap between two announcements covers
-            // nothing.
-            for tid in self.registry.active_tids() {
-                for s in self.slots[tid].slots.iter() {
-                    let e = s.load(Ordering::Acquire);
-                    if e != NONE {
-                        lowers.push(e);
-                        uppers.push(e);
-                    }
-                }
-            }
-            return;
-        }
-        for tid in self.registry.active_tids() {
+    /// pair per announcing thread. A helper's cross-thread announce (WFE)
+    /// lands in the owner's slots, which this fold reads.
+    pub(crate) fn collect_hulls(
+        &self,
+        registry: &Registry,
+        lowers: &mut Vec<u64>,
+        uppers: &mut Vec<u64>,
+    ) {
+        for tid in registry.active_tids() {
             let (mut lo, mut hi) = (u64::MAX, NONE);
             // Two passes over the thread's slots, folded into one hull,
             // close the `protect_copy` scan race for an era moved between
@@ -106,7 +115,7 @@ impl HazardEras {
             // moved hazards"); relocations only ever happen between slots
             // of the same thread, so per-thread double collection suffices.
             for _ in 0..2 {
-                for s in self.slots[tid].slots.iter() {
+                for s in self.of(tid) {
                     let e = s.load(Ordering::Acquire);
                     if e != NONE {
                         lo = lo.min(e);
@@ -120,69 +129,73 @@ impl HazardEras {
             }
         }
     }
+}
 
-    fn scan_and_reclaim(&self, ctx: &mut HeCtx) {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, ctx.limbo.len() as u64, 0);
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag so they flow through the ordinary
-        // protection-checked sweep below (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
+/// Per-thread context for [`HazardEras`].
+pub struct HeCtx {
+    local: ReclaimLocal,
+}
+
+/// The hazard-eras reclaimer.
+pub struct HazardEras {
+    core: ReclaimCore,
+    era: EraClock,
+    slots: EraTable,
+    /// Test-only resurrection of the pre-fix **point-era** sweep: each
+    /// announced era is treated as a degenerate `[e, e]` interval instead of
+    /// folding a thread's slots into their contiguous hull. This reopens the
+    /// exact marked-chain soundness hole PR 5 closed (a record born and
+    /// retired strictly between two announced eras is covered by neither
+    /// point) so the smr-check explorer can prove it rediscovers the bug.
+    /// Only settable under the `check` feature; never read by release builds.
+    #[cfg(feature = "check")]
+    resurrect_point_sweep: std::sync::atomic::AtomicBool,
+}
+
+impl HazardEras {
+    /// [`EraTable::collect_hulls`], or — resurrected pre-fix behaviour —
+    /// every announced era as its own degenerate interval, so the gap
+    /// between two announcements covers nothing.
+    fn collect_hulls(&self, lowers: &mut Vec<u64>, uppers: &mut Vec<u64>) {
+        #[cfg(feature = "check")]
+        if self
+            .resurrect_point_sweep
+            .load(std::sync::atomic::Ordering::SeqCst)
+        {
+            for tid in self.core.registry().active_tids() {
+                for s in self.slots.of(tid) {
+                    let e = s.load(Ordering::Acquire);
+                    if e != NONE {
+                        lowers.push(e);
+                        uppers.push(e);
+                    }
+                }
+            }
+            return;
         }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        // Single-fence scan (see DESIGN.md): one SeqCst fence, then Acquire
-        // loads of every announced era.
-        fence(Ordering::SeqCst);
-        ctx.lowers.clear();
-        ctx.uppers.clear();
-        self.collect_hulls(&mut ctx.lowers, &mut ctx.uppers);
-        // Sort-then-sweep: with both bound arrays sorted, each record is
-        // tested with two binary searches (O((R + T) log T) instead of
-        // O(R × T·K)) — the same interval sweep IBR uses.
-        ctx.lowers.sort_unstable();
-        ctx.uppers.sort_unstable();
-        let before = ctx.limbo.len();
-        // SAFETY: a thread can only dereference a record whose lifetime
-        // overlaps its announced era hull — announced point eras cover every
-        // record reached through live predecessors, and the hull in between
-        // covers records reached through *unlinked* (marked-frozen)
-        // predecessors, whose retire eras are sandwiched between the
-        // traverser's announcements (DESIGN.md, "Traversals through unlinked
-        // records under the interval reclaimers"). If no hull overlaps
-        // [birth, retire], no thread can still dereference the record.
-        let freed = unsafe {
-            ctx.limbo.reclaim_disjoint_intervals(
-                &ctx.lowers,
-                &ctx.uppers,
-                &mut ctx.stats,
-                &mut ctx.mag,
-            )
-        };
-        if freed == 0 && before > 0 {
-            ctx.stats.reclaim_skips += 1;
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
+        self.slots
+            .collect_hulls(self.core.registry(), lowers, uppers);
     }
 
-    fn clear_slots(&self, tid: usize) {
-        // Claims drop first: mirrored claims must stay a subset of the real
-        // announcements (a claim outliving its slot would flag legal frees).
-        smr_common::check::clear_claims(tid);
-        for s in self.slots[tid].slots.iter() {
-            if s.load(Ordering::Relaxed) != NONE {
-                s.store(NONE, Ordering::Release);
-            }
-        }
+    fn scan_and_reclaim(&self, ctx: &mut HeCtx) {
+        self.core.scan(&mut ctx.local, |local, _tail| {
+            // Single-fence scan (see DESIGN.md): one SeqCst fence, then
+            // Acquire loads of every announced era.
+            fence(Ordering::SeqCst);
+            local.lowers.clear();
+            local.uppers.clear();
+            self.collect_hulls(&mut local.lowers, &mut local.uppers);
+            // SAFETY: a thread can only dereference a record whose lifetime
+            // overlaps its announced era hull — announced point eras cover
+            // every record reached through live predecessors, and the hull
+            // in between covers records reached through *unlinked*
+            // (marked-frozen) predecessors, whose retire eras are
+            // sandwiched between the traverser's announcements (DESIGN.md,
+            // "Traversals through unlinked records under the interval
+            // reclaimers"). If no hull overlaps [birth, retire], no thread
+            // can still dereference the record.
+            unsafe { local.sweep_disjoint_intervals() }
+        });
     }
 
     /// Restores the pre-fix point-era sweep (see the field docs). Test-only:
@@ -211,60 +224,36 @@ impl Smr for HazardEras {
     const CAN_TRAVERSE_UNLINKED: bool = true;
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(EraSlots {
-                    slots: (0..config.hazards_per_thread)
-                        .map(|_| AtomicU64::new(NONE))
-                        .collect(),
-                })
-            })
-            .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            slots: EraTable::new(&config),
+            core: ReclaimCore::new(config),
             era: EraClock::new(),
-            slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
             #[cfg(feature = "check")]
             resurrect_point_sweep: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> HeCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
-        self.clear_slots(tid);
-        HeCtx {
-            tid,
-            limbo: LimboBag::with_batch(self.config.retire_batch_cap()),
-            scan: ScanState::new(),
-            lowers: Vec::with_capacity(self.config.max_threads),
-            uppers: Vec::with_capacity(self.config.max_threads),
-            allocs_since_advance: 0,
-            retires_since_scan: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        let mut local: ReclaimLocal = self.core.register(tid);
+        local.lowers.reserve_exact(self.core.config().max_threads);
+        local.uppers.reserve_exact(self.core.config().max_threads);
+        self.slots.clear(tid);
+        HeCtx { local }
     }
 
     fn unregister(&self, ctx: &mut HeCtx) {
-        self.clear_slots(ctx.tid);
+        self.slots.clear(ctx.local.tid());
         self.scan_and_reclaim(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut HeCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
@@ -276,7 +265,8 @@ impl Smr for HazardEras {
     /// then load the pointer (the HE `get_protected` protocol).
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut HeCtx, slot: usize, src: &Atomic<T>) -> Shared<T> {
-        let slots = &self.slots[ctx.tid].slots;
+        let tid = ctx.local.tid();
+        let slots = self.slots.of(tid);
         debug_assert!(slot < slots.len(), "era slot index out of range");
         let mut announced = slots[slot].load(Ordering::Relaxed);
         loop {
@@ -286,7 +276,7 @@ impl Smr for HazardEras {
                 // Mirror the stable announcement (the oracle folds a
                 // thread's era claims into the same [min, max] hull the
                 // reclamation sweep uses).
-                smr_common::check::claim_era(ctx.tid, slot, era);
+                smr_common::check::claim_era(tid, slot, era);
                 return p;
             }
             slots[slot].store(era, Ordering::SeqCst);
@@ -295,9 +285,9 @@ impl Smr for HazardEras {
             // it claimed would stretch the oracle's hull beyond what the
             // real sweep sees (no preempt point sits between the store and
             // this call, so the pair is scheduler-atomic).
-            smr_common::check::claim_era(ctx.tid, slot, era);
+            smr_common::check::claim_era(tid, slot, era);
             announced = era;
-            ctx.stats.protect_failures += 1;
+            ctx.local.stats.protect_failures += 1;
         }
     }
 
@@ -309,89 +299,41 @@ impl Smr for HazardEras {
         src_slot: usize,
         _ptr: Shared<T>,
     ) {
-        // The era announced in `src_slot` covers the record's lifetime; copying
-        // that era (not the current one, which may postdate the record's
-        // retirement) keeps it protected under `dst_slot`.
-        //
-        // Era slots are single-writer, so reading our own slots Relaxed is
-        // exact; and when `dst_slot` *already* holds the source era — the
-        // common case on list traversals, where every slot converges to the
-        // current era within a few hops and then stays there until the next
-        // era advance — the copy is idempotent: the value was published by an
-        // earlier `SeqCst` store of this thread and every scan already sees
-        // it, so the store (and its full fence on x86) can be skipped. This
-        // removes the per-hop `SeqCst` pair the Harris list's `left`-promotion
-        // paid on every unmarked hop (the BENCH_3 HE harris-list outlier; see
-        // DESIGN.md, "Skipping idempotent era republishes").
-        let slots = &self.slots[ctx.tid].slots;
-        let era = slots[src_slot].load(Ordering::Relaxed);
-        if slots[dst_slot].load(Ordering::Relaxed) != era {
-            slots[dst_slot].store(era, Ordering::SeqCst);
-        }
-        if era != NONE {
-            smr_common::check::claim_era(ctx.tid, dst_slot, era);
-        }
+        self.slots.copy(ctx.local.tid(), dst_slot, src_slot);
     }
 
     #[inline]
     fn clear_protections(&self, ctx: &mut HeCtx) {
-        self.clear_slots(ctx.tid);
+        self.slots.clear(ctx.local.tid());
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut HeCtx) {
-        self.clear_slots(ctx.tid);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        self.slots.clear(ctx.local.tid());
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
 
     fn alloc<T: SmrNode>(&self, ctx: &mut HeCtx, value: T) -> Shared<T> {
-        let raw = ctx.mag.alloc_node(value);
         // Stamp after the pop (which happens-after the block's free), so a
         // recycled block's new birth era is never older than the era at
         // which its previous incarnation was freed (`Smr::alloc` docs).
-        // SAFETY: freshly allocated above, not yet published.
-        unsafe { (*raw).header_mut().set_birth_era(self.era.now()) };
-        // SAFETY: same exclusive ownership as the line above.
-        smr_common::check::on_node_alloc(raw as usize, unsafe { (*raw).header().birth_era() });
-        ctx.allocs_since_advance += 1;
-        if ctx.allocs_since_advance >= self.config.epoch_freq {
-            ctx.allocs_since_advance = 0;
-            let era = self.era.advance();
-            trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
-            ctx.stats.epoch_advances += 1;
+        let p = ctx.local.alloc_stamped(value, || self.era.now());
+        if self.core.epoch_tick(&mut ctx.local) {
+            ctx.local.note_era_advance(self.era.advance());
         }
-        ctx.stats.allocs += 1;
-        Shared::from_raw(raw)
+        p
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HeCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        let era = self.era.now();
-        // Retire coalescing: stage the record (era-stamped before staging).
-        // The `empty_freq` scan cadence stays per-retire; the watermark
-        // trigger is consulted only when a batch flushes (bounded overshoot
-        // of RETIRE_BATCH_CAP - 1).
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), era));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-        }
-        ctx.retires_since_scan += 1;
-        if ctx.retires_since_scan >= self.config.empty_freq
-            || (flushed && self.policy.scan_on_retire(ctx.limbo.len()))
-        {
-            if self.policy.scan_on_retire(ctx.limbo.len()) {
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::LimboHigh,
-                    ctx.limbo.len() as u64,
-                    self.config.hi_watermark as u64,
-                );
-            }
-            ctx.retires_since_scan = 0;
+        // Era-stamped before staging. The `empty_freq` scan cadence stays
+        // per-retire; the watermark trigger is consulted only when a batch
+        // flushes (bounded overshoot of RETIRE_BATCH_CAP - 1).
+        let retired = Retired::new(ptr.as_raw(), self.era.now());
+        let at_hi = self.core.retire(&mut ctx.local, retired);
+        if self.core.cadence_due(&mut ctx.local) || at_hi {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -402,22 +344,15 @@ impl Smr for HazardEras {
     }
 
     fn thread_stats(&self, ctx: &HeCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut HeCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &HeCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for HazardEras {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

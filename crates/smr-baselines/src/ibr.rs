@@ -10,14 +10,11 @@
 //! interval — so garbage is bounded, but unlike hazard pointers no per-record
 //! validation is needed.
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    Atomic, BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState,
-    Shared, Smr, SmrConfig, SmrNode, ThreadStats,
+    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Announcement meaning "not inside an operation".
 const IDLE: u64 = u64::MAX;
@@ -29,27 +26,14 @@ struct IntervalSlot {
 
 /// Per-thread context for [`Ibr`].
 pub struct IbrCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch: announced interval lower/upper bounds, each sorted.
-    lowers: Vec<u64>,
-    uppers: Vec<u64>,
-    allocs_since_advance: usize,
-    retires_since_scan: usize,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
 }
 
 /// The 2GEIBR interval-based reclaimer.
 pub struct Ibr {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    core: ReclaimCore,
     era: EraClock,
     slots: Vec<CachePadded<IntervalSlot>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
     /// Test-only resurrection of the pre-fix **stamp-before-pop** allocation:
     /// the birth era is read from the clock *before* the magazine pop instead
     /// of after it. The era read then races the previous incarnation's free —
@@ -63,67 +47,57 @@ pub struct Ibr {
 
 impl Ibr {
     fn scan_and_reclaim(&self, ctx: &mut IbrCtx) {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, ctx.limbo.len() as u64, 0);
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag so they flow through the ordinary
-        // protection-checked sweep below (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        // Single-fence scan (see DESIGN.md): one SeqCst fence, then Acquire
-        // loads of every announced interval.
-        fence(Ordering::SeqCst);
-        ctx.lowers.clear();
-        ctx.uppers.clear();
-        for tid in self.registry.active_tids() {
-            let lo = self.slots[tid].lower.load(Ordering::Acquire);
-            let up = self.slots[tid].upper.load(Ordering::Acquire);
-            if lo != IDLE {
-                // The two loads are not a single atomic snapshot: a
-                // concurrent end_op/begin_op can leave us a torn pair with
-                // up < lo. Clamp to [lo, max(lo, up)] — conservative (pins at
-                // least era `lo`) and restores the lo ≤ up invariant the
-                // sorted sweep's counting argument relies on.
-                ctx.lowers.push(lo);
-                ctx.uppers.push(up.max(lo));
+        self.core.scan(&mut ctx.local, |local, _tail| {
+            // Single-fence scan (see DESIGN.md): one SeqCst fence, then
+            // Acquire loads of every announced interval.
+            fence(Ordering::SeqCst);
+            local.lowers.clear();
+            local.uppers.clear();
+            for tid in self.core.registry().active_tids() {
+                let lo = self.slots[tid].lower.load(Ordering::Acquire);
+                let up = self.slots[tid].upper.load(Ordering::Acquire);
+                if lo != IDLE {
+                    // The two loads are not a single atomic snapshot: a
+                    // concurrent end_op/begin_op can leave us a torn pair
+                    // with up < lo. Clamp to [lo, max(lo, up)] —
+                    // conservative (pins at least era `lo`) and restores
+                    // the lo ≤ up invariant the sorted sweep's counting
+                    // argument relies on.
+                    local.lowers.push(lo);
+                    local.uppers.push(up.max(lo));
+                }
             }
-        }
-        // Sort-then-sweep: with both bound arrays sorted, each record is
-        // tested with two binary searches — |lo ≤ retire| == |up < birth| ⇔
-        // no announced interval overlaps [birth, retire] — taking the scan
-        // from O(R × T) to O((R + T) log T).
-        ctx.lowers.sort_unstable();
-        ctx.uppers.sort_unstable();
-        let before = ctx.limbo.len();
-        // SAFETY: a record whose [birth, retire] interval is disjoint from
-        // every announced [lower, upper] interval cannot be reached by any
-        // in-flight operation: an operation can only hold pointers to records
-        // that were live at some era inside its announced interval (Wen et
-        // al.'s reachability argument; single-fence variant argued in
-        // DESIGN.md).
-        let freed = unsafe {
-            ctx.limbo.reclaim_disjoint_intervals(
-                &ctx.lowers,
-                &ctx.uppers,
-                &mut ctx.stats,
-                &mut ctx.mag,
-            )
-        };
-        if freed == 0 && before > 0 {
-            ctx.stats.reclaim_skips += 1;
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
+            // SAFETY: a record whose [birth, retire] interval is disjoint
+            // from every announced [lower, upper] interval cannot be
+            // reached by any in-flight operation: an operation can only
+            // hold pointers to records that were live at some era inside
+            // its announced interval (Wen et al.'s reachability argument;
+            // single-fence variant argued in DESIGN.md).
+            unsafe { local.sweep_disjoint_intervals() }
+        });
+    }
+
+    /// The resurrected pre-fix birth stamp, when the test flag is set: the
+    /// clock is read *before* the pop. Between the read and the pop another
+    /// thread can retire + free the block this pop will return at an era
+    /// `r > e`; stamping `e` then backdates the new incarnation into the old
+    /// one's lifetime. The preempt point is the window the explorer widens.
+    #[cfg(feature = "check")]
+    fn stale_stamp(&self) -> Option<u64> {
+        self.resurrect_stamp_before_pop
+            .load(std::sync::atomic::Ordering::SeqCst)
+            .then(|| {
+                let e = self.era.now();
+                smr_common::check::preempt("ibr.alloc.stale-stamp", 0);
+                e
+            })
+    }
+
+    /// No stale stamp outside the `check` feature: always stamp after the pop.
+    #[cfg(not(feature = "check"))]
+    #[inline(always)]
+    fn stale_stamp(&self) -> Option<u64> {
+        None
     }
 
     /// Restores the pre-fix stamp-before-pop allocation (see the field docs).
@@ -155,7 +129,6 @@ impl Smr for Ibr {
     const CAN_TRAVERSE_UNLINKED: bool = true;
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let slots = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(IntervalSlot {
@@ -165,77 +138,65 @@ impl Smr for Ibr {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            core: ReclaimCore::new(config),
             era: EraClock::new(),
             slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
             #[cfg(feature = "check")]
             resurrect_stamp_before_pop: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> IbrCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let mut local: ReclaimLocal = self.core.register(tid);
+        local.lowers.reserve_exact(self.core.config().max_threads);
+        local.uppers.reserve_exact(self.core.config().max_threads);
         self.slots[tid].lower.store(IDLE, Ordering::SeqCst);
         self.slots[tid].upper.store(IDLE, Ordering::SeqCst);
-        IbrCtx {
-            tid,
-            limbo: LimboBag::with_batch(self.config.retire_batch_cap()),
-            scan: ScanState::new(),
-            lowers: Vec::with_capacity(self.config.max_threads),
-            uppers: Vec::with_capacity(self.config.max_threads),
-            allocs_since_advance: 0,
-            retires_since_scan: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        IbrCtx { local }
     }
 
     fn unregister(&self, ctx: &mut IbrCtx) {
-        smr_common::check::clear_claims(ctx.tid);
-        self.slots[ctx.tid].lower.store(IDLE, Ordering::SeqCst);
-        self.slots[ctx.tid].upper.store(IDLE, Ordering::SeqCst);
+        let tid = ctx.local.tid();
+        smr_common::check::clear_claims(tid);
+        self.slots[tid].lower.store(IDLE, Ordering::SeqCst);
+        self.slots[tid].upper.store(IDLE, Ordering::SeqCst);
         self.scan_and_reclaim(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut IbrCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn begin_op(&self, ctx: &mut IbrCtx) {
+        let tid = ctx.local.tid();
         let e = self.era.now();
-        self.slots[ctx.tid].lower.store(e, Ordering::SeqCst);
-        self.slots[ctx.tid].upper.store(e, Ordering::SeqCst);
+        self.slots[tid].lower.store(e, Ordering::SeqCst);
+        self.slots[tid].upper.store(e, Ordering::SeqCst);
         // Mirror the interval as two era claims (pseudo-slot 0 = lower,
         // 1 = upper); the oracle's hull over them is exactly [lower, upper].
-        smr_common::check::claim_era(ctx.tid, 0, e);
-        smr_common::check::claim_era(ctx.tid, 1, e);
+        smr_common::check::claim_era(tid, 0, e);
+        smr_common::check::claim_era(tid, 1, e);
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut IbrCtx) {
+        let tid = ctx.local.tid();
         // Claims drop first (they must stay a subset of the announcement).
-        smr_common::check::clear_claims(ctx.tid);
+        smr_common::check::clear_claims(tid);
         // Withdrawing an announcement only *permits* more reclamation, so a
         // delayed-visibility (Release) store is safe: a scan that still sees
         // the old interval merely pins a few records longer. The next
         // operation re-announces with SeqCst before its first shared read.
-        self.slots[ctx.tid].lower.store(IDLE, Ordering::Release);
-        self.slots[ctx.tid].upper.store(IDLE, Ordering::Release);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        self.slots[tid].lower.store(IDLE, Ordering::Release);
+        self.slots[tid].upper.store(IDLE, Ordering::Release);
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -253,13 +214,14 @@ impl Smr for Ibr {
     /// while this thread still dereferences it.
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut IbrCtx, _slot: usize, src: &Atomic<T>) -> Shared<T> {
-        let upper = &self.slots[ctx.tid].upper;
+        let tid = ctx.local.tid();
+        let upper = &self.slots[tid].upper;
         let mut announced = upper.load(Ordering::Relaxed);
         loop {
             let p = src.load(Ordering::Acquire);
             let e = self.era.now();
             if announced != IDLE && e <= announced {
-                smr_common::check::claim_era(ctx.tid, 1, announced);
+                smr_common::check::claim_era(tid, 1, announced);
                 return p;
             }
             upper.store(e, Ordering::SeqCst);
@@ -267,86 +229,34 @@ impl Smr for Ibr {
             // the store above): the claim hull must track the real
             // announcement or later loop iterations under-claim the records
             // this thread is about to dereference.
-            smr_common::check::claim_era(ctx.tid, 1, e);
+            smr_common::check::claim_era(tid, 1, e);
             announced = e;
-            ctx.stats.protect_failures += 1;
+            ctx.local.stats.protect_failures += 1;
         }
     }
 
     fn alloc<T: SmrNode>(&self, ctx: &mut IbrCtx, value: T) -> Shared<T> {
-        #[cfg(feature = "check")]
-        if self
-            .resurrect_stamp_before_pop
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            // Resurrected pre-fix shape: the clock is read *before* the pop.
-            // Between the read and the pop another thread can retire + free
-            // the block this pop will return at an era `r > e`; stamping `e`
-            // then backdates the new incarnation into the old one's lifetime.
-            // The preempt point is the window the explorer widens.
-            let e = self.era.now();
-            smr_common::check::preempt("ibr.alloc.stale-stamp", 0);
-            let mut value = value;
-            value.header_mut().set_birth_era(e);
-            let raw = ctx.mag.alloc_node(value);
-            smr_common::check::on_node_alloc(raw as usize, e);
-            // Keep the normal era-advance cadence: the historical bug was
-            // the stamp-before-pop ordering, not a frozen clock (without
-            // this the era never moves and no retire can postdate `e`).
-            ctx.allocs_since_advance += 1;
-            if ctx.allocs_since_advance >= self.config.epoch_freq {
-                ctx.allocs_since_advance = 0;
-                let era = self.era.advance();
-                trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
-                ctx.stats.epoch_advances += 1;
-            }
-            ctx.stats.allocs += 1;
-            return Shared::from_raw(raw);
-        }
-        let raw = ctx.mag.alloc_node(value);
+        let stale = self.stale_stamp();
         // Stamp after the pop (which happens-after the block's free), so a
         // recycled block's new birth era is never older than the era at
         // which its previous incarnation was freed (`Smr::alloc` docs).
-        // SAFETY: freshly allocated above, not yet published.
-        unsafe { (*raw).header_mut().set_birth_era(self.era.now()) };
-        // SAFETY: same exclusive ownership as the line above.
-        smr_common::check::on_node_alloc(raw as usize, unsafe { (*raw).header().birth_era() });
-        ctx.allocs_since_advance += 1;
-        if ctx.allocs_since_advance >= self.config.epoch_freq {
-            ctx.allocs_since_advance = 0;
-            let era = self.era.advance();
-            trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
-            ctx.stats.epoch_advances += 1;
+        let p = ctx
+            .local
+            .alloc_stamped(value, || stale.unwrap_or_else(|| self.era.now()));
+        if self.core.epoch_tick(&mut ctx.local) {
+            ctx.local.note_era_advance(self.era.advance());
         }
-        ctx.stats.allocs += 1;
-        Shared::from_raw(raw)
+        p
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut IbrCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        let era = self.era.now();
-        // Retire coalescing: stage the record (era-stamped before staging).
-        // The `empty_freq` scan cadence stays per-retire; the watermark
-        // trigger is consulted only when a batch flushes (bounded overshoot
-        // of RETIRE_BATCH_CAP - 1).
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), era));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-        }
-        ctx.retires_since_scan += 1;
-        if ctx.retires_since_scan >= self.config.empty_freq
-            || (flushed && self.policy.scan_on_retire(ctx.limbo.len()))
-        {
-            if self.policy.scan_on_retire(ctx.limbo.len()) {
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::LimboHigh,
-                    ctx.limbo.len() as u64,
-                    self.config.hi_watermark as u64,
-                );
-            }
-            ctx.retires_since_scan = 0;
+        // Era-stamped before staging. The `empty_freq` scan cadence stays
+        // per-retire; the watermark trigger is consulted only when a batch
+        // flushes (bounded overshoot of RETIRE_BATCH_CAP - 1).
+        let retired = Retired::new(ptr.as_raw(), self.era.now());
+        let at_hi = self.core.retire(&mut ctx.local, retired);
+        if self.core.cadence_due(&mut ctx.local) || at_hi {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -357,22 +267,15 @@ impl Smr for Ibr {
     }
 
     fn thread_stats(&self, ctx: &IbrCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut IbrCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &IbrCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for Ibr {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

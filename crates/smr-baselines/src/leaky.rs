@@ -8,26 +8,18 @@
 //! dropped (i.e. after every participating thread has finished), which costs
 //! nothing on the hot path.
 
-use crate::util::OrphanPool;
 use smr_common::{
-    BlockPool, LimboBag, Magazine, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats,
+    Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats,
 };
-use std::sync::Arc;
 
 /// Per-thread context for [`Leaky`].
 pub struct LeakyCtx {
-    tid: usize,
-    limbo: LimboBag,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
 }
 
 /// The leaky ("none") reclaimer.
 pub struct Leaky {
-    config: SmrConfig,
-    registry: smr_common::Registry,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
+    core: ReclaimCore,
 }
 
 impl Smr for Leaky {
@@ -36,82 +28,57 @@ impl Smr for Leaky {
     const NAME: &'static str = "none";
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         Self {
-            registry: smr_common::Registry::new(config.max_threads),
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
+            core: ReclaimCore::new(config),
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> LeakyCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
         LeakyCtx {
-            tid,
-            limbo: LimboBag::with_batch(self.config.retire_batch_cap()),
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
+            local: self.core.register(tid),
         }
     }
 
     fn unregister(&self, ctx: &mut LeakyCtx) {
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        // Everything retired is orphaned: the records are destroyed when the
+        // reclaimer drops, i.e. after the structure is gone.
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut LeakyCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut LeakyCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: nothing is ever swept here, so staging only
+        // Nothing is ever swept here, so the cue is ignored: staging only
         // amortizes the segment pushes and peak-limbo bookkeeping.
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), 0));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-        }
+        self.core
+            .retire(&mut ctx.local, Retired::new(ptr.as_raw(), 0));
     }
 
     #[inline]
     fn validation_stamp(&self, _ctx: &mut LeakyCtx) -> Option<u64> {
         // Trivially sound: the leaky reclaimer never frees during the run,
         // so any constant stamp validates.
-        if self.config.memo {
-            Some(0)
-        } else {
-            None
-        }
+        self.core.config().memo.then_some(0)
     }
 
     fn thread_stats(&self, ctx: &LeakyCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut LeakyCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &LeakyCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for Leaky {
-    fn drop(&mut self) {
-        // SAFETY: the reclaimer outlives every registered thread's use of the
-        // data structure by contract (it owns the orphaned records only after
-        // their threads deregistered, and dropping it means the structure is
-        // gone).
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

@@ -28,7 +28,6 @@ pub mod ibr;
 pub mod leaky;
 pub mod qsbr;
 pub mod rcu;
-pub mod util;
 pub mod wfe;
 
 pub use debra::{Debra, DebraCtx};

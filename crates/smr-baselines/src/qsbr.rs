@@ -6,22 +6,18 @@
 //! two data-structure operations. The global epoch may advance once every
 //! registered thread has been quiescent during the current epoch; records
 //! retired in epoch `e` are freed once the retiring thread observes epoch
-//! `e + 2`.
+//! `e + 2` (the [`EpochBags`] rotation shared with DEBRA).
 //!
 //! Like all EBR-family schemes it has no garbage bound: a thread that stalls
 //! inside an operation (never reaching a quiescent state) pins the epoch
 //! forever (experiment E2).
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState, Shared,
-    Smr, SmrConfig, SmrNode, ThreadStats,
+    CachePadded, EpochBags, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
-const BAGS: usize = 3;
 /// Sentinel meaning "offline": the thread is not running operations at all and
 /// must not block epoch advancement.
 const OFFLINE: u64 = u64::MAX;
@@ -33,25 +29,14 @@ struct QsbrSlot {
 
 /// Per-thread context for [`Qsbr`].
 pub struct QsbrCtx {
-    tid: usize,
-    bags: [LimboBag; BAGS],
-    bag_epochs: [u64; BAGS],
-    local_epoch: u64,
-    retires_since_check: usize,
-    scan: ScanState,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal<EpochBags>,
 }
 
 /// The QSBR reclaimer.
 pub struct Qsbr {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    core: ReclaimCore,
     epoch: EraClock,
     slots: Vec<CachePadded<QsbrSlot>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
 }
 
 impl Qsbr {
@@ -63,7 +48,7 @@ impl Qsbr {
     fn try_advance(&self, ctx: &mut QsbrCtx) {
         fence(Ordering::SeqCst);
         let current = self.epoch.now();
-        for tid in self.registry.active_tids() {
+        for tid in self.core.registry().active_tids() {
             let q = self.slots[tid].quiescent_epoch.load(Ordering::Acquire);
             if q == OFFLINE {
                 continue;
@@ -73,61 +58,16 @@ impl Qsbr {
             }
         }
         if self.epoch.advance_from(current) {
-            ctx.stats.epoch_advances += 1;
-            trace::emit(ctx.tid, TraceKind::EraAdvance, current + 1, 0);
+            ctx.local.note_era_advance(current + 1);
         }
     }
 
+    #[inline]
     fn sync_local_epoch(&self, ctx: &mut QsbrCtx, observed: u64) {
-        if observed == ctx.local_epoch {
-            return;
-        }
-        ctx.local_epoch = observed;
-        let reclaimable =
-            (0..BAGS).any(|i| !ctx.bags[i].is_empty() && ctx.bag_epochs[i] + 2 <= observed);
-        let sw = if reclaimable {
-            let limbo: usize = ctx.bags.iter().map(|b| b.len()).sum();
-            trace::emit(ctx.tid, TraceKind::ScanBegin, limbo as u64, 0);
-            telemetry::stopwatch_if(self.config.telemetry)
-        } else {
-            None
-        };
-        let frees_before = ctx.stats.frees;
-        for i in 0..BAGS {
-            if !ctx.bags[i].is_empty() && ctx.bag_epochs[i] + 2 <= observed {
-                // SAFETY: two epoch advances require every online thread to
-                // have been quiescent twice since these records were retired;
-                // any operation that could have referenced them has ended.
-                unsafe { ctx.bags[i].reclaim_all(&mut ctx.stats, &mut ctx.mag) };
-            }
-        }
-        if reclaimable {
-            trace::emit(
-                ctx.tid,
-                TraceKind::ScanEnd,
-                ctx.stats.frees - frees_before,
-                0,
-            );
-            if let Some(sw) = sw {
-                ctx.stats.tel.scan.record(sw.elapsed_ns());
-            }
-        }
-        let idx = (observed as usize) % BAGS;
-        if ctx.bags[idx].is_empty() {
-            ctx.bag_epochs[idx] = observed;
-        }
-        // Survivor adoption: departed threads' orphans join the current
-        // bag and wait two further advances like any fresh retire
-        // (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-            let idx = (observed as usize) % BAGS;
-            for r in orphaned {
-                ctx.bags[idx].push(r);
-            }
-        }
+        // SAFETY: two epoch advances require every online thread to have
+        // been quiescent twice since a bag's records were retired; any
+        // operation that could have referenced them has ended.
+        unsafe { self.core.epoch_scan(&mut ctx.local, observed) }
     }
 }
 
@@ -137,7 +77,6 @@ impl Smr for Qsbr {
     const NAME: &'static str = "QSBR";
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let slots = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(QsbrSlot {
@@ -146,59 +85,36 @@ impl Smr for Qsbr {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            core: ReclaimCore::new(config),
             epoch: EraClock::new(),
             slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> QsbrCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let mut local: ReclaimLocal<EpochBags> = self.core.register(tid);
         let now = self.epoch.now();
         // A freshly registered thread is quiescent by definition.
         self.slots[tid].quiescent_epoch.store(now, Ordering::SeqCst);
-        let cap = self.config.retire_batch_cap();
-        QsbrCtx {
-            tid,
-            bags: [
-                LimboBag::with_batch(cap),
-                LimboBag::with_batch(cap),
-                LimboBag::with_batch(cap),
-            ],
-            bag_epochs: [now; BAGS],
-            local_epoch: now,
-            retires_since_check: 0,
-            scan: ScanState::new(),
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        local.limbo.start_at(now);
+        QsbrCtx { local }
     }
 
     fn unregister(&self, ctx: &mut QsbrCtx) {
-        smr_common::check::unpin_epoch(ctx.tid);
-        self.slots[ctx.tid]
+        smr_common::check::unpin_epoch(ctx.local.tid());
+        self.slots[ctx.local.tid()]
             .quiescent_epoch
             .store(OFFLINE, Ordering::SeqCst);
-        let mut leftovers = Vec::new();
-        for bag in ctx.bags.iter_mut() {
-            leftovers.extend(bag.drain());
-        }
-        self.orphans.adopt(leftovers);
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut QsbrCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
@@ -210,7 +126,7 @@ impl Smr for Qsbr {
         // caps the observable epoch at `e + 1`, so no record retired at an
         // epoch >= e can be freed (frees need retire + 2 <= observed). Pinning
         // at `e` therefore never over-claims.
-        smr_common::check::pin_epoch(ctx.tid, e);
+        smr_common::check::pin_epoch(ctx.local.tid(), e);
         self.sync_local_epoch(ctx, e);
     }
 
@@ -219,29 +135,25 @@ impl Smr for Qsbr {
         // Oracle mirror: drop the pin before announcing quiescence — the
         // scans below may free this thread's own bags, which is legal once
         // the op is over (claims must stay a subset of real announcements).
-        smr_common::check::unpin_epoch(ctx.tid);
+        smr_common::check::unpin_epoch(ctx.local.tid());
         // Quiescent state: announce the current epoch and occasionally try to
         // advance it. Release suffices for the announcement: it orders the
         // finished operation's reads before the store (the direction safety
         // needs), and a scan that sees the old value merely delays the
         // advance (conservative).
         let e = self.epoch.now();
-        self.slots[ctx.tid]
+        self.slots[ctx.local.tid()]
             .quiescent_epoch
             .store(e, Ordering::Release);
-        ctx.retires_since_check += 1;
-        if ctx.retires_since_check >= self.config.epoch_freq {
-            ctx.retires_since_check = 0;
+        if self.core.epoch_tick(&mut ctx.local) {
             self.try_advance(ctx);
             // The epoch-paced advance is QSBR's regular scan: restart the
             // heartbeat window so the op-exit trigger only fires when this
             // path has been starved (ScanState::tick_op's pacing contract).
-            ctx.scan.note_scan();
+            ctx.local.note_scan();
         }
-        let pending = self.limbo_len(ctx);
-        if ctx.scan.tick_op(&self.policy, pending) {
-            ctx.stats.heartbeat_scans += 1;
-            ctx.scan.note_scan();
+        if self.core.heartbeat_due(&mut ctx.local) {
+            ctx.local.note_scan();
             // Heartbeat: nudge the epoch forward and free whatever two
             // completed grace periods have made safe, so a thread retiring
             // slowly still returns memory.
@@ -262,36 +174,27 @@ impl Smr for Qsbr {
         // this retire and hence the unlink (same stale-stamp shape smr-check
         // caught in DEBRA).
         self.sync_local_epoch(ctx, self.epoch.now());
-        let idx = (ctx.local_epoch as usize) % BAGS;
-        // Retire coalescing: stage in the current epoch's bag (stamped
-        // before staging — see the sync above); peak-limbo bookkeeping is
-        // amortized to batch flushes.
-        let flushed = ctx.bags[idx].stage(Retired::new(ptr.as_raw(), ctx.local_epoch));
-        ctx.stats.retires += 1;
-        if flushed {
-            let total: usize = ctx.bags.iter().map(|b| b.len()).sum();
-            ctx.stats.observe_limbo(total);
-        }
+        // Stage in the current epoch's bag (stamped before staging — see
+        // the sync above). No watermark trigger: the epoch rotation is
+        // QSBR's only sweep.
+        let retired = Retired::new(ptr.as_raw(), ctx.local.limbo.epoch());
+        self.core.retire(&mut ctx.local, retired);
     }
 
     #[inline]
     fn validation_stamp(&self, ctx: &mut QsbrCtx) -> Option<u64> {
-        // Sound for QSBR for the same reason as DEBRA: `local_epoch`
+        // Sound for QSBR for the same reason as DEBRA: the local epoch
         // re-syncs to the global epoch at every `begin_op`, so stamp
         // equality between two operations means the global epoch never
         // advanced in between — and a record retired at epoch `e` is only
         // freed once its owner observes epoch `e + 2`.
-        if self.config.memo {
-            Some(ctx.local_epoch)
-        } else {
-            None
-        }
+        self.core.config().memo.then_some(ctx.local.limbo.epoch())
     }
 
     fn flush(&self, ctx: &mut QsbrCtx) {
         for _ in 0..3 {
             let e = self.epoch.now();
-            self.slots[ctx.tid]
+            self.slots[ctx.local.tid()]
                 .quiescent_epoch
                 .store(e, Ordering::SeqCst);
             self.try_advance(ctx);
@@ -300,22 +203,15 @@ impl Smr for Qsbr {
     }
 
     fn thread_stats(&self, ctx: &QsbrCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut QsbrCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &QsbrCtx) -> usize {
-        ctx.bags.iter().map(|b| b.len()).sum()
-    }
-}
-
-impl Drop for Qsbr {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

@@ -15,14 +15,11 @@
 //! published, so the minimum never rises and garbage grows without bound —
 //! the behaviour experiment E2 demonstrates for RCU.
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanPolicy, ScanState, Shared,
-    Smr, SmrConfig, SmrNode, ThreadStats,
+    CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr, SmrConfig,
+    SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Announcement value meaning "not inside an operation".
 const IDLE: u64 = u64::MAX;
@@ -33,27 +30,17 @@ struct RcuSlot {
 
 /// Per-thread context for [`Rcu`].
 pub struct RcuCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    retires_since_scan: usize,
-    retires_since_advance: usize,
+    local: ReclaimLocal,
     /// The era announced at `begin_op` (the op's read-side pin). This — not
     /// `era.now()` — is the memo validation stamp: see `validation_stamp`.
     op_epoch: u64,
-    mag: Magazine,
-    stats: ThreadStats,
 }
 
 /// The RCU-style reclaimer.
 pub struct Rcu {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    core: ReclaimCore,
     era: EraClock,
     slots: Vec<CachePadded<RcuSlot>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
 }
 
 impl Rcu {
@@ -63,7 +50,7 @@ impl Rcu {
     fn min_announced_era(&self) -> u64 {
         fence(Ordering::SeqCst);
         let mut min = u64::MAX;
-        for tid in self.registry.active_tids() {
+        for tid in self.core.registry().active_tids() {
             let a = self.slots[tid].announced.load(Ordering::Acquire);
             if a != IDLE {
                 min = min.min(a);
@@ -79,37 +66,14 @@ impl Rcu {
     }
 
     fn scan_and_reclaim(&self, ctx: &mut RcuCtx) {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, ctx.limbo.len() as u64, 0);
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag so they flow through the ordinary
-        // protection-checked sweep below (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        let min = self.min_announced_era();
-        let before = ctx.limbo.len();
-        // SAFETY: a record retired in era `e` was unlinked before era `e`
-        // ended; any reader announcing an era `> e` began its operation after
-        // the unlink and therefore cannot have found the record by traversal.
-        let freed = unsafe {
-            ctx.limbo
-                .reclaim_if(|r| r.retire_era() < min, &mut ctx.stats, &mut ctx.mag)
-        };
-        if freed == 0 && before > 0 {
-            ctx.stats.reclaim_skips += 1;
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
+        self.core.scan(&mut ctx.local, |local, _tail| {
+            let min = self.min_announced_era();
+            // SAFETY: a record retired in era `e` was unlinked before era
+            // `e` ended; any reader announcing an era `> e` began its
+            // operation after the unlink and therefore cannot have found
+            // the record by traversal.
+            unsafe { local.sweep_retired_before(usize::MAX, min) }
+        });
     }
 }
 
@@ -119,7 +83,6 @@ impl Smr for Rcu {
     const NAME: &'static str = "RCU";
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let slots = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(RcuSlot {
@@ -128,71 +91,61 @@ impl Smr for Rcu {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            core: ReclaimCore::new(config),
             era: EraClock::new(),
             slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            config,
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> RcuCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let local = self.core.register(tid);
         self.slots[tid].announced.store(IDLE, Ordering::SeqCst);
-        RcuCtx {
-            tid,
-            limbo: LimboBag::with_batch(self.config.retire_batch_cap()),
-            scan: ScanState::new(),
-            retires_since_scan: 0,
-            retires_since_advance: 0,
-            op_epoch: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        RcuCtx { local, op_epoch: 0 }
     }
 
     fn unregister(&self, ctx: &mut RcuCtx) {
-        smr_common::check::unpin_epoch(ctx.tid);
-        self.slots[ctx.tid].announced.store(IDLE, Ordering::SeqCst);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        smr_common::check::unpin_epoch(ctx.local.tid());
+        self.slots[ctx.local.tid()]
+            .announced
+            .store(IDLE, Ordering::SeqCst);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut RcuCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
     fn begin_op(&self, ctx: &mut RcuCtx) {
         let e = self.era.now();
-        self.slots[ctx.tid].announced.store(e, Ordering::SeqCst);
+        self.slots[ctx.local.tid()]
+            .announced
+            .store(e, Ordering::SeqCst);
         ctx.op_epoch = e;
         // Oracle mirror (after the real announcement): frees require
         // `retire_era < min announced`, so while `e` is published no record
         // with retire era >= e may be freed.
-        smr_common::check::pin_epoch(ctx.tid, e);
+        smr_common::check::pin_epoch(ctx.local.tid(), e);
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut RcuCtx) {
         // Oracle mirror: drop the pin before the real withdrawal so the
         // mirrored claim stays a subset of the published announcement.
-        smr_common::check::unpin_epoch(ctx.tid);
+        smr_common::check::unpin_epoch(ctx.local.tid());
         // Withdrawing the announcement only *permits* more reclamation
         // (Release suffices): prior reads of this operation stay ordered
         // before the store, and the next begin_op re-announces with SeqCst
         // before any shared read.
-        self.slots[ctx.tid].announced.store(IDLE, Ordering::Release);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        self.slots[ctx.local.tid()]
+            .announced
+            .store(IDLE, Ordering::Release);
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -204,27 +157,15 @@ impl Smr for Rcu {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut RcuCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        let era = self.era.now();
-        // Retire coalescing: stage the record (era-stamped before staging);
-        // peak-limbo bookkeeping is amortized to batch flushes. The scan and
-        // era-advance cadences below stay per-retire so the reclamation
-        // frontier advances at the configured rates.
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), era));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
+        // Era-stamped before staging. The era-advance and scan cadences
+        // stay per-retire so the reclamation frontier advances at the
+        // configured rates; RCU has no watermark trigger.
+        let retired = Retired::new(ptr.as_raw(), self.era.now());
+        self.core.retire(&mut ctx.local, retired);
+        if self.core.epoch_tick(&mut ctx.local) {
+            ctx.local.note_era_advance(self.era.advance());
         }
-
-        ctx.retires_since_advance += 1;
-        if ctx.retires_since_advance >= self.config.epoch_freq {
-            ctx.retires_since_advance = 0;
-            let era = self.era.advance();
-            ctx.stats.epoch_advances += 1;
-            trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
-        }
-        ctx.retires_since_scan += 1;
-        if ctx.retires_since_scan >= self.config.empty_freq {
-            ctx.retires_since_scan = 0;
+        if self.core.cadence_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -243,30 +184,19 @@ impl Smr for Rcu {
         // era never advanced in between and nothing retired in the window
         // can have been freed. (`era.now()` mid-op would be unsound: the
         // stamp must be the op-pinned value.)
-        if self.config.memo {
-            Some(ctx.op_epoch)
-        } else {
-            None
-        }
+        self.core.config().memo.then_some(ctx.op_epoch)
     }
 
     fn thread_stats(&self, ctx: &RcuCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut RcuCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &RcuCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for Rcu {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 

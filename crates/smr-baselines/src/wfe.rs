@@ -33,17 +33,14 @@
 //! [`Atomic::raw_word`]), so under the deterministic explorer the lock is
 //! scheduler-atomic, the same discipline as the recycling depot mutex.
 
-use crate::util::{EraClock, OrphanPool};
-use smr_common::telemetry::{self, trace, TraceKind};
+use crate::hazard_eras::{EraTable, NONE};
+use smr_common::telemetry::{trace, TraceKind};
 use smr_common::{
-    Atomic, BlockPool, CachePadded, LimboBag, Magazine, Registry, Retired, ScanCombiner,
-    ScanPolicy, ScanState, Shared, Smr, SmrConfig, SmrNode, ThreadStats,
+    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Slot value meaning "no era announced".
-const NONE: u64 = 0;
+use std::sync::Mutex;
 
 /// Announce-validate attempts before `protect` parks a help request. Two
 /// iterations settle the common case (one announce, one validate); the rest
@@ -53,10 +50,6 @@ const MAX_FAST_TRIES: usize = 8;
 /// Spin iterations a parked requester grants its peers before taking the
 /// help lock and fulfilling its own request (the liveness fallback).
 const HELP_WAIT_SPINS: usize = 64;
-
-struct EraSlots {
-    slots: Box<[AtomicU64]>,
-}
 
 /// One thread's help-request board. Single-requester (the owner), single
 /// fulfiller at a time (fulfilment only happens under the help lock).
@@ -88,39 +81,31 @@ impl HelpBoard {
 
 /// Per-thread context for [`Wfe`].
 pub struct WfeCtx {
-    tid: usize,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch: per-thread era-hull bounds, each sorted.
-    lowers: Vec<u64>,
-    uppers: Vec<u64>,
-    allocs_since_advance: usize,
-    retires_since_scan: usize,
-    mag: Magazine,
-    stats: ThreadStats,
+    local: ReclaimLocal,
 }
 
 /// The Wait-Free Eras reclaimer.
 pub struct Wfe {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    /// A combining pipeline: a watermark-triggered thread that loses the
+    /// race to an in-flight peer scan hands its limbo over instead of
+    /// stacking a second era-hull sweep (generalizes NBR+'s
+    /// ride-don't-stack to the era family).
+    core: ReclaimCore,
     era: EraClock,
-    slots: Vec<CachePadded<EraSlots>>,
+    slots: EraTable,
     boards: Vec<CachePadded<HelpBoard>>,
     /// Serializes era advances with help fulfilment: any holder sees a
     /// frozen era, so announce-then-load fulfilment cannot be invalidated.
     help_lock: Mutex<()>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
-    /// Flat-combined scan publication: a watermark-triggered thread that
-    /// loses the race to an in-flight peer scan hands its limbo over instead
-    /// of stacking a second era-hull sweep (generalizes NBR+'s
-    /// ride-don't-stack to the era family).
-    combiner: ScanCombiner,
 }
 
 impl Wfe {
+    /// The reclaim pipeline this scheme runs on.
+    #[inline]
+    pub fn reclaim(&self) -> &ReclaimCore {
+        &self.core
+    }
+
     /// Advances the global era, first servicing every pending help request
     /// while the era is frozen under the lock — the helping half of the
     /// protocol: era advances are exactly the events that defeat the fast
@@ -136,7 +121,7 @@ impl Wfe {
     /// Services every active thread's pending help request. Caller must hold
     /// `help_lock`; the critical section is preempt-point-free.
     fn fulfil_pending_requests(&self) {
-        for tid in self.registry.active_tids() {
+        for tid in self.core.registry().active_tids() {
             self.fulfil_one(tid);
         }
     }
@@ -155,7 +140,7 @@ impl Wfe {
         // store→load order as the fast path; with the era frozen under the
         // lock the validation step ("era unchanged after the load") holds by
         // construction.
-        self.slots[tid].slots[slot].store(era, Ordering::SeqCst);
+        self.slots.of(tid)[slot].store(era, Ordering::SeqCst);
         // Oracle mirror on the requester's behalf (claims are keyed by the
         // owning tid, and under the explorer the fulfiller runs alone).
         smr_common::check::claim_era(tid, slot, era);
@@ -180,9 +165,10 @@ impl Wfe {
         slot: usize,
         src: &Atomic<T>,
     ) -> Shared<T> {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::HelpSlowBegin, slot as u64, 0);
-        let board = &self.boards[ctx.tid];
+        let tid = ctx.local.tid();
+        let sw = self.core.stopwatch();
+        trace::emit(tid, TraceKind::HelpSlowBegin, slot as u64, 0);
+        let board = &self.boards[tid];
         let seq = board.seq.load(Ordering::Relaxed);
         debug_assert_eq!(seq % 2, 0, "own board must be idle");
         board.src.store(
@@ -198,155 +184,43 @@ impl Wfe {
             waited += 1;
             if waited > HELP_WAIT_SPINS {
                 let guard = self.help_lock.lock().unwrap();
-                self.fulfil_one(ctx.tid);
+                self.fulfil_one(tid);
                 drop(guard);
                 break;
             }
             // Yield the deterministic schedule so a helper can actually run.
-            smr_common::check::preempt("wfe.help-wait", ctx.tid);
+            smr_common::check::preempt("wfe.help-wait", tid);
             std::hint::spin_loop();
         }
         debug_assert_eq!(board.seq.load(Ordering::Relaxed), seq + 2);
         debug_assert_ne!(board.result_era.load(Ordering::Relaxed), NONE);
-        trace::emit(ctx.tid, TraceKind::HelpSlowEnd, waited as u64, 0);
+        trace::emit(tid, TraceKind::HelpSlowEnd, waited as u64, 0);
         if let Some(sw) = sw {
-            ctx.stats.tel.help_slow.record(sw.elapsed_ns());
+            ctx.local.stats.tel.help_slow.record(sw.elapsed_ns());
         }
         Shared::from_usize(board.result_ptr.load(Ordering::Relaxed))
     }
 
-    /// Folds any orphaned records left by departed threads into this
-    /// thread's limbo bag, so they flow through the ordinary hull-checked
-    /// sweep below instead of waiting for the reclaimer's `Drop`.
-    fn adopt_orphans(&self, ctx: &mut WfeCtx) {
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-    }
-
     fn scan_and_reclaim(&self, ctx: &mut WfeCtx) {
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, ctx.limbo.len() as u64, 0);
-        // Flat combining: adopt peers' published limbo bags first so one
-        // era-hull sweep covers them. Safe to fold into this thread's bag:
-        // the sweep below is ownership-agnostic (each record carries its own
-        // retire era, and the hull check covers every active thread).
-        if self.config.combine {
-            let (published, bags) = self.combiner.adopt();
-            if bags > 0 {
-                ctx.stats.combine_adoptions += bags;
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
-            }
-            for r in published {
-                ctx.limbo.push(r);
-            }
-        }
-        self.adopt_orphans(ctx);
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        // Single-fence scan (see DESIGN.md): one SeqCst fence, then Acquire
-        // loads of every announced era.
-        fence(Ordering::SeqCst);
-        ctx.lowers.clear();
-        ctx.uppers.clear();
-        for tid in self.registry.active_tids() {
-            let (mut lo, mut hi) = (u64::MAX, NONE);
-            // Double pass folded into one hull — the moved-reservation
-            // defence, same as HE (DESIGN.md, "Validate-after-copy for
-            // moved hazards"). A helper's cross-thread announce is covered
-            // too: it lands in the owner's slots, which this fold reads.
-            for _ in 0..2 {
-                for s in self.slots[tid].slots.iter() {
-                    let e = s.load(Ordering::Acquire);
-                    if e != NONE {
-                        lo = lo.min(e);
-                        hi = hi.max(e);
-                    }
-                }
-            }
-            if hi != NONE {
-                ctx.lowers.push(lo);
-                ctx.uppers.push(hi);
-            }
-        }
-        ctx.lowers.sort_unstable();
-        ctx.uppers.sort_unstable();
-        let before = ctx.limbo.len();
-        // SAFETY: same era-hull argument as hazard eras (DESIGN.md,
-        // "Traversals through unlinked records under the interval
-        // reclaimers"): a thread can only dereference records whose lifetime
-        // overlaps its announced hull, including records a helper announced
-        // on its behalf (the helper's era is stored in the owner's slots
-        // before the pointer is ever handed back). No overlapping hull ⇒ no
-        // live reference.
-        let freed = unsafe {
-            ctx.limbo.reclaim_disjoint_intervals(
-                &ctx.lowers,
-                &ctx.uppers,
-                &mut ctx.stats,
-                &mut ctx.mag,
-            )
-        };
-        if freed == 0 && before > 0 {
-            ctx.stats.reclaim_skips += 1;
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
-    }
-
-    /// Watermark-triggered entry: scan directly when no peer's scan is
-    /// mid-flight, otherwise publish this thread's limbo to the combiner so
-    /// the active scanner sweeps both bags in one era-hull pass. The
-    /// heartbeat (`end_op`), `flush`, and `unregister` scans stay direct —
-    /// they must make local progress regardless of peers.
-    fn scan_or_publish(&self, ctx: &mut WfeCtx) {
-        if !self.config.combine {
-            self.scan_and_reclaim(ctx);
-            return;
-        }
-        if self.combiner.try_begin() {
-            self.scan_and_reclaim(ctx);
-            self.combiner.finish();
-            return;
-        }
-        let records = ctx.limbo.drain();
-        let n = records.len() as u64;
-        match self.combiner.publish(ctx.tid, records) {
-            Ok(()) => {
-                ctx.stats.combine_publishes += 1;
-                trace::emit(ctx.tid, TraceKind::CombinePublish, n, 0);
-            }
-            Err(records) => {
-                // Slot still full (the scanner hasn't adopted the previous
-                // hand-off yet): keep the records and retry next trigger.
-                for r in records {
-                    ctx.limbo.push(r);
-                }
-            }
-        }
-    }
-
-    fn clear_slots(&self, tid: usize) {
-        // Claims drop first: mirrored claims must stay a subset of the real
-        // announcements.
-        smr_common::check::clear_claims(tid);
-        for s in self.slots[tid].slots.iter() {
-            if s.load(Ordering::Relaxed) != NONE {
-                s.store(NONE, Ordering::Release);
-            }
-        }
+        self.core.scan(&mut ctx.local, |local, _tail| {
+            // Single-fence scan (see DESIGN.md): one SeqCst fence, then
+            // Acquire loads of every announced era.
+            fence(Ordering::SeqCst);
+            local.lowers.clear();
+            local.uppers.clear();
+            self.slots
+                .collect_hulls(self.core.registry(), &mut local.lowers, &mut local.uppers);
+            // SAFETY: same era-hull argument as hazard eras (DESIGN.md,
+            // "Traversals through unlinked records under the interval
+            // reclaimers"): a thread can only dereference records whose
+            // lifetime overlaps its announced hull, including records a
+            // helper announced on its behalf (the helper's era is stored in
+            // the owner's slots before the pointer is ever handed back).
+            // No overlapping hull ⇒ no live reference. The sweep is
+            // ownership-agnostic (each record carries its own eras), so
+            // bags adopted from the combiner flow through it unchanged.
+            unsafe { local.sweep_disjoint_intervals() }
+        });
     }
 }
 
@@ -359,64 +233,39 @@ impl Smr for Wfe {
     const CAN_TRAVERSE_UNLINKED: bool = true;
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
-        let slots = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(EraSlots {
-                    slots: (0..config.hazards_per_thread)
-                        .map(|_| AtomicU64::new(NONE))
-                        .collect(),
-                })
-            })
-            .collect();
         let boards = (0..config.max_threads)
             .map(|_| CachePadded::new(HelpBoard::new()))
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
+            slots: EraTable::new(&config),
+            core: ReclaimCore::combining(config),
             era: EraClock::new(),
-            slots,
             boards,
             help_lock: Mutex::new(()),
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            combiner: ScanCombiner::new(config.max_threads),
-            config,
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> WfeCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
-        self.clear_slots(tid);
-        WfeCtx {
-            tid,
-            limbo: LimboBag::with_batch(self.config.retire_batch_cap()),
-            scan: ScanState::new(),
-            lowers: Vec::with_capacity(self.config.max_threads),
-            uppers: Vec::with_capacity(self.config.max_threads),
-            allocs_since_advance: 0,
-            retires_since_scan: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
-        }
+        let mut local: ReclaimLocal = self.core.register(tid);
+        local.lowers.reserve_exact(self.core.config().max_threads);
+        local.uppers.reserve_exact(self.core.config().max_threads);
+        self.slots.clear(tid);
+        WfeCtx { local }
     }
 
     fn unregister(&self, ctx: &mut WfeCtx) {
-        self.clear_slots(ctx.tid);
+        self.slots.clear(ctx.local.tid());
         self.scan_and_reclaim(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
-        self.registry.deregister(ctx.tid);
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut WfeCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
@@ -429,22 +278,23 @@ impl Smr for Wfe {
     /// thread parks a help request instead of retrying forever.
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut WfeCtx, slot: usize, src: &Atomic<T>) -> Shared<T> {
-        let slots = &self.slots[ctx.tid].slots;
+        let tid = ctx.local.tid();
+        let slots = self.slots.of(tid);
         debug_assert!(slot < slots.len(), "era slot index out of range");
         let mut announced = slots[slot].load(Ordering::Relaxed);
         for _ in 0..MAX_FAST_TRIES {
             let p = src.load(Ordering::Acquire);
             let era = self.era.now();
             if era == announced {
-                smr_common::check::claim_era(ctx.tid, slot, era);
+                smr_common::check::claim_era(tid, slot, era);
                 return p;
             }
             slots[slot].store(era, Ordering::SeqCst);
             // Keep the mirrored claim in lockstep with the real slot (no
             // preempt point sits between the store and this call).
-            smr_common::check::claim_era(ctx.tid, slot, era);
+            smr_common::check::claim_era(tid, slot, era);
             announced = era;
-            ctx.stats.protect_failures += 1;
+            ctx.local.stats.protect_failures += 1;
         }
         self.protect_slow(ctx, slot, src)
     }
@@ -459,101 +309,69 @@ impl Smr for Wfe {
     ) {
         // Same as HE: copy the *announced* era (which covers the record's
         // lifetime), skipping the idempotent republish.
-        let slots = &self.slots[ctx.tid].slots;
-        let era = slots[src_slot].load(Ordering::Relaxed);
-        if slots[dst_slot].load(Ordering::Relaxed) != era {
-            slots[dst_slot].store(era, Ordering::SeqCst);
-        }
-        if era != NONE {
-            smr_common::check::claim_era(ctx.tid, dst_slot, era);
-        }
+        self.slots.copy(ctx.local.tid(), dst_slot, src_slot);
     }
 
     #[inline]
     fn clear_protections(&self, ctx: &mut WfeCtx) {
-        self.clear_slots(ctx.tid);
+        self.slots.clear(ctx.local.tid());
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut WfeCtx) {
-        self.clear_slots(ctx.tid);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        self.slots.clear(ctx.local.tid());
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
     }
 
     fn alloc<T: SmrNode>(&self, ctx: &mut WfeCtx, value: T) -> Shared<T> {
-        let raw = ctx.mag.alloc_node(value);
         // Stamp after the pop, so a recycled block's new birth era is never
         // older than the era at which its previous incarnation was freed
         // (`Smr::alloc` docs; same as IBR/HE).
-        // SAFETY: freshly allocated above, not yet published.
-        unsafe { (*raw).header_mut().set_birth_era(self.era.now()) };
-        // SAFETY: same exclusive ownership as the line above.
-        smr_common::check::on_node_alloc(raw as usize, unsafe { (*raw).header().birth_era() });
-        ctx.allocs_since_advance += 1;
-        if ctx.allocs_since_advance >= self.config.epoch_freq {
-            ctx.allocs_since_advance = 0;
-            let era = self.advance_era();
-            ctx.stats.epoch_advances += 1;
-            trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
+        let p = ctx.local.alloc_stamped(value, || self.era.now());
+        if self.core.epoch_tick(&mut ctx.local) {
+            ctx.local.note_era_advance(self.advance_era());
         }
-        ctx.stats.allocs += 1;
-        Shared::from_raw(raw)
+        p
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut WfeCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        let era = self.era.now();
-        // Retire coalescing: stage (era-stamped before staging). The
-        // `empty_freq` cadence stays per-retire so the reclamation frontier
-        // advances at the configured rate; only the watermark check is
-        // amortized to batch flushes (bound slack: batch cap − 1).
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), era));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-        }
-        ctx.retires_since_scan += 1;
-        if flushed && self.policy.scan_on_retire(ctx.limbo.len()) {
-            trace::emit(
-                ctx.tid,
-                TraceKind::LimboHigh,
-                ctx.limbo.len() as u64,
-                self.policy.hi_watermark as u64,
-            );
-            ctx.retires_since_scan = 0;
-            self.scan_or_publish(ctx);
-        } else if ctx.retires_since_scan >= self.config.empty_freq {
-            ctx.retires_since_scan = 0;
+        // Era-stamped before staging. The `empty_freq` cadence stays
+        // per-retire so the reclamation frontier advances at the configured
+        // rate; only the watermark check is amortized to batch flushes
+        // (bound slack: batch cap − 1).
+        let retired = Retired::new(ptr.as_raw(), self.era.now());
+        let at_hi = self.core.retire(&mut ctx.local, retired);
+        let cadence = self.core.cadence_due(&mut ctx.local);
+        if at_hi {
+            // Watermark scans combine: run as the domain's active scanner,
+            // or hand the bag to the peer that already is.
+            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
+                self.scan_and_reclaim(ctx);
+            }
+        } else if cadence {
             self.scan_and_reclaim(ctx);
         }
     }
 
     fn flush(&self, ctx: &mut WfeCtx) {
         let era = self.advance_era();
-        trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
+        trace::emit(ctx.local.tid(), TraceKind::EraAdvance, era, 0);
         self.scan_and_reclaim(ctx);
     }
 
     fn thread_stats(&self, ctx: &WfeCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut WfeCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &WfeCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for Wfe {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 
@@ -677,7 +495,7 @@ mod tests {
         let era = board.result_era.load(Ordering::Relaxed);
         assert_ne!(era, NONE);
         assert_eq!(
-            smr.slots[1].slots[0].load(Ordering::Acquire),
+            smr.slots.of(1)[0].load(Ordering::Acquire),
             era,
             "the fulfilled era must be announced in the requester's slot"
         );
@@ -694,7 +512,7 @@ mod tests {
             "record covered by the helped announcement must survive"
         );
 
-        smr.clear_slots(1);
+        smr.slots.clear(1);
         smr.flush(&mut owner);
         assert_eq!(smr.limbo_len(&owner), 0);
         let mut reader = _reader;
@@ -723,7 +541,7 @@ mod tests {
         let p = smr.protect_slow(&mut reader, 0, &shared);
         assert_eq!(unsafe { p.deref().key }, 7);
         assert_eq!(smr.boards[1].seq.load(Ordering::Relaxed) % 2, 0);
-        let announced = smr.slots[1].slots[0].load(Ordering::Acquire);
+        let announced = smr.slots.of(1)[0].load(Ordering::Acquire);
         assert_eq!(announced, smr.boards[1].result_era.load(Ordering::Relaxed));
 
         smr.clear_protections(&mut reader);
@@ -764,7 +582,7 @@ mod tests {
             unsafe { smr.retire(&mut departing, p) };
         }
         smr.unregister(&mut departing);
-        let orphaned = smr.orphans.len();
+        let orphaned = smr.core.orphan_count();
         assert!(orphaned > 0, "stalled-pinned leftovers must be orphaned");
 
         // The survivor's next flush adopts and frees them.
@@ -772,7 +590,11 @@ mod tests {
         let old = shared.swap(Shared::null(), Ordering::AcqRel);
         unsafe { smr.retire(&mut survivor, old) };
         smr.flush(&mut survivor);
-        assert!(smr.orphans.is_empty(), "survivor must adopt the orphans");
+        assert_eq!(
+            smr.core.orphan_count(),
+            0,
+            "survivor must adopt the orphans"
+        );
         assert_eq!(smr.limbo_len(&survivor), 0, "adopted orphans must be freed");
         smr.unregister(&mut survivor);
     }

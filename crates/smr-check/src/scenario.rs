@@ -13,66 +13,9 @@ use smr_common::check::{self, SessionConfig, Violation};
 use smr_common::{Smr, SmrConfig};
 use std::sync::Arc;
 
-/// The full reclaimer matrix, one variant per scheme under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheme {
-    NbrPlus,
-    Nbr,
-    Debra,
-    Qsbr,
-    Rcu,
-    Ibr,
-    He,
-    Wfe,
-    Hp,
-    EpochPop,
-    HpPop,
-    Leaky,
-}
-
-impl Scheme {
-    /// Every scheme, in the harness's canonical order.
-    pub fn all() -> [Scheme; 12] {
-        [
-            Scheme::NbrPlus,
-            Scheme::Nbr,
-            Scheme::Debra,
-            Scheme::Qsbr,
-            Scheme::Rcu,
-            Scheme::Ibr,
-            Scheme::He,
-            Scheme::Wfe,
-            Scheme::Hp,
-            Scheme::EpochPop,
-            Scheme::HpPop,
-            Scheme::Leaky,
-        ]
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheme::NbrPlus => "nbr+",
-            Scheme::Nbr => "nbr",
-            Scheme::Debra => "debra",
-            Scheme::Qsbr => "qsbr",
-            Scheme::Rcu => "rcu",
-            Scheme::Ibr => "ibr",
-            Scheme::He => "he",
-            Scheme::Wfe => "wfe",
-            Scheme::Hp => "hp",
-            Scheme::EpochPop => "epoch-pop",
-            Scheme::HpPop => "hp-pop",
-            Scheme::Leaky => "leaky",
-        }
-    }
-
-    /// Interval reclaimers stamp monotonically increasing birth eras, which
-    /// is what makes the oracle's incarnation-disjointness rule sound; the
-    /// others recycle without any per-incarnation era discipline.
-    pub fn interval(self) -> bool {
-        matches!(self, Scheme::Ibr | Scheme::He | Scheme::Wfe)
-    }
-}
+/// The full reclaimer matrix under test: the harness's scheme registry
+/// ([`smr_harness::for_each_scheme!`]), one variant per row.
+pub use smr_harness::SmrKind as Scheme;
 
 /// Data structures covered by the exploration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,20 +245,14 @@ pub fn run_matrix_one(
             }
         };
     }
-    match scheme {
-        Scheme::NbrPlus => go!(nbr::NbrPlus),
-        Scheme::Nbr => go!(nbr::Nbr),
-        Scheme::Debra => go!(smr_baselines::Debra),
-        Scheme::Qsbr => go!(smr_baselines::Qsbr),
-        Scheme::Rcu => go!(smr_baselines::Rcu),
-        Scheme::Ibr => go!(smr_baselines::Ibr),
-        Scheme::He => go!(smr_baselines::HazardEras),
-        Scheme::Wfe => go!(smr_baselines::Wfe),
-        Scheme::Hp => go!(smr_baselines::HazardPointers),
-        Scheme::EpochPop => go!(smr_pop::EpochPop),
-        Scheme::HpPop => go!(smr_pop::HpPop),
-        Scheme::Leaky => go!(smr_baselines::Leaky),
+    macro_rules! dispatch {
+        ($({ $variant:ident, $snake:ident, $ty:ty, $($flags:tt)* })*) => {
+            match scheme {
+                $(Scheme::$variant => go!($ty),)*
+            }
+        };
     }
+    smr_harness::for_each_scheme!(dispatch)
 }
 
 /// Formats a failing run for the test log: everything needed to replay.

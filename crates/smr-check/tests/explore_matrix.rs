@@ -86,36 +86,22 @@ fn sweep_cell(scheme: Scheme, structure: Structure) {
     );
 }
 
+// One `<scheme>_list` and one `<scheme>_hash` cell per registry row.
 macro_rules! sweep {
-    ($name:ident, $scheme:ident, $structure:ident) => {
-        #[test]
-        fn $name() {
-            sweep_cell(Scheme::$scheme, Structure::$structure);
+    ($({ $variant:ident, $snake:ident, $($rest:tt)* })*) => {
+        paste::paste! {
+            $(
+                #[test]
+                fn [<$snake _list>]() {
+                    sweep_cell(Scheme::$variant, Structure::List);
+                }
+
+                #[test]
+                fn [<$snake _hash>]() {
+                    sweep_cell(Scheme::$variant, Structure::HashMap);
+                }
+            )*
         }
     };
 }
-
-sweep!(nbr_plus_list, NbrPlus, List);
-sweep!(nbr_plus_hash, NbrPlus, HashMap);
-sweep!(nbr_list, Nbr, List);
-sweep!(nbr_hash, Nbr, HashMap);
-sweep!(debra_list, Debra, List);
-sweep!(debra_hash, Debra, HashMap);
-sweep!(qsbr_list, Qsbr, List);
-sweep!(qsbr_hash, Qsbr, HashMap);
-sweep!(rcu_list, Rcu, List);
-sweep!(rcu_hash, Rcu, HashMap);
-sweep!(ibr_list, Ibr, List);
-sweep!(ibr_hash, Ibr, HashMap);
-sweep!(he_list, He, List);
-sweep!(he_hash, He, HashMap);
-sweep!(wfe_list, Wfe, List);
-sweep!(wfe_hash, Wfe, HashMap);
-sweep!(hp_list, Hp, List);
-sweep!(hp_hash, Hp, HashMap);
-sweep!(epoch_pop_list, EpochPop, List);
-sweep!(epoch_pop_hash, EpochPop, HashMap);
-sweep!(hp_pop_list, HpPop, List);
-sweep!(hp_pop_hash, HpPop, HashMap);
-sweep!(leaky_list, Leaky, List);
-sweep!(leaky_hash, Leaky, HashMap);
+smr_harness::for_each_scheme!(sweep);

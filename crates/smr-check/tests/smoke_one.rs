@@ -7,7 +7,7 @@ use smr_check::{replay_banner, run_matrix_one, Params, Scheme, Strategy, Structu
 #[test]
 fn one_schedule_per_scheme_list() {
     let params = Params::default();
-    for scheme in Scheme::all() {
+    for &scheme in Scheme::all() {
         let strategy = Strategy::Random { switch_one_in: 3 };
         let seed = 0xC0FFEE;
         let report = run_matrix_one(scheme, Structure::List, strategy, seed, &params);

@@ -37,6 +37,10 @@
 //!   (thread-local magazines over a shared depot) that takes malloc/free off
 //!   the reclamation hot path (`recycle` module).
 //! * [`Registry`] — the fixed-capacity thread-slot registry.
+//! * [`ReclaimCore`] / [`ReclaimLocal`] — the retire → scan → adopt → sweep
+//!   pipeline every reclaimer is assembled on (`reclaim` module): a scheme
+//!   supplies only its reservation rule, its retire stamp, its frontier and
+//!   its choice of [`LimboBag`] sweep.
 //! * [`PingChannel`] — the cooperative per-thread ping/ack handshake shared
 //!   by NBR's neutralization (`nbr` crate) and the Publish-on-Ping
 //!   reclaimers (`smr-pop` crate).
@@ -56,6 +60,7 @@ pub mod limbo;
 pub mod pad;
 pub mod ping;
 pub mod policy;
+pub mod reclaim;
 pub mod recycle;
 pub mod registry;
 pub mod retired;
@@ -73,6 +78,7 @@ pub use limbo::{LimboBag, RETIRE_BATCH_CAP};
 pub use pad::CachePadded;
 pub use ping::{PingChannel, PingOutcome};
 pub use policy::{ScanPolicy, ScanState};
+pub use reclaim::{EpochBags, Limbo, ReclaimCore, ReclaimLocal, ScanTurn};
 pub use recycle::{BlockPool, Magazine};
 pub use registry::{Registry, ThreadSlot};
 pub use retired::Retired;

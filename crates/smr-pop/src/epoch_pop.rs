@@ -36,14 +36,11 @@
 //! contrast [`HpPop`](crate::HpPop), whose published reservations bound the
 //! damage to `K` records per thread).
 
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    BlockPool, CachePadded, EraClock, LimboBag, Magazine, OrphanPool, PingChannel, PingOutcome,
-    Registry, Retired, ScanCombiner, ScanPolicy, ScanState, Shared, Smr, SmrConfig, SmrNode,
-    ThreadStats,
+    CachePadded, EraClock, Magazine, PingChannel, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Published-slot value meaning "not inside an operation".
 const IDLE: u64 = u64::MAX;
@@ -57,42 +54,33 @@ struct EpochSlot {
 
 /// Per-thread context for [`EpochPop`].
 pub struct EpochPopCtx {
-    tid: usize,
+    local: ReclaimLocal,
     /// The thread's private epoch reservation: the global era observed at
     /// `begin_op`, or [`IDLE`] between operations. Plain unshared memory —
     /// the fast path writes it with an ordinary store; it reaches other
     /// threads only by being copied into the published slot when a ping
     /// arrives.
     private_epoch: u64,
-    limbo: LimboBag,
-    scan: ScanState,
-    retires_since_advance: usize,
-    /// Paces retire-path handshakes: once the bag sits above the watermark
-    /// *and stays there* (e.g. a stalled reader pins everything), a full
-    /// ping handshake per retire would be a scan storm; at least
-    /// `empty_freq` retires must separate two retire-triggered scans.
-    retires_since_scan: usize,
-    mag: Magazine,
-    stats: ThreadStats,
 }
 
 /// The EpochPOP reclaimer.
 pub struct EpochPop {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    /// A combining pipeline: a watermark-triggered thread that finds a
+    /// peer's ping handshake already in flight hands its limbo over instead
+    /// of launching a second full ping round.
+    core: ReclaimCore,
     era: EraClock,
     ping: PingChannel,
     slots: Vec<CachePadded<EpochSlot>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
-    /// Flat-combined scan publication: a watermark-triggered thread that
-    /// finds a peer's ping handshake already in flight hands its limbo over
-    /// instead of launching a second full ping round.
-    combiner: ScanCombiner,
 }
 
 impl EpochPop {
+    /// The reclaim pipeline this scheme runs on.
+    #[inline]
+    pub fn reclaim(&self) -> &ReclaimCore {
+        &self.core
+    }
+
     /// Copies `value` into `tid`'s published slot. `Release` suffices: the
     /// slot is only trusted by a reclaimer after it observes the `SeqCst`
     /// acknowledgement store sequenced after this publish.
@@ -117,172 +105,64 @@ impl EpochPop {
     /// owner-local pending line when no ping is outstanding.
     #[inline]
     fn poll_ping(&self, ctx: &mut EpochPopCtx) {
-        if let Some(seq) = self.ping.poll(ctx.tid) {
-            self.publish(ctx.tid, ctx.private_epoch);
-            self.ping.ack(ctx.tid, seq);
-            ctx.stats.pings_published += 1;
+        let tid = ctx.local.tid();
+        if let Some(seq) = self.ping.poll(tid) {
+            self.publish(tid, ctx.private_epoch);
+            self.ping.ack(tid, seq);
+            ctx.local.stats.pings_published += 1;
         }
     }
 
     /// Ping every registered thread, wait for the handshake, and free every
     /// record retired before the ping whose era is covered by no published
-    /// reservation.
+    /// reservation. A conceded round frees nothing.
     fn reclaim_with_pings(&self, ctx: &mut EpochPopCtx) {
-        // Flat combining: adopt peers' published limbo bags before the
-        // pre-ping tail is captured, so one handshake round covers them.
-        // The prefix-sweep safety argument applies unchanged: adopted
-        // records were retired (by their publisher) before this scan's
-        // ping, exactly like this thread's own pre-ping retires.
-        if self.config.combine {
-            let (published, bags) = self.combiner.adopt();
-            if bags > 0 {
-                ctx.stats.combine_adoptions += bags;
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
-            }
-            for r in published {
-                ctx.limbo.push(r);
-            }
-        }
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag before the empty check, so orphans are
-        // freed even by threads with nothing of their own to reclaim
-        // (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        let tail = ctx.limbo.len();
-        if tail == 0 {
-            return;
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        ctx.retires_since_scan = 0;
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, tail as u64, 0);
-        let ping_sw = telemetry::stopwatch_if(self.config.telemetry);
-        let (seq, sent) = self.ping.ping_all(ctx.tid, &self.registry);
-        ctx.stats.signals_sent += sent;
-        let tid = ctx.tid;
         let own_epoch = ctx.private_epoch;
-        let outcome = self.ping.await_acks(
-            tid,
-            seq,
-            &self.registry,
-            self.config.ack_spin_limit,
-            |_| false,
-            // Service our own channel while we wait, so two threads that ping
-            // each other concurrently both complete instead of both burning
-            // their spin budget. Publishing our own (unchanging, we are
-            // blocked right here) reservation is always safe.
-            || {
+        self.core.scan(&mut ctx.local, |local, tail| {
+            let tid = local.tid();
+            // Service our own channel while we wait, so two threads that
+            // ping each other concurrently both complete instead of both
+            // burning their spin budget. Publishing our own (unchanging, we
+            // are blocked right here) reservation is always safe.
+            let serve_own = || {
                 if let Some(own) = self.ping.poll(tid) {
                     self.publish(tid, own_epoch);
                     self.ping.ack(tid, own);
                 }
-            },
-        );
-        let mut freed_total = 0u64;
-        match outcome {
-            PingOutcome::TimedOut => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_stall.record(ping_sw.elapsed_ns());
-                }
-                ctx.stats.ping_concessions += 1;
-                ctx.stats.reclaim_skips += 1;
+            };
+            if !self
+                .core
+                .ping_round(local, &self.ping, |_| false, serve_own)
+            {
+                return 0;
             }
-            PingOutcome::AllAcked => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_rtt.record(ping_sw.elapsed_ns());
+            // Single-fence scan over the published slots (DESIGN.md); the
+            // ack edges already order each publishing store before our
+            // loads, the fence covers the slots of threads that
+            // acknowledged an even newer ping.
+            fence(Ordering::SeqCst);
+            let mut min = own_epoch; // == IDLE (u64::MAX) when quiescent
+            for t in self.core.registry().active_tids() {
+                if t == tid {
+                    continue;
                 }
-                // Single-fence scan over the published slots (DESIGN.md); the
-                // ack edges already order each publishing store before our
-                // loads, the fence covers the slots of threads that
-                // acknowledged an even newer ping.
-                fence(Ordering::SeqCst);
-                let mut min = own_epoch; // == IDLE (u64::MAX) when quiescent
-                for t in self.registry.active_tids() {
-                    if t == tid {
-                        continue;
-                    }
-                    let v = self.slots[t].published.load(Ordering::Acquire);
-                    if v != IDLE {
-                        min = min.min(v);
-                    }
-                }
-                let before = ctx.limbo.len();
-                // SAFETY: only the prefix retired before the ping is swept.
-                // A thread inside an operation at ping time published its
-                // begin-op era `e` on ack: records with retire era `< e`
-                // were unlinked before its operation began (classic EBR).
-                // A thread that acked idle — or whose published value is
-                // stale because it began a *new* operation after acking —
-                // began that operation after the ping, hence after every
-                // unlink of the swept prefix, and cannot reach the records
-                // regardless of era (see DESIGN.md).
-                let freed = unsafe {
-                    ctx.limbo.reclaim_prefix_if(
-                        tail,
-                        |r| r.retire_era() < min,
-                        &mut ctx.stats,
-                        &mut ctx.mag,
-                    )
-                };
-                if freed == 0 && before > 0 {
-                    ctx.stats.reclaim_skips += 1;
-                }
-                freed_total = freed as u64;
-            }
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed_total, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
-    }
-
-    /// Watermark-triggered entry: run the ping handshake directly when no
-    /// peer's scan is mid-flight, otherwise publish this thread's limbo to
-    /// the combiner so the active scanner's single ping round sweeps both
-    /// bags. The heartbeat (`end_op`), `flush`, and `unregister` scans stay
-    /// direct — they must make local progress regardless of peers.
-    fn scan_or_publish(&self, ctx: &mut EpochPopCtx) {
-        if !self.config.combine {
-            self.reclaim_with_pings(ctx);
-            return;
-        }
-        if self.combiner.try_begin() {
-            self.reclaim_with_pings(ctx);
-            self.combiner.finish();
-            return;
-        }
-        let records = ctx.limbo.drain();
-        let n = records.len() as u64;
-        match self.combiner.publish(ctx.tid, records) {
-            Ok(()) => {
-                ctx.stats.combine_publishes += 1;
-                trace::emit(ctx.tid, TraceKind::CombinePublish, n, 0);
-                // The bag is empty now — reset the scan pacing as if a scan
-                // had run (the adopter does the actual freeing).
-                ctx.retires_since_scan = 0;
-                ctx.scan.note_scan();
-            }
-            Err(records) => {
-                // Slot still full (the scanner hasn't adopted the previous
-                // hand-off yet): keep the records and retry next trigger.
-                for r in records {
-                    ctx.limbo.push(r);
+                let v = self.slots[t].published.load(Ordering::Acquire);
+                if v != IDLE {
+                    min = min.min(v);
                 }
             }
-        }
+            // SAFETY: only the prefix retired before the ping is swept
+            // (`tail` was captured after peer bags were adopted and before
+            // the ping). A thread inside an operation at ping time
+            // published its begin-op era `e` on ack: records with retire
+            // era `< e` were unlinked before its operation began (classic
+            // EBR). A thread that acked idle — or whose published value is
+            // stale because it began a *new* operation after acking —
+            // began that operation after the ping, hence after every
+            // unlink of the swept prefix, and cannot reach the records
+            // regardless of era (see DESIGN.md).
+            unsafe { local.sweep_retired_before(tail, min) }
+        });
     }
 }
 
@@ -292,7 +172,6 @@ impl Smr for EpochPop {
     const NAME: &'static str = "EpochPOP";
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let slots = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(EpochSlot {
@@ -301,59 +180,43 @@ impl Smr for EpochPop {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
             era: EraClock::new(),
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
             slots,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            combiner: ScanCombiner::new(config.max_threads),
-            config,
+            core: ReclaimCore::combining(config),
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> EpochPopCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let local = self.core.register(tid);
         self.slots[tid].published.store(IDLE, Ordering::SeqCst);
         self.ping.reset_slot(tid);
         EpochPopCtx {
-            tid,
+            local,
             private_epoch: IDLE,
-            limbo: LimboBag::with_capacity_and_batch(
-                self.config.hi_watermark + 1,
-                self.config.retire_batch_cap(),
-            ),
-            scan: ScanState::new(),
-            retires_since_advance: 0,
-            retires_since_scan: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
         }
     }
 
     fn unregister(&self, ctx: &mut EpochPopCtx) {
         ctx.private_epoch = IDLE;
-        self.publish(ctx.tid, IDLE);
+        self.publish(ctx.local.tid(), IDLE);
         // Last chance to free what the remaining threads allow; the rest is
         // orphaned and destroyed when the reclaimer drops.
         self.reclaim_with_pings(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
         // Departed-slot exemption: set before leaving the registry so a
         // reclaimer mid-`await_acks` on a stale active-set snapshot stops
         // waiting on this thread immediately.
-        self.ping.mark_departed(ctx.tid);
-        self.registry.deregister(ctx.tid);
+        self.ping.mark_departed(ctx.local.tid());
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut EpochPopCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     #[inline]
@@ -369,11 +232,10 @@ impl Smr for EpochPop {
         // Oracle mirror: a published era stops protecting once the op ends
         // (the next handshake will re-ack with IDLE), so retract the pin even
         // though the stale published slot still holds the old era.
-        smr_common::check::unpin_epoch(ctx.tid);
+        smr_common::check::unpin_epoch(ctx.local.tid());
         ctx.private_epoch = IDLE;
         self.poll_ping(ctx);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.reclaim_with_pings(ctx);
         }
     }
@@ -395,33 +257,23 @@ impl Smr for EpochPop {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut EpochPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: stage the era-stamped record; the era-advance
-        // cadence stays per-retire, only the watermark check is amortized
-        // to batch flushes (bound slack: batch cap − 1).
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), self.era.now()));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
+        // Era-stamped before staging; the era-advance cadence stays
+        // per-retire, only the watermark check is amortized to batch
+        // flushes (bound slack: batch cap − 1).
+        let retired = Retired::new(ptr.as_raw(), self.era.now());
+        let at_hi = self.core.retire(&mut ctx.local, retired);
+        if self.core.epoch_tick(&mut ctx.local) {
+            ctx.local.note_era_advance(self.era.advance());
         }
-        ctx.retires_since_advance += 1;
-        if ctx.retires_since_advance >= self.config.epoch_freq {
-            ctx.retires_since_advance = 0;
-            let era = self.era.advance();
-            ctx.stats.epoch_advances += 1;
-            trace::emit(ctx.tid, TraceKind::EraAdvance, era, 0);
-        }
-        ctx.retires_since_scan += 1;
-        if flushed
-            && self.policy.scan_on_retire(ctx.limbo.len())
-            && ctx.retires_since_scan >= self.config.empty_freq
-        {
-            trace::emit(
-                ctx.tid,
-                TraceKind::LimboHigh,
-                ctx.limbo.len() as u64,
-                self.policy.hi_watermark as u64,
-            );
-            self.scan_or_publish(ctx);
+        // Paces retire-path handshakes: once the bag sits above the
+        // watermark *and stays there* (e.g. a stalled reader pins
+        // everything), a full ping handshake per flush would be a scan
+        // storm; at least `empty_freq` retires must separate two scans.
+        let paced = self.core.cadence_due(&mut ctx.local);
+        if at_hi && paced {
+            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
+                self.reclaim_with_pings(ctx);
+            }
         }
     }
 
@@ -431,22 +283,15 @@ impl Smr for EpochPop {
     }
 
     fn thread_stats(&self, ctx: &EpochPopCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut EpochPopCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &EpochPopCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for EpochPop {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 
@@ -515,7 +360,7 @@ mod tests {
 
         // The worker's reclamation pings; the reader publishes at its next
         // checkpoint.
-        let (seq, sent) = smr.ping.ping_all(0, &smr.registry);
+        let (seq, sent) = smr.ping.ping_all(0, smr.core.registry());
         assert_eq!(sent, 1);
         assert!(!smr.checkpoint(&mut reader), "POP never restarts");
         assert!(smr.ping.acked_at_least(1, seq));

@@ -37,14 +37,11 @@
 //! reservations per thread. A stalled reader pins at most its `K` published
 //! slots, not an epoch's worth of garbage.
 
-use smr_common::telemetry::{self, trace, TraceKind};
 use smr_common::{
-    Atomic, BlockPool, CachePadded, LimboBag, Magazine, OrphanPool, PingChannel, PingOutcome,
-    Registry, Retired, ScanCombiner, ScanPolicy, ScanState, Shared, Smr, SmrConfig, SmrNode,
-    ThreadStats,
+    Atomic, CachePadded, Magazine, PingChannel, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 struct PublishedSlots {
     /// The owner's hazard reservations as of its last acknowledged ping.
@@ -55,39 +52,30 @@ struct PublishedSlots {
 
 /// Per-thread context for [`HpPop`].
 pub struct HpPopCtx {
-    tid: usize,
+    local: ReclaimLocal,
     /// The private hazard slot array: plain unshared memory written on every
     /// protect; it reaches other threads only by being copied into the
     /// published slots when a ping arrives.
     private: Box<[usize]>,
-    limbo: LimboBag,
-    scan: ScanState,
-    /// Reusable scratch for the per-scan reservation snapshot.
-    protected: Vec<usize>,
-    /// Paces retire-path handshakes when the bag sits above the watermark
-    /// (e.g. every scan times out against a silent thread): at least
-    /// `empty_freq` retires must separate two retire-triggered scans.
-    retires_since_scan: usize,
-    mag: Magazine,
-    stats: ThreadStats,
 }
 
 /// The HP-POP reclaimer.
 pub struct HpPop {
-    config: SmrConfig,
-    policy: ScanPolicy,
-    registry: Registry,
+    /// A combining pipeline: a watermark-triggered thread that finds a
+    /// peer's ping handshake already in flight hands its limbo over instead
+    /// of launching a second full ping round.
+    core: ReclaimCore,
     ping: PingChannel,
     published: Vec<CachePadded<PublishedSlots>>,
-    pool: Arc<BlockPool>,
-    orphans: OrphanPool,
-    /// Flat-combined scan publication: a watermark-triggered thread that
-    /// finds a peer's ping handshake already in flight hands its limbo over
-    /// instead of launching a second full ping round.
-    combiner: ScanCombiner,
 }
 
 impl HpPop {
+    /// The reclaim pipeline this scheme runs on.
+    #[inline]
+    pub fn reclaim(&self) -> &ReclaimCore {
+        &self.core
+    }
+
     /// Copies the private slot array into `tid`'s published slots, skipping
     /// stores whose value is unchanged (a stable traversal re-publishes the
     /// same hazards; skipping the store avoids bouncing the line). `Release`
@@ -105,180 +93,65 @@ impl HpPop {
     /// to the published slots, then acknowledge.
     #[inline]
     fn poll_ping(&self, ctx: &mut HpPopCtx) {
-        if let Some(seq) = self.ping.poll(ctx.tid) {
-            self.publish_from(ctx.tid, &ctx.private);
-            self.ping.ack(ctx.tid, seq);
-            ctx.stats.pings_published += 1;
+        let tid = ctx.local.tid();
+        if let Some(seq) = self.ping.poll(tid) {
+            self.publish_from(tid, &ctx.private);
+            self.ping.ack(tid, seq);
+            ctx.local.stats.pings_published += 1;
         }
     }
 
     /// Ping every registered thread, wait for the handshake, and free every
     /// record retired before the ping that no published (or own private)
-    /// reservation covers.
+    /// reservation covers. A conceded round frees nothing.
     fn reclaim_with_pings(&self, ctx: &mut HpPopCtx) {
-        // Flat combining: adopt peers' published limbo bags before the
-        // pre-ping tail is captured, so one handshake round covers them.
-        // The prefix-sweep safety argument applies unchanged: adopted
-        // records were retired (by their publisher) before this scan's
-        // ping, exactly like this thread's own pre-ping retires.
-        if self.config.combine {
-            let (published, bags) = self.combiner.adopt();
-            if bags > 0 {
-                ctx.stats.combine_adoptions += bags;
-                trace::emit(
-                    ctx.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
-            }
-            for r in published {
-                ctx.limbo.push(r);
-            }
-        }
-        // Survivor adoption: fold departed threads' orphaned records into
-        // this thread's limbo bag before the empty check, so orphans are
-        // freed even by threads with nothing of their own to reclaim
-        // (`take_all` is non-blocking).
-        let orphaned = self.orphans.take_all();
-        if !orphaned.is_empty() {
-            ctx.stats.orphan_adoptions += orphaned.len() as u64;
-            trace::emit(ctx.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
-        }
-        for r in orphaned {
-            ctx.limbo.push(r);
-        }
-        let tail = ctx.limbo.len();
-        if tail == 0 {
-            return;
-        }
-        ctx.stats.reclaim_scans += 1;
-        ctx.scan.note_scan();
-        ctx.retires_since_scan = 0;
-        let sw = telemetry::stopwatch_if(self.config.telemetry);
-        trace::emit(ctx.tid, TraceKind::ScanBegin, tail as u64, 0);
-        let ping_sw = telemetry::stopwatch_if(self.config.telemetry);
-        let (seq, sent) = self.ping.ping_all(ctx.tid, &self.registry);
-        ctx.stats.signals_sent += sent;
-        let tid = ctx.tid;
-        let outcome = {
-            let private = &ctx.private;
-            self.ping.await_acks(
-                tid,
-                seq,
-                &self.registry,
-                self.config.ack_spin_limit,
-                |_| false,
-                // Service our own channel while we wait, so two threads that
-                // ping each other concurrently both complete instead of both
-                // burning their spin budget.
-                || {
-                    if let Some(own) = self.ping.poll(tid) {
-                        self.publish_from(tid, private);
-                        self.ping.ack(tid, own);
-                    }
-                },
-            )
-        };
-        let mut freed_total = 0u64;
-        match outcome {
-            PingOutcome::TimedOut => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_stall.record(ping_sw.elapsed_ns());
+        let HpPopCtx { local, private } = ctx;
+        self.core.scan(local, |local, tail| {
+            let tid = local.tid();
+            // Service our own channel while we wait, so two threads that
+            // ping each other concurrently both complete instead of both
+            // burning their spin budget.
+            let serve_own = || {
+                if let Some(own) = self.ping.poll(tid) {
+                    self.publish_from(tid, private);
+                    self.ping.ack(tid, own);
                 }
-                ctx.stats.ping_concessions += 1;
-                ctx.stats.reclaim_skips += 1;
+            };
+            if !self
+                .core
+                .ping_round(local, &self.ping, |_| false, serve_own)
+            {
+                return 0;
             }
-            PingOutcome::AllAcked => {
-                if let Some(ping_sw) = ping_sw {
-                    ctx.stats.tel.ping_rtt.record(ping_sw.elapsed_ns());
+            // Single-fence scan over the published slots (DESIGN.md).
+            fence(Ordering::SeqCst);
+            local.addrs.clear();
+            for t in self.core.registry().active_tids() {
+                if t == tid {
+                    continue;
                 }
-                // Single-fence scan over the published slots (DESIGN.md).
-                fence(Ordering::SeqCst);
-                ctx.protected.clear();
-                for t in self.registry.active_tids() {
-                    if t == tid {
-                        continue;
-                    }
-                    for s in self.published[t].slots.iter() {
-                        let addr = s.load(Ordering::Acquire);
-                        if addr != 0 {
-                            ctx.protected.push(addr);
-                        }
-                    }
-                }
-                // Our own reservations need no publish: the private slots
-                // are directly visible to us, and nobody else is scanning
-                // our bag.
-                for &addr in ctx.private.iter() {
+                for s in self.published[t].slots.iter() {
+                    let addr = s.load(Ordering::Acquire);
                     if addr != 0 {
-                        ctx.protected.push(addr);
+                        local.addrs.push(addr);
                     }
                 }
-                ctx.protected.sort_unstable();
-                ctx.protected.dedup();
-                let before = ctx.limbo.len();
-                // SAFETY: only the prefix retired (= unlinked) before the
-                // ping is swept. Any thread that could still dereference one
-                // of those records loaded its pointer before acknowledging
-                // the ping (pointers loaded after the ack come from
-                // reachable records, whose outgoing pointers the unlink
-                // already updated), so the pointer sat in its private slots
-                // at publish time and appears in `protected`.
-                let freed = unsafe {
-                    ctx.limbo.reclaim_prefix_unreserved(
-                        tail,
-                        &ctx.protected,
-                        &mut ctx.stats,
-                        &mut ctx.mag,
-                    )
-                };
-                if freed == 0 && before > 0 {
-                    ctx.stats.reclaim_skips += 1;
-                }
-                freed_total = freed as u64;
             }
-        }
-        trace::emit(ctx.tid, TraceKind::ScanEnd, freed_total, 0);
-        if let Some(sw) = sw {
-            ctx.stats.tel.scan.record(sw.elapsed_ns());
-        }
-    }
-
-    /// Watermark-triggered entry: run the ping handshake directly when no
-    /// peer's scan is mid-flight, otherwise publish this thread's limbo to
-    /// the combiner so the active scanner's single ping round sweeps both
-    /// bags. The heartbeat (`end_op`), `flush`, and `unregister` scans stay
-    /// direct — they must make local progress regardless of peers.
-    fn scan_or_publish(&self, ctx: &mut HpPopCtx) {
-        if !self.config.combine {
-            self.reclaim_with_pings(ctx);
-            return;
-        }
-        if self.combiner.try_begin() {
-            self.reclaim_with_pings(ctx);
-            self.combiner.finish();
-            return;
-        }
-        let records = ctx.limbo.drain();
-        let n = records.len() as u64;
-        match self.combiner.publish(ctx.tid, records) {
-            Ok(()) => {
-                ctx.stats.combine_publishes += 1;
-                trace::emit(ctx.tid, TraceKind::CombinePublish, n, 0);
-                // The bag is empty now — reset the scan pacing as if a scan
-                // had run (the adopter does the actual freeing).
-                ctx.retires_since_scan = 0;
-                ctx.scan.note_scan();
-            }
-            Err(records) => {
-                // Slot still full (the scanner hasn't adopted the previous
-                // hand-off yet): keep the records and retry next trigger.
-                for r in records {
-                    ctx.limbo.push(r);
-                }
-            }
-        }
+            // Our own reservations need no publish: the private slots are
+            // directly visible to us, and nobody else is scanning our bag.
+            local
+                .addrs
+                .extend(private.iter().copied().filter(|&addr| addr != 0));
+            // SAFETY: only the prefix retired (= unlinked) before the ping
+            // is swept (`tail` was captured after peer bags were adopted
+            // and before the ping). Any thread that could still
+            // dereference one of those records loaded its pointer before
+            // acknowledging the ping (pointers loaded after the ack come
+            // from reachable records, whose outgoing pointers the unlink
+            // already updated), so the pointer sat in its private slots at
+            // publish time and appears in `addrs`.
+            unsafe { local.sweep_unreserved(tail) }
+        });
     }
 }
 
@@ -304,7 +177,6 @@ impl Smr for HpPop {
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
-        config.validate();
         let published = (0..config.max_threads)
             .map(|_| {
                 CachePadded::new(PublishedSlots {
@@ -315,60 +187,48 @@ impl Smr for HpPop {
             })
             .collect();
         Self {
-            registry: Registry::new(config.max_threads),
-            policy: ScanPolicy::from_config(&config),
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
             published,
-            pool: BlockPool::from_config(&config),
-            orphans: OrphanPool::new(),
-            combiner: ScanCombiner::new(config.max_threads),
-            config,
+            core: ReclaimCore::combining(config),
         }
     }
 
     fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     fn register(&self, tid: usize) -> HpPopCtx {
-        assert!(self.registry.register_tid(tid), "slot {tid} already taken");
+        let mut local: ReclaimLocal = self.core.register(tid);
         for s in self.published[tid].slots.iter() {
             s.store(0, Ordering::SeqCst);
         }
         self.ping.reset_slot(tid);
+        let config = self.core.config();
+        local
+            .addrs
+            .reserve_exact(config.hazards_per_thread * config.max_threads);
         HpPopCtx {
-            tid,
-            private: vec![0usize; self.config.hazards_per_thread].into_boxed_slice(),
-            limbo: LimboBag::with_capacity_and_batch(
-                self.config.hi_watermark + 1,
-                self.config.retire_batch_cap(),
-            ),
-            scan: ScanState::new(),
-            protected: Vec::with_capacity(self.config.hazards_per_thread * self.config.max_threads),
-            retires_since_scan: 0,
-            mag: Magazine::from_config(&self.pool, &self.config),
-            stats: ThreadStats::default(),
+            local,
+            private: vec![0usize; config.hazards_per_thread].into_boxed_slice(),
         }
     }
 
     fn unregister(&self, ctx: &mut HpPopCtx) {
-        smr_common::check::clear_claims(ctx.tid);
+        smr_common::check::clear_claims(ctx.local.tid());
         ctx.private.fill(0);
-        self.publish_from(ctx.tid, &ctx.private);
+        self.publish_from(ctx.local.tid(), &ctx.private);
         // Last chance to free what is already safe; the rest is orphaned.
         self.reclaim_with_pings(ctx);
-        self.orphans.adopt(ctx.limbo.drain());
-        ctx.mag.flush();
         // Departed-slot exemption: set before leaving the registry so a
         // reclaimer mid-`await_acks` on a stale active-set snapshot stops
         // waiting on this thread immediately.
-        self.ping.mark_departed(ctx.tid);
-        self.registry.deregister(ctx.tid);
+        self.ping.mark_departed(ctx.local.tid());
+        self.core.unregister(&mut ctx.local);
     }
 
     #[inline]
     fn magazine_mut<'a>(&self, ctx: &'a mut HpPopCtx) -> Option<&'a mut Magazine> {
-        Some(&mut ctx.mag)
+        Some(&mut ctx.local.mag)
     }
 
     /// The Publish-on-Ping fast path: an `Acquire` load plus a plain store
@@ -393,7 +253,7 @@ impl Smr for HpPop {
         // as empty rather than claiming an address the scheme does not
         // protect.
         let claimed = if p.tag() == 0 { p.untagged_usize() } else { 0 };
-        smr_common::check::claim_addr(ctx.tid, slot, claimed);
+        smr_common::check::claim_addr(ctx.local.tid(), slot, claimed);
         p
     }
 
@@ -410,14 +270,14 @@ impl Smr for HpPop {
         ptr: Shared<T>,
     ) {
         ctx.private[dst_slot] = ptr.untagged_usize();
-        smr_common::check::claim_addr(ctx.tid, dst_slot, ptr.untagged_usize());
+        smr_common::check::claim_addr(ctx.local.tid(), dst_slot, ptr.untagged_usize());
     }
 
     #[inline]
     fn clear_protections(&self, ctx: &mut HpPopCtx) {
         // Oracle mirror: retract before the real clear (claims stay a subset
         // of what the next ack would publish).
-        smr_common::check::clear_claims(ctx.tid);
+        smr_common::check::clear_claims(ctx.local.tid());
         ctx.private.fill(0);
         // The published slots are left stale: they can only pin more
         // (at most K records per thread, the same slack as HP's bound) and
@@ -438,36 +298,28 @@ impl Smr for HpPop {
 
     #[inline]
     fn end_op(&self, ctx: &mut HpPopCtx) {
-        smr_common::check::clear_claims(ctx.tid);
+        smr_common::check::clear_claims(ctx.local.tid());
         ctx.private.fill(0);
         self.poll_ping(ctx);
-        if ctx.scan.tick_op(&self.policy, ctx.limbo.len()) {
-            ctx.stats.heartbeat_scans += 1;
+        if self.core.heartbeat_due(&mut ctx.local) {
             self.reclaim_with_pings(ctx);
         }
     }
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HpPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Retire coalescing: stage the record; the watermark check is
-        // amortized to batch flushes (bound slack: batch cap − 1).
-        let flushed = ctx.limbo.stage(Retired::new(ptr.as_raw(), 0));
-        ctx.stats.retires += 1;
-        if flushed {
-            ctx.stats.observe_limbo(ctx.limbo.len());
-        }
-        ctx.retires_since_scan += 1;
-        if flushed
-            && self.policy.scan_on_retire(ctx.limbo.len())
-            && ctx.retires_since_scan >= self.config.empty_freq
-        {
-            trace::emit(
-                ctx.tid,
-                TraceKind::LimboHigh,
-                ctx.limbo.len() as u64,
-                self.policy.hi_watermark as u64,
-            );
-            self.scan_or_publish(ctx);
+        // The watermark check is amortized to batch flushes (bound slack:
+        // batch cap − 1).
+        let retired = Retired::new(ptr.as_raw(), 0);
+        let at_hi = self.core.retire(&mut ctx.local, retired);
+        // Paces retire-path handshakes when the bag sits above the
+        // watermark (e.g. every scan times out against a silent thread):
+        // at least `empty_freq` retires must separate two scans.
+        let paced = self.core.cadence_due(&mut ctx.local);
+        if at_hi && paced {
+            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
+                self.reclaim_with_pings(ctx);
+            }
         }
     }
 
@@ -476,22 +328,15 @@ impl Smr for HpPop {
     }
 
     fn thread_stats(&self, ctx: &HpPopCtx) -> ThreadStats {
-        ctx.mag.fold_stats(ctx.stats)
+        ctx.local.stats_snapshot()
     }
 
     fn thread_stats_mut<'a>(&self, ctx: &'a mut HpPopCtx) -> &'a mut ThreadStats {
-        &mut ctx.stats
+        &mut ctx.local.stats
     }
 
     fn limbo_len(&self, ctx: &HpPopCtx) -> usize {
-        ctx.limbo.len()
-    }
-}
-
-impl Drop for HpPop {
-    fn drop(&mut self) {
-        // SAFETY: all threads have deregistered by contract.
-        unsafe { self.orphans.drain_and_free() };
+        ctx.local.limbo.len()
     }
 }
 
@@ -527,7 +372,7 @@ mod tests {
             "no ping yet: the reservation must stay private"
         );
         // A ping promotes it.
-        let (seq, _) = smr.ping.ping_all(1, &smr.registry);
+        let (seq, _) = smr.ping.ping_all(1, smr.core.registry());
         let _ = seq;
         assert!(!smr.checkpoint(&mut ctx), "POP never restarts");
         assert_eq!(

@@ -8,8 +8,8 @@
 //!   when any cell regresses below `t`, which is how CI gates the
 //!   telemetry-overhead A/B. See the `bench_diff` module.
 //!
-//! * `lint` — the SAFETY-comment lint. Walks every `.rs` file under
-//!   `crates/` and fails (exit 1) when
+//! * `lint` — the textual lints. Walks every `.rs` file under `crates/`
+//!   and fails (exit 1) when
 //!
 //!   1. an `unsafe` block or `unsafe impl` has no justification: no
 //!      `// SAFETY:` comment in the immediately preceding comment /
@@ -24,7 +24,14 @@
 //!      `dealloc_node_raw` of a `Box` pointer; the few deliberate
 //!      exceptions (list head sentinels that are owned by the structure,
 //!      never retired, and freed by `Box`'s own drop) carry an explicit
-//!      `lint:allow-box-node` waiver comment.
+//!      `lint:allow-box-node` waiver comment; or
+//!   3. a scheme file — anything under `crates/{core,smr-baselines,smr-pop}/src`,
+//!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
+//!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the
+//!      orphan pool, the scan combiner, the telemetry bypass, or one of the
+//!      scan / adoption / combining / watermark trace events. A scheme that
+//!      needs one of those is growing its own copy of the pipeline back;
+//!      it should call `ReclaimCore` instead.
 //!
 //! The lint is textual by design: it has no type information, so it trades
 //! a small amount of precision (waiver comments, per-file node-name scope)
@@ -75,7 +82,7 @@ fn lint() -> ExitCode {
 
     if findings.is_empty() {
         println!(
-            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected)",
+            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected, pipeline written once)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -88,6 +95,31 @@ fn lint() -> ExitCode {
         eprintln!("xtask lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
+}
+
+/// Names only `smr_common::reclaim` may use ("pipeline written once"): a
+/// scheme file mentioning one is re-implementing what `ReclaimCore` owns.
+/// `TraceKind::Scan` and `TraceKind::Combine` are prefixes (`ScanBegin`,
+/// `ScanEnd`, `CombinePublish`, `CombineAdopt`).
+const PIPELINE_ONLY: [&str; 7] = [
+    "OrphanPool",
+    "ScanCombiner",
+    "stopwatch_if",
+    "TraceKind::Scan",
+    "TraceKind::OrphanAdopt",
+    "TraceKind::Combine",
+    "TraceKind::LimboHigh",
+];
+
+/// Whether `rel` is a reclaimer's source file (lint rule 3's scope).
+fn is_scheme_file(rel: &Path) -> bool {
+    [
+        "crates/core/src",
+        "crates/smr-baselines/src",
+        "crates/smr-pop/src",
+    ]
+    .iter()
+    .any(|dir| rel.starts_with(dir))
 }
 
 fn workspace_root() -> PathBuf {
@@ -296,6 +328,7 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<String>) {
 
     let is_recycle_abi = rel.ends_with("crates/smr-common/src/recycle.rs")
         || rel == Path::new("crates/smr-common/src/recycle.rs");
+    let scheme_file = is_scheme_file(rel);
 
     let mut in_block_comment = false;
     // `#[cfg(test)] mod … { … }` ranges are exempt: test-only unsafe (and
@@ -353,6 +386,19 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<String>) {
                 rel.display(),
                 i + 1
             ));
+        }
+
+        if scheme_file {
+            for name in PIPELINE_ONLY {
+                if code.contains(name) {
+                    findings.push(format!(
+                        "{}:{}: `{name}` belongs to the reclaim pipeline \
+                         (smr_common::reclaim owns it once); go through `ReclaimCore`",
+                        rel.display(),
+                        i + 1
+                    ));
+                }
+            }
         }
 
         if !is_recycle_abi && code.contains("Box::new") {
@@ -470,6 +516,45 @@ mod tests {
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].contains(":9:"), "{f:?}");
+    }
+
+    fn run_in(path: &str, src: &str) -> Vec<String> {
+        let mut findings = Vec::new();
+        lint_file(Path::new(path), src, &mut findings);
+        findings
+    }
+
+    #[test]
+    fn flags_pipeline_pieces_in_scheme_files() {
+        let src = "use smr_common::{OrphanPool, ScanCombiner};\n\
+                   fn f(c: &C) {\n    let sw = telemetry::stopwatch_if(c.telemetry);\n    \
+                   trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    \
+                   trace::emit(0, TraceKind::CombineAdopt, 0, 0);\n    \
+                   trace::emit(0, TraceKind::LimboHigh, 0, 0);\n    \
+                   trace::emit(0, TraceKind::OrphanAdopt, 0, 0);\n}\n";
+        for dir in ["core", "smr-baselines", "smr-pop"] {
+            let f = run_in(&format!("crates/{dir}/src/x.rs"), src);
+            assert_eq!(f.len(), 7, "{dir}: {f:?}");
+            assert!(f.iter().all(|m| m.contains("reclaim pipeline")));
+        }
+        // The pipeline's own crate, the harness and the structures may.
+        for path in [
+            "crates/smr-common/src/reclaim.rs",
+            "crates/harness/src/x.rs",
+        ] {
+            assert!(run_in(path, src).is_empty(), "{path}");
+        }
+    }
+
+    #[test]
+    fn pipeline_rule_spares_tests_comments_and_other_trace_kinds() {
+        let src = "// OrphanPool is gone from here.\n\
+                   fn f() {\n    trace::emit(0, TraceKind::EraAdvance, 1, 0);\n    \
+                   trace::emit(0, TraceKind::Neutralized, 0, 0);\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn g(p: &OrphanPool) {\n        \
+                   let _ = telemetry::stopwatch_if(true);\n    }\n}\n";
+        let f = run_in("crates/smr-baselines/src/x.rs", src);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

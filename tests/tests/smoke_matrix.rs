@@ -6,7 +6,8 @@
 //! against a `BTreeSet` with a tiny-watermark config, which forces the
 //! reclamation paths to execute constantly even at this small scale.
 //!
-//! 12 reclaimers (incl. the Publish-on-Ping family and WFE) × 6 structures
+//! Every registry row (12 reclaimers today, incl. the Publish-on-Ping family
+//! and WFE) × 6 structures
 //! (incl. the HM-list hash map) = 72 model-check cases, plus one
 //! multi-threaded chain-unlink stress case per reclaimer on the Harris
 //! list (84 total) — the marked-chain batch-unlink path only exists under
@@ -14,10 +15,7 @@
 
 use conc_ds::{AbTree, DgtTree, HarrisList, HmHashMap, HmList, LazyList};
 use integration_tests::{chain_unlink_stress, model_check};
-use nbr::{Nbr, NbrPlus};
-use smr_baselines::{Debra, HazardEras, HazardPointers, Ibr, Leaky, Qsbr, Rcu, Wfe};
 use smr_common::SmrConfig;
-use smr_pop::{EpochPop, HpPop};
 use std::sync::Arc;
 
 fn cfg() -> SmrConfig {
@@ -27,136 +25,59 @@ fn cfg() -> SmrConfig {
 const OPS: usize = 3_000;
 const KEY_RANGE: u64 = 64;
 
-macro_rules! smoke {
-    ($($name:ident: $ds:ident < $smr:ty >;)*) => {
-        $(
-            #[test]
-            fn $name() {
-                model_check(&$ds::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
-            }
-        )*
-    };
-}
-
-smoke! {
-    smoke_nbr_lazy_list: LazyList<Nbr>;
-    smoke_nbr_harris_list: HarrisList<Nbr>;
-    smoke_nbr_hm_list: HmList<Nbr>;
-    smoke_nbr_hm_hashmap: HmHashMap<Nbr>;
-    smoke_nbr_dgt_tree: DgtTree<Nbr>;
-    smoke_nbr_ab_tree: AbTree<Nbr>;
-
-    smoke_nbr_plus_lazy_list: LazyList<NbrPlus>;
-    smoke_nbr_plus_harris_list: HarrisList<NbrPlus>;
-    smoke_nbr_plus_hm_list: HmList<NbrPlus>;
-    smoke_nbr_plus_hm_hashmap: HmHashMap<NbrPlus>;
-    smoke_nbr_plus_dgt_tree: DgtTree<NbrPlus>;
-    smoke_nbr_plus_ab_tree: AbTree<NbrPlus>;
-
-    smoke_debra_lazy_list: LazyList<Debra>;
-    smoke_debra_harris_list: HarrisList<Debra>;
-    smoke_debra_hm_list: HmList<Debra>;
-    smoke_debra_hm_hashmap: HmHashMap<Debra>;
-    smoke_debra_dgt_tree: DgtTree<Debra>;
-    smoke_debra_ab_tree: AbTree<Debra>;
-
-    smoke_qsbr_lazy_list: LazyList<Qsbr>;
-    smoke_qsbr_harris_list: HarrisList<Qsbr>;
-    smoke_qsbr_hm_list: HmList<Qsbr>;
-    smoke_qsbr_hm_hashmap: HmHashMap<Qsbr>;
-    smoke_qsbr_dgt_tree: DgtTree<Qsbr>;
-    smoke_qsbr_ab_tree: AbTree<Qsbr>;
-
-    smoke_rcu_lazy_list: LazyList<Rcu>;
-    smoke_rcu_harris_list: HarrisList<Rcu>;
-    smoke_rcu_hm_list: HmList<Rcu>;
-    smoke_rcu_hm_hashmap: HmHashMap<Rcu>;
-    smoke_rcu_dgt_tree: DgtTree<Rcu>;
-    smoke_rcu_ab_tree: AbTree<Rcu>;
-
-    smoke_hp_lazy_list: LazyList<HazardPointers>;
-    smoke_hp_harris_list: HarrisList<HazardPointers>;
-    smoke_hp_hm_list: HmList<HazardPointers>;
-    smoke_hp_hm_hashmap: HmHashMap<HazardPointers>;
-    smoke_hp_dgt_tree: DgtTree<HazardPointers>;
-    smoke_hp_ab_tree: AbTree<HazardPointers>;
-
-    smoke_ibr_lazy_list: LazyList<Ibr>;
-    smoke_ibr_harris_list: HarrisList<Ibr>;
-    smoke_ibr_hm_list: HmList<Ibr>;
-    smoke_ibr_hm_hashmap: HmHashMap<Ibr>;
-    smoke_ibr_dgt_tree: DgtTree<Ibr>;
-    smoke_ibr_ab_tree: AbTree<Ibr>;
-
-    smoke_he_lazy_list: LazyList<HazardEras>;
-    smoke_he_harris_list: HarrisList<HazardEras>;
-    smoke_he_hm_list: HmList<HazardEras>;
-    smoke_he_hm_hashmap: HmHashMap<HazardEras>;
-    smoke_he_dgt_tree: DgtTree<HazardEras>;
-    smoke_he_ab_tree: AbTree<HazardEras>;
-
-    smoke_wfe_lazy_list: LazyList<Wfe>;
-    smoke_wfe_harris_list: HarrisList<Wfe>;
-    smoke_wfe_hm_list: HmList<Wfe>;
-    smoke_wfe_hm_hashmap: HmHashMap<Wfe>;
-    smoke_wfe_dgt_tree: DgtTree<Wfe>;
-    smoke_wfe_ab_tree: AbTree<Wfe>;
-
-    smoke_epoch_pop_lazy_list: LazyList<EpochPop>;
-    smoke_epoch_pop_harris_list: HarrisList<EpochPop>;
-    smoke_epoch_pop_hm_list: HmList<EpochPop>;
-    smoke_epoch_pop_hm_hashmap: HmHashMap<EpochPop>;
-    smoke_epoch_pop_dgt_tree: DgtTree<EpochPop>;
-    smoke_epoch_pop_ab_tree: AbTree<EpochPop>;
-
-    smoke_hp_pop_lazy_list: LazyList<HpPop>;
-    smoke_hp_pop_harris_list: HarrisList<HpPop>;
-    smoke_hp_pop_hm_list: HmList<HpPop>;
-    smoke_hp_pop_hm_hashmap: HmHashMap<HpPop>;
-    smoke_hp_pop_dgt_tree: DgtTree<HpPop>;
-    smoke_hp_pop_ab_tree: AbTree<HpPop>;
-
-    smoke_leaky_lazy_list: LazyList<Leaky>;
-    smoke_leaky_harris_list: HarrisList<Leaky>;
-    smoke_leaky_hm_list: HmList<Leaky>;
-    smoke_leaky_hm_hashmap: HmHashMap<Leaky>;
-    smoke_leaky_dgt_tree: DgtTree<Leaky>;
-    smoke_leaky_ab_tree: AbTree<Leaky>;
-}
-
-// ---------------------------------------------------------------------------
+// Generated from the scheme registry (`smr_harness::for_each_scheme!`): per
+// row, `smoke_<scheme>_<structure>` for each of the six structures plus
+// `chain_unlink_<scheme>`, so a reclaimer added to the registry is covered
+// here without touching this file.
+//
 // Chain-unlink stress: concurrent adjacent deletions grow multi-node marked
-// chains in the Harris list, which the model checks above (single-threaded)
-// never do. One case per reclaimer, oversubscribed past CI's core count, so
-// every scheme executes either the batch-unlink fast path
+// chains in the Harris list, which the single-threaded model checks never
+// do. One case per reclaimer, oversubscribed past CI's core count, so every
+// scheme executes either the batch-unlink fast path
 // (`CAN_TRAVERSE_UNLINKED`, incl. IBR and HE since the era-hull fix) or the
 // Harris-Michael fallback (the HP family) under the scheduling that exposed
 // the original marked-chain race.
-// ---------------------------------------------------------------------------
+macro_rules! smoke_rows {
+    ($({ $variant:ident, $snake:ident, $smr:ty, $($flags:tt)* })*) => {
+        paste::paste! {
+            $(
+                #[test]
+                fn [<smoke_ $snake _lazy_list>]() {
+                    model_check(&LazyList::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
 
-macro_rules! chain_unlink {
-    ($($name:ident: $smr:ty;)*) => {
-        $(
-            #[test]
-            fn $name() {
-                let list = Arc::new(HarrisList::<$smr>::new(cfg().with_max_threads(8)));
-                chain_unlink_stress(list, 8, 60, 4, 8);
-            }
-        )*
+                #[test]
+                fn [<smoke_ $snake _harris_list>]() {
+                    model_check(&HarrisList::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
+
+                #[test]
+                fn [<smoke_ $snake _hm_list>]() {
+                    model_check(&HmList::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
+
+                #[test]
+                fn [<smoke_ $snake _hm_hashmap>]() {
+                    model_check(&HmHashMap::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
+
+                #[test]
+                fn [<smoke_ $snake _dgt_tree>]() {
+                    model_check(&DgtTree::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
+
+                #[test]
+                fn [<smoke_ $snake _ab_tree>]() {
+                    model_check(&AbTree::<$smr>::new(cfg()), OPS, KEY_RANGE, 0xDEAD_BEEF);
+                }
+
+                #[test]
+                fn [<chain_unlink_ $snake>]() {
+                    let list = Arc::new(HarrisList::<$smr>::new(cfg().with_max_threads(8)));
+                    chain_unlink_stress(list, 8, 60, 4, 8);
+                }
+            )*
+        }
     };
 }
-
-chain_unlink! {
-    chain_unlink_nbr: Nbr;
-    chain_unlink_nbr_plus: NbrPlus;
-    chain_unlink_debra: Debra;
-    chain_unlink_qsbr: Qsbr;
-    chain_unlink_rcu: Rcu;
-    chain_unlink_hp: HazardPointers;
-    chain_unlink_ibr: Ibr;
-    chain_unlink_he: HazardEras;
-    chain_unlink_wfe: Wfe;
-    chain_unlink_epoch_pop: EpochPop;
-    chain_unlink_hp_pop: HpPop;
-    chain_unlink_leaky: Leaky;
-}
+smr_harness::for_each_scheme!(smoke_rows);
