@@ -6,7 +6,7 @@
 //! The "yes/no" entries follow the paper's analysis (Section B of its
 //! appendix); entries marked `impl` are additionally demonstrated by this
 //! repository's code (the structure is instantiated with that reclaimer in the
-//! test suite and benches).
+//! test suite).
 
 fn main() {
     // Instrumentation must never leak into a measurement build: the

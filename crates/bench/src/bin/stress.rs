@@ -7,25 +7,22 @@
 //! ```
 //!
 //! With `--faults`, each round also runs the standing fault cells: every
-//! scheme under a seeded [`FaultPlan`] of stalls, departures and black-holed
-//! pings. The plan's seed is printed with each cell, so any crash or hang is
-//! replayable by passing that seed back on the command line.
+//! scheme under round `r`'s [`FaultPlan`] of the sweep seeded with the
+//! given base (stalls, departures and black-holed pings). Each cell prints
+//! the base seed, the round and the command line that replays it.
 
 use smr_common::SmrConfig;
 use smr_harness::families::{run_with, HarrisListFamily, SmrKind};
+use smr_harness::fault::{parse_sweep_args, replay_args};
 use smr_harness::{report, FaultPlan, StopCondition, WorkloadMix, WorkloadSpec};
 use std::time::Duration;
 
-/// One standing fault cell per scheme: a seeded plan over 4 workers, with
-/// the per-round seed mixed in so successive rounds explore different plans.
-fn fault_cells(round: usize, base_seed: u64) {
+/// One standing fault cell per scheme: round `round`'s plan of the sweep
+/// seeded with `base`, over 4 workers.
+fn fault_cells(round: usize, base: u64) {
     let threads = 4usize;
     for &kind in SmrKind::all() {
-        let seed = base_seed
-            .wrapping_add(round as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            | 1;
-        let plan = FaultPlan::seeded(seed, threads);
+        let plan = FaultPlan::for_round(base, round, threads);
         eprintln!(
             "[round {round}] fault-cell harris-list smr={} plan={plan}",
             kind.label()
@@ -33,8 +30,9 @@ fn fault_cells(round: usize, base_seed: u64) {
         report::note(
             "fault-plan",
             &format!(
-                "smr={} plan={plan} — replay with: stress --faults {seed:#x}",
-                kind.label()
+                "smr={} plan={plan} base={base:#x} round={round} — replay with: stress {}",
+                kind.label(),
+                replay_args(base, round)
             ),
         );
         let spec = WorkloadSpec::new(
@@ -69,23 +67,10 @@ fn main() {
          (use the dedicated `trace` bin for event capture)"
     );
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rounds: usize = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let faults = args.iter().any(|a| a == "--faults");
-    let fault_seed: u64 = args
-        .iter()
-        .position(|a| a == "--faults")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| {
-            s.strip_prefix("0x")
-                .map(|h| u64::from_str_radix(h, 16).ok())
-                .unwrap_or_else(|| s.parse().ok())
-        })
-        .unwrap_or(0x5EED_FA17);
-    let kinds = SmrKind::bench_set();
+    let (rounds, fault_base) = parse_sweep_args(&args).unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(2)
+    });
     let sizes = [200u64, 2_048];
     let mixes = [
         WorkloadMix::UPDATE_HEAVY,
@@ -97,7 +82,7 @@ fn main() {
         for &size in &sizes {
             for &mix in &mixes {
                 for &threads in &threads_sweep {
-                    for &kind in kinds {
+                    for &kind in SmrKind::all() {
                         eprintln!(
                             "[round {round}] harris-list size={size} mix={} threads={threads} smr={}",
                             mix.label(),
@@ -118,11 +103,10 @@ fn main() {
                             "    ok: {:.3} Mops/s, {} retired, {} freed",
                             r.mops, r.smr_totals.retires, r.smr_totals.frees
                         );
-                        // ISSUE-9 hot-path batching visibility: the combiner
-                        // only trips under genuine scan concurrency and the
-                        // memo only under a stamp-capable scheme, so the
-                        // counters go through the greppable note channel
-                        // rather than silently reading 0.
+                        // The combiner only trips under genuine scan
+                        // concurrency and the memo only under a stamp-capable
+                        // scheme, so the counters go through the greppable
+                        // note channel rather than silently reading 0.
                         if r.smr_totals.combine_publishes > 0 || r.smr_totals.combine_adoptions > 0
                         {
                             report::note(
@@ -177,8 +161,8 @@ fn main() {
                 }
             }
         }
-        if faults {
-            fault_cells(round, fault_seed);
+        if let Some(base) = fault_base {
+            fault_cells(round, base);
         }
     }
     println!("stress completed");

@@ -8,8 +8,8 @@
 //! pings/strikes/concessions as instants on the row of the thread that
 //! observed them.
 //!
-//! This binary only exists in a `--features trace` build — tracing is
-//! deliberately excluded from every measurement binary (they assert it is
+//! This binary only runs in a `--features trace` build — tracing is
+//! deliberately excluded from the other binaries (they assert it is
 //! compiled *out*), so capturing a trace is always an explicit, separate
 //! build:
 //!
@@ -19,13 +19,14 @@
 //!     [--capacity 65536] [--out trace.json]
 //! ```
 //!
-//! The fault plan is derived from the seed exactly as `stress --faults`
-//! derives its round-0 plan, so a crash or anomaly seen there can be
-//! re-captured here with the same seed.
+//! The fault plan is round 0 of the sweep `stress --faults <seed>` runs
+//! ([`FaultPlan::for_round`]), so a crash or anomaly seen in that round can
+//! be re-captured here with the same seed.
 
 use smr_common::telemetry::{trace, TraceKind};
 use smr_common::SmrConfig;
 use smr_harness::families::{run_with, HarrisListFamily, SmrKind};
+use smr_harness::fault::{parse_seed, DEFAULT_SWEEP_SEED};
 use smr_harness::{report, FaultPlan, StopCondition, WorkloadMix, WorkloadSpec};
 
 struct Args {
@@ -40,7 +41,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smr: SmrKind::NbrPlus,
-        seed: 0x5EED_FA17,
+        seed: DEFAULT_SWEEP_SEED,
         threads: 4,
         ops: 200_000,
         capacity: 65_536,
@@ -60,10 +61,7 @@ fn parse_args() -> Args {
             }
             "--seed" => {
                 let s = val("--seed");
-                args.seed = s
-                    .strip_prefix("0x")
-                    .map(|h| u64::from_str_radix(h, 16).expect("--seed hex"))
-                    .unwrap_or_else(|| s.parse().expect("--seed"));
+                args.seed = parse_seed(&s).unwrap_or_else(|| panic!("--seed {s}: not a number"));
             }
             "--threads" => args.threads = val("--threads").parse().expect("--threads"),
             "--ops" => args.ops = val("--ops").parse().expect("--ops"),
@@ -83,10 +81,7 @@ fn main() {
     );
     let args = parse_args();
 
-    // Same seed mixing as stress --faults round 0, so plans are replayable
-    // across the two binaries.
-    let seed = args.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let plan = FaultPlan::seeded(seed, args.threads);
+    let plan = FaultPlan::for_round(args.seed, 0, args.threads);
     report::note(
         "fault-plan",
         &format!(

@@ -17,8 +17,9 @@
 //!   record it retired before the bookmark — **without sending any signals**.
 //!
 //! In the best case all `n` threads reclaim after a single RGP (`n-1`
-//! signals). The benches report `signals_sent` so this effect is visible
-//! (see the `ablation_nbr` bench and EXPERIMENTS.md).
+//! signals). `ThreadStats::signals_sent` makes this effect visible
+//! (`garbage_bound::nbr_plus_piggybacks_instead_of_signalling` asserts it;
+//! the standing benchmark reports `core.signals_per_free`).
 
 use crate::neutralize::NeutralizationCore;
 use smr_common::telemetry::{trace, TraceKind};

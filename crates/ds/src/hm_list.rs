@@ -23,7 +23,7 @@
 //! **Safety note:** the `ContinueFromPred` policy must only be paired with
 //! reclaimers that do not rely on the NBR phase protocol (it is a documented
 //! phase-rule violation for NBR/NBR+, exactly as the paper describes); the
-//! benches only use it with DEBRA and the leaky reclaimer.
+//! tests only use it with DEBRA and the leaky reclaimer.
 
 use crate::{check_key, memo, ConcurrentSet, KEY_MAX, KEY_MIN};
 use smr_common::{recycle, Atomic, NodeHeader, Shared, Smr, SmrConfig};

@@ -1,9 +1,9 @@
-//! A counting global allocator for the peak-memory experiments (E2).
+//! A counting global allocator for peak-memory trials (E2).
 //!
 //! The paper measures "max resident memory" of the whole process (Figures 4c
 //! and 4d). The portable equivalent used here is *peak live heap bytes*: a
 //! wrapper around the system allocator that tracks current and peak
-//! outstanding allocation. Benchmark binaries opt in with:
+//! outstanding allocation. Binaries opt in with:
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -1,10 +1,9 @@
 //! The trial driver: prefill, spawn workers, measure, collect.
 //!
-//! One [`run_trial`] call reproduces one data point of the paper's plots: a
-//! (data structure, reclaimer, operation mix, key range, thread count) tuple
-//! run for a fixed duration (or a fixed operation budget for the Criterion
-//! benches), reporting throughput, the reclaimer's counters and the process's
-//! peak heap usage.
+//! One [`run_trial`] call runs a (data structure, reclaimer, operation mix,
+//! key range, thread count) tuple for a fixed duration or operation budget,
+//! reporting throughput, the reclaimer's counters and the process's peak heap
+//! usage.
 
 use crate::alloc_track;
 use crate::fault::{FaultKind, FaultSpec};
@@ -20,10 +19,6 @@ use std::time::{Duration, Instant};
 pub trait Buildable<S: Smr>: ConcurrentSet<S> + Sized + 'static {
     /// Builds an empty instance (the structure owns its reclaimer).
     fn build(config: SmrConfig) -> Self;
-    /// Label used in benchmark output (defaults to the structure name).
-    fn variant_name() -> &'static str {
-        Self::name()
-    }
 }
 
 impl<S: Smr> Buildable<S> for conc_ds::LazyList<S> {
@@ -39,59 +34,6 @@ impl<S: Smr> Buildable<S> for conc_ds::HarrisList<S> {
 impl<S: Smr> Buildable<S> for conc_ds::DgtTree<S> {
     fn build(config: SmrConfig) -> Self {
         Self::new(config)
-    }
-}
-impl<S: Smr> Buildable<S> for conc_ds::AbTree<S> {
-    fn build(config: SmrConfig) -> Self {
-        Self::new(config)
-    }
-}
-impl<S: Smr> Buildable<S> for conc_ds::HmList<S> {
-    fn build(config: SmrConfig) -> Self {
-        Self::new(config)
-    }
-    fn variant_name() -> &'static str {
-        "hm-list-restart"
-    }
-}
-impl<S: Smr> Buildable<S> for conc_ds::HmHashMap<S> {
-    fn build(config: SmrConfig) -> Self {
-        Self::new(config)
-    }
-}
-
-/// The original Harris-Michael list (no restart from root after unlinks) —
-/// the "norestarts" configuration of experiment E4. Only meaningful with
-/// EBR-family or leaky reclaimers.
-pub struct HmListNoRestart<S: Smr>(conc_ds::HmList<S>);
-
-impl<S: Smr> ConcurrentSet<S> for HmListNoRestart<S> {
-    fn smr(&self) -> &S {
-        self.0.smr()
-    }
-    fn contains(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.0.contains(ctx, key)
-    }
-    fn insert(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn remove(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.0.remove(ctx, key)
-    }
-    fn size(&self, ctx: &mut S::ThreadCtx) -> usize {
-        self.0.size(ctx)
-    }
-    fn name() -> &'static str {
-        "hm-list-norestart"
-    }
-}
-
-impl<S: Smr> Buildable<S> for HmListNoRestart<S> {
-    fn build(config: SmrConfig) -> Self {
-        Self(conc_ds::HmList::with_policy(
-            config,
-            conc_ds::hm_list::RestartPolicy::ContinueFromPred,
-        ))
     }
 }
 
@@ -170,12 +112,9 @@ impl SharedState {
     }
 }
 
-/// Builds a structure and prefills it per `spec` — the setup phase of
-/// [`run_trial`], exposed separately so benchmark matrices can share one
-/// prefilled structure across operation mixes and Criterion samples instead
-/// of re-prefilling for every measurement (see
-/// [`build_prefilled`](crate::families::build_prefilled)).
-pub fn build_and_prefill<S, DS>(spec: &WorkloadSpec, config: SmrConfig) -> Arc<DS>
+/// Runs one trial of `spec` with data structure `DS` under reclaimer `S`:
+/// build, prefill, measure.
+pub fn run_trial<S, DS>(spec: &WorkloadSpec, config: SmrConfig) -> TrialResult
 where
     S: Smr,
     DS: Buildable<S> + Send + Sync,
@@ -186,25 +125,6 @@ where
     );
     let ds = Arc::new(DS::build(config));
     prefill(&ds, spec);
-    ds
-}
-
-/// Runs the measured portion of one trial of `spec` on an existing structure.
-///
-/// No prefill happens here: the structure is used as-is, so repeated trials
-/// on the same instance measure its steady-state occupancy (the uniform-key
-/// mixes hover around half the key range, which is exactly what
-/// [`WorkloadSpec::new`]'s prefill establishes).
-pub fn run_trial_on<S, DS>(ds: &Arc<DS>, spec: &WorkloadSpec) -> TrialResult
-where
-    S: Smr,
-    DS: Buildable<S> + Send + Sync,
-{
-    let config = ds.smr().config();
-    assert!(
-        spec.threads + usize::from(spec.stalled_thread) < config.max_threads,
-        "not enough SMR thread slots for this trial"
-    );
     alloc_track::reset_peak();
 
     let ops_budget = match spec.stop {
@@ -234,13 +154,13 @@ where
 
     let mut handles = Vec::new();
     for t in 0..spec.threads {
-        let ds = Arc::clone(ds);
+        let ds = Arc::clone(&ds);
         let shared = Arc::clone(&shared);
         let spec = spec.clone();
         handles.push(std::thread::spawn(move || worker(&*ds, &shared, &spec, t)));
     }
     if spec.stalled_thread {
-        let ds = Arc::clone(ds);
+        let ds = Arc::clone(&ds);
         let shared = Arc::clone(&shared);
         let stall_tid = spec.threads;
         handles.push(std::thread::spawn(move || {
@@ -288,7 +208,7 @@ where
         None => (0, 0),
     };
     TrialResult {
-        ds: DS::variant_name(),
+        ds: DS::name(),
         smr: S::NAME,
         mix: spec.mix.label(),
         key_range: spec.key_range,
@@ -302,17 +222,6 @@ where
         injected_faults,
         departed_workers,
     }
-}
-
-/// Runs one trial of `spec` with data structure `DS` under reclaimer `S`:
-/// build, prefill, measure.
-pub fn run_trial<S, DS>(spec: &WorkloadSpec, config: SmrConfig) -> TrialResult
-where
-    S: Smr,
-    DS: Buildable<S> + Send + Sync,
-{
-    let ds = build_and_prefill::<S, DS>(spec, config);
-    run_trial_on::<S, DS>(&ds, spec)
 }
 
 /// Prefills the structure to `spec.prefill` keys using the highest thread slots
@@ -356,11 +265,11 @@ where
 /// Every `OP_SAMPLE_PERIOD`-th operation is latency-sampled into the worker's
 /// tier-1 histogram (two clock reads per sample; ~1/61 of ops — roughly 1 ns
 /// amortized per op at a 30 ns clock read, measured below 1% of throughput in
-/// the `--ab` A/B). Sampling avoids perturbing the hot loop while still
-/// collecting tens of thousands of samples per 300 ms trial at Mops rates.
-/// Prime, so co-prime with the 64-op `BATCH`: a period equal to the batch
-/// would time only the first op after each stop/fault check (`benchmark/`
-/// uses 61 too).
+/// a paired same-process A/B; DESIGN.md, "Telemetry"). Sampling avoids
+/// perturbing the hot loop while still collecting tens of thousands of
+/// samples per 300 ms trial at Mops rates. Prime, so co-prime with the
+/// 64-op `BATCH`: a period equal to the batch would time only the first op
+/// after each stop/fault check (`benchmark/` uses 61 too).
 pub const OP_SAMPLE_PERIOD: u64 = 61;
 
 /// Operations between two checks of the stop condition and fault plan.
@@ -386,14 +295,13 @@ where
     let mut ctx = ds.smr().register(tid);
     let mut gen = OpGenerator::new(spec, tid);
     let mut fault: Option<FaultSpec> = spec.fault_plan.as_ref().and_then(|p| p.fault_for(tid));
-    let sample_ops = spec.telemetry;
     let mut op_hist = Histo::default();
     shared.start.wait();
     let mut ops = 0u64;
     loop {
         // Check the stop condition every batch to keep overhead low.
         for i in 0..BATCH {
-            let sw = telemetry::stopwatch_if(sample_ops && sampled(ops + i));
+            let sw = telemetry::stopwatch_if(sampled(ops + i));
             match gen.next_op() {
                 Op::Insert(k) => {
                     ds.insert(&mut ctx, k);
@@ -621,19 +529,5 @@ mod tests {
             debra.outstanding_garbage(),
             nbrp.outstanding_garbage()
         );
-    }
-
-    #[test]
-    fn hm_norestart_wrapper_builds_original_variant() {
-        let spec = WorkloadSpec::new(
-            WorkloadMix::UPDATE_HEAVY,
-            128,
-            2,
-            StopCondition::TotalOps(10_000),
-        )
-        .with_prefill(64);
-        let r = run_trial::<Debra, HmListNoRestart<Debra>>(&spec, small_config());
-        assert_eq!(r.ds, "hm-list-norestart");
-        assert!(r.total_ops >= 10_000);
     }
 }

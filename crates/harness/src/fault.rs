@@ -9,6 +9,12 @@
 //! enough to replay a failing cell (the CI `fault-smoke` job pins its
 //! seeds for exactly this reason).
 //!
+//! A *sweep* is the sequence of plans `stress --faults <base>` runs, one per
+//! round: [`FaultPlan::for_round`] is the one derivation of a round's plan
+//! from the sweep's base seed, shared by `stress` and `trace --seed <base>`
+//! (which captures round 0), and [`replay_args`] / [`parse_sweep_args`] are
+//! the two ends of `stress`'s replay line.
+//!
 //! The three fault kinds probe three different degradation paths:
 //!
 //! * [`FaultKind::Stall`] — the victim parks *inside* an operation (epoch
@@ -160,6 +166,17 @@ impl FaultPlan {
         Self { seed, faults }
     }
 
+    /// Round `round`'s plan of the sweep seeded with `base`, for a trial
+    /// with `threads` workers. The base and round are mixed into one seed,
+    /// so successive rounds explore different plans.
+    pub fn for_round(base: u64, round: usize, threads: usize) -> Self {
+        let seed = base
+            .wrapping_add(round as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            | 1;
+        Self::seeded(seed, threads)
+    }
+
     /// The fault assigned to `tid`, if any.
     pub fn fault_for(&self, tid: usize) -> Option<FaultSpec> {
         self.faults.iter().copied().find(|f| f.victim == tid)
@@ -176,6 +193,48 @@ impl FaultPlan {
             .iter()
             .filter(|f| matches!(f.kind, FaultKind::Depart))
             .count()
+    }
+}
+
+/// The base seed `stress --faults` and `trace` use when none is given.
+pub const DEFAULT_SWEEP_SEED: u64 = 0x5EED_FA17;
+
+/// The `stress` arguments that replay round `round` of the sweep seeded
+/// with `base`: they run rounds `0..=round`, the last of which rebuilds
+/// that round's plan.
+pub fn replay_args(base: u64, round: usize) -> String {
+    format!("{} --faults {base:#x}", round + 1)
+}
+
+/// Parses `stress`'s arguments, `[rounds] [--faults [seed]]`: the round
+/// count (default 1) and, with `--faults`, the sweep's base seed (default
+/// [`DEFAULT_SWEEP_SEED`]). A value right after `--faults` is the seed,
+/// never the round count.
+pub fn parse_sweep_args(args: &[String]) -> Result<(usize, Option<u64>), String> {
+    let mut rounds = 1;
+    let mut base = None;
+    let mut it = args.iter().peekable();
+    while let Some(a) = it.next() {
+        if a == "--faults" {
+            let seed = it.peek().and_then(|s| parse_seed(s));
+            if seed.is_some() {
+                it.next();
+            }
+            base = Some(seed.unwrap_or(DEFAULT_SWEEP_SEED));
+        } else {
+            rounds = a
+                .parse()
+                .map_err(|_| format!("usage: stress [rounds] [--faults [seed]], got {a}"))?;
+        }
+    }
+    Ok((rounds, base))
+}
+
+/// Parses a seed written in hex (`0x…`) or decimal.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
 }
 
@@ -223,6 +282,43 @@ mod tests {
                 assert!(victims.iter().all(|&v| v < threads));
             }
         }
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn replay_line_rebuilds_the_round_it_names() {
+        for base in [DEFAULT_SWEEP_SEED, 0, 12_345, u64::MAX] {
+            for round in 0..6 {
+                let derived = FaultPlan::for_round(base, round, 4);
+                let (rounds, replay_base) =
+                    parse_sweep_args(&args(&replay_args(base, round))).unwrap();
+                let replayed = FaultPlan::for_round(replay_base.unwrap(), rounds - 1, 4);
+                assert_eq!(
+                    (derived.seed, derived.faults()),
+                    (replayed.seed, replayed.faults())
+                );
+            }
+            // `trace --seed <base>` captures round 0 of the same sweep.
+            let traced = FaultPlan::for_round(parse_seed(&format!("{base:#x}")).unwrap(), 0, 4);
+            let round0 = FaultPlan::for_round(base, 0, 4);
+            assert_eq!(traced.faults(), round0.faults());
+            assert_eq!(traced.seed, base.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        }
+    }
+
+    #[test]
+    fn a_value_after_faults_is_the_seed_not_the_round_count() {
+        let parse = |line: &str| parse_sweep_args(&args(line));
+        assert_eq!(parse("--faults 12345"), Ok((1, Some(12_345))));
+        assert_eq!(parse("--faults 3"), Ok((1, Some(3))));
+        assert_eq!(parse("2 --faults 0x5EEDFA17"), Ok((2, Some(0x5EED_FA17))));
+        assert_eq!(parse("--faults"), Ok((1, Some(DEFAULT_SWEEP_SEED))));
+        assert_eq!(parse("4"), Ok((4, None)));
+        assert_eq!(parse(""), Ok((1, None)));
+        assert!(parse("--faults 0x5EED --bogus").is_err());
     }
 
     #[test]

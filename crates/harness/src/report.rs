@@ -1,21 +1,11 @@
-//! Result formatting: the tables/series the paper's figures plot.
+//! The harness's advisory channel: structured `@note[kind]` lines.
 //!
-//! Each experiment runner returns a flat list of [`TrialResult`]s; this module
-//! renders them either as a human-readable table (one row per trial, the
-//! columns the relevant figure plots) or as CSV for external plotting, and can
-//! pivot results into the "one series per reclaimer, one column per thread
-//! count" layout that mirrors the paper's figures.
-
-use crate::driver::TrialResult;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//! Every advisory the bins emit alongside their results (fault-plan banners,
+//! "leaky never scans" caveats, replay hints) flows through this one shape,
+//! so scripts can grep `@note\[` and filter by kind instead of parsing ad-hoc
+//! prose.
 
 /// Formats a structured harness note: `@note[kind] message`.
-///
-/// Every advisory the harness emits alongside results (fault-plan banners,
-/// "leaky never scans" caveats, replay hints) flows through this one shape so
-/// scripts can grep `@note\[` and filter by kind instead of parsing ad-hoc
-/// prose scattered across bench binaries.
 pub fn format_note(kind: &str, msg: &str) -> String {
     format!("@note[{kind}] {msg}")
 }
@@ -25,218 +15,14 @@ pub fn note(kind: &str, msg: &str) {
     eprintln!("{}", format_note(kind, msg));
 }
 
-/// Renders trials as a markdown-style table.
-pub fn to_table(title: &str, results: &[TrialResult]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "### {title}");
-    let _ = writeln!(
-        out,
-        "| structure | reclaimer | mix | key range | threads | stalled | Mops/s | retired | freed | unreclaimed | signals | neutralized | heartbeats | conceded | adopted | pool hit | op p50/p99/p999 ns | peak MiB |"
-    );
-    let _ = writeln!(
-        out,
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|"
-    );
-    for r in results {
-        let (p50, p99, p999) = r.smr_totals.tel.op.p50_p99_p999();
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:.3} | {} | {} | {} | {} | {} | {} | {} | {} | {:.1}% | {}/{}/{} | {:.2} |",
-            r.ds,
-            r.smr,
-            r.mix,
-            r.key_range,
-            r.threads,
-            if r.stalled_thread { "yes" } else { "no" },
-            r.mops,
-            r.smr_totals.retires,
-            r.smr_totals.frees,
-            r.outstanding_garbage(),
-            r.smr_totals.signals_sent,
-            r.smr_totals.neutralizations,
-            r.smr_totals.heartbeat_scans,
-            r.smr_totals.ping_concessions,
-            r.smr_totals.orphan_adoptions,
-            r.smr_totals.pool_hit_rate() * 100.0,
-            p50,
-            p99,
-            p999,
-            r.peak_mem_bytes as f64 / (1024.0 * 1024.0),
-        );
-    }
-    out
-}
-
-/// Renders trials as CSV (header + one row per trial).
-pub fn to_csv(results: &[TrialResult]) -> String {
-    let mut out = String::from(
-        "structure,reclaimer,mix,key_range,threads,stalled,mops,total_ops,duration_ms,retired,freed,unreclaimed,signals,neutralizations,heartbeat_scans,ping_concessions,orphan_adoptions,pool_hit_rate,op_p50_ns,op_p99_ns,op_p999_ns,op_max_ns,scan_p50_ns,scan_p99_ns,scan_p999_ns,scan_max_ns,ping_rtt_p99_ns,ping_stall_p99_ns,peak_mem_bytes\n",
-    );
-    for r in results {
-        let (op50, op99, op999) = r.smr_totals.tel.op.p50_p99_p999();
-        let (sc50, sc99, sc999) = r.smr_totals.tel.scan.p50_p99_p999();
-        let (_, rtt99, _) = r.smr_totals.tel.ping_rtt.p50_p99_p999();
-        let (_, stall99, _) = r.smr_totals.tel.ping_stall.p50_p99_p999();
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{:.4},{},{:.1},{},{},{},{},{},{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{},{}",
-            r.ds,
-            r.smr,
-            r.mix,
-            r.key_range,
-            r.threads,
-            r.stalled_thread,
-            r.mops,
-            r.total_ops,
-            r.duration.as_secs_f64() * 1e3,
-            r.smr_totals.retires,
-            r.smr_totals.frees,
-            r.outstanding_garbage(),
-            r.smr_totals.signals_sent,
-            r.smr_totals.neutralizations,
-            r.smr_totals.heartbeat_scans,
-            r.smr_totals.ping_concessions,
-            r.smr_totals.orphan_adoptions,
-            r.smr_totals.pool_hit_rate(),
-            op50,
-            op99,
-            op999,
-            r.smr_totals.tel.op.max(),
-            sc50,
-            sc99,
-            sc999,
-            r.smr_totals.tel.scan.max(),
-            rtt99,
-            stall99,
-            r.peak_mem_bytes,
-        );
-    }
-    out
-}
-
-/// Pivots results into the layout of the paper's throughput figures: one row
-/// per reclaimer, one column per thread count, values in Mops/s.
-pub fn to_throughput_series(title: &str, results: &[TrialResult]) -> String {
-    let mut threads: Vec<usize> = results.iter().map(|r| r.threads).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    let mut series: BTreeMap<&'static str, BTreeMap<usize, f64>> = BTreeMap::new();
-    for r in results {
-        series.entry(r.smr).or_default().insert(r.threads, r.mops);
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "### {title} (Mops/s by thread count)");
-    let mut header = String::from("| reclaimer |");
-    for t in &threads {
-        let _ = write!(header, " {t} |");
-    }
-    let _ = writeln!(out, "{header}");
-    let _ = writeln!(out, "|{}", "---|".repeat(threads.len() + 1));
-    for (smr, by_threads) in &series {
-        let mut row = format!("| {smr} |");
-        for t in &threads {
-            match by_threads.get(t) {
-                Some(v) => {
-                    let _ = write!(row, " {v:.3} |");
-                }
-                None => {
-                    let _ = write!(row, " - |");
-                }
-            }
-        }
-        let _ = writeln!(out, "{row}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr_common::ThreadStats;
-    use std::time::Duration;
-
-    fn fake(smr: &'static str, threads: usize, mops: f64) -> TrialResult {
-        TrialResult {
-            ds: "lazy-list",
-            smr,
-            mix: "50i-50d".to_string(),
-            key_range: 1000,
-            threads,
-            total_ops: 1000,
-            duration: Duration::from_millis(100),
-            mops,
-            smr_totals: ThreadStats::default(),
-            peak_mem_bytes: 1024 * 1024,
-            stalled_thread: false,
-            injected_faults: 0,
-            departed_workers: 0,
-        }
-    }
-
-    #[test]
-    fn table_contains_every_row() {
-        let rows = vec![fake("NBR+", 2, 1.5), fake("DEBRA", 2, 1.2)];
-        let t = to_table("Fig 3b", &rows);
-        assert!(t.contains("Fig 3b"));
-        assert!(t.contains("NBR+"));
-        assert!(t.contains("DEBRA"));
-        assert_eq!(t.lines().count(), 3 + rows.len());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let rows = vec![fake("HP", 4, 0.7)];
-        let c = to_csv(&rows);
-        assert!(c.starts_with("structure,"));
-        assert_eq!(c.lines().count(), 2);
-        assert!(c.contains("HP"));
-        // Header and row column counts must agree (the telemetry columns are
-        // easy to desynchronize).
-        let mut lines = c.lines();
-        let header_cols = lines.next().unwrap().split(',').count();
-        let row_cols = lines.next().unwrap().split(',').count();
-        assert_eq!(header_cols, row_cols);
-        assert!(c.contains("op_p50_ns"));
-        assert!(c.contains("ping_concessions"));
-        assert!(c.contains("pool_hit_rate"));
-    }
-
-    #[test]
-    fn table_surfaces_latency_percentiles() {
-        let mut row = fake("NBR", 2, 1.0);
-        for v in [100u64, 200, 400, 800] {
-            row.smr_totals.tel.op.record(v);
-        }
-        row.smr_totals.ping_concessions = 3;
-        row.smr_totals.orphan_adoptions = 7;
-        let t = to_table("cells", &[row]);
-        // Percentile cells are bucket upper bounds clamped to the max.
-        assert!(t.contains("op p50/p99/p999 ns"));
-        assert!(t.contains("| 3 | 7 |"));
-        // Header and row must have the same number of columns.
-        let lines: Vec<&str> = t.lines().collect();
-        let header_cols = lines[1].matches('|').count();
-        let row_cols = lines[3].matches('|').count();
-        assert_eq!(header_cols, row_cols);
-    }
 
     #[test]
     fn note_channel_shape_is_greppable() {
         let n = format_note("fault-plan", "seed=0x1 [t2@512:stall(1024)]");
         assert_eq!(n, "@note[fault-plan] seed=0x1 [t2@512:stall(1024)]");
         assert!(n.starts_with("@note["));
-    }
-
-    #[test]
-    fn series_pivot_orders_thread_counts() {
-        let rows = vec![
-            fake("NBR+", 4, 2.0),
-            fake("NBR+", 1, 0.9),
-            fake("DEBRA", 1, 0.8),
-            fake("DEBRA", 4, 1.5),
-        ];
-        let s = to_throughput_series("Fig 3a", &rows);
-        assert!(s.contains("| reclaimer | 1 | 4 |"));
-        assert!(s.contains("| NBR+ | 0.900 | 2.000 |"));
     }
 }

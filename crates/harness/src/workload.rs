@@ -4,20 +4,12 @@
 //! update-intensive (50% insert / 50% delete), balanced (25/25/50) and
 //! search-intensive (5/5/90) — over several key-range sizes, prefilling each
 //! structure to half the key range before the timed trial. [`WorkloadMix`] and
-//! [`WorkloadSpec`] encode exactly those parameters.
-//!
-//! Beyond the paper's uniform draws, [`KeyDist::Zipf`] provides a skewed
-//! (YCSB-style Zipfian) key distribution: rank `k` is drawn with probability
-//! ∝ `1/k^θ`, so a handful of hot keys absorbs most operations — the
-//! contention profile of caches and social graphs. Sampling is the standard
-//! YCSB quick-Zipf transform (one uniform draw, two `powf`s), fully
-//! deterministic under the vendored `rand` stub. Note that rank 1 maps to
-//! key 1: for the list structures the hot keys sit near the head, which is
-//! the interesting (contended) case.
+//! [`WorkloadSpec`] encode exactly those parameters; keys are drawn
+//! uniformly.
 
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 /// Fractions of each operation type, in percent. The remainder of
@@ -67,35 +59,13 @@ impl WorkloadMix {
     }
 }
 
-/// How keys are drawn from `1..=key_range`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDist {
-    /// Every key equally likely (the paper's workloads).
-    Uniform,
-    /// Zipfian with parameter `θ ∈ (0, 1)`: key `k` is drawn with
-    /// probability proportional to `1/k^θ`. `θ ≈ 0.99` is the classic
-    /// YCSB "zipfian" hot-spot workload.
-    Zipf(f64),
-}
-
-impl KeyDist {
-    /// Short label for benchmark output (`uniform`, `zipf0.99`).
-    pub fn label(&self) -> String {
-        match self {
-            KeyDist::Uniform => "uniform".to_string(),
-            KeyDist::Zipf(theta) => format!("zipf{theta}"),
-        }
-    }
-}
-
 /// When a trial stops.
 #[derive(Debug, Clone, Copy)]
 pub enum StopCondition {
     /// Run for a fixed wall-clock duration (the paper runs 5-second trials).
     Duration(Duration),
     /// Run until the given total number of operations has completed across all
-    /// threads (used by the Criterion benches, which need a deterministic
-    /// amount of work per measurement).
+    /// threads (a deterministic amount of work per trial).
     TotalOps(u64),
 }
 
@@ -118,18 +88,9 @@ pub struct WorkloadSpec {
     pub stalled_thread: bool,
     /// Seed for the per-thread RNGs (trials are reproducible given a seed).
     pub seed: u64,
-    /// How keys are drawn (uniform by default).
-    pub key_dist: KeyDist,
     /// Optional fault-injection plan (stalls, departures, black-holed
     /// pings); `None` runs the trial fault-free.
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
-    /// Tier-1 telemetry: when true (the default) workers sample operation
-    /// latency into per-thread histograms (one clock pair per
-    /// [`crate::driver::OP_SAMPLE_PERIOD`] = 61 ops, co-prime with the
-    /// driver's 64-op stop-check batch). `false` bypasses every
-    /// harness-side clock read — the A/B baseline for measuring the
-    /// telemetry layer's own overhead.
-    pub telemetry: bool,
 }
 
 impl WorkloadSpec {
@@ -144,9 +105,7 @@ impl WorkloadSpec {
             stop,
             stalled_thread: false,
             seed: 0x5EED_0BAD_F00D,
-            key_dist: KeyDist::Uniform,
             fault_plan: None,
-            telemetry: true,
         }
     }
 
@@ -168,81 +127,17 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the key distribution.
-    pub fn with_key_dist(mut self, dist: KeyDist) -> Self {
-        self.key_dist = dist;
-        self
-    }
-
     /// Attaches a fault-injection plan (see [`crate::fault`]).
     pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault_plan = Some(std::sync::Arc::new(plan));
         self
     }
-
-    /// Enables or disables tier-1 telemetry (op-latency sampling); see the
-    /// field docs. `with_telemetry(false)` is the A/B overhead baseline.
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-}
-
-/// The YCSB quick-Zipfian sampler (Gray et al.'s transform): one uniform
-/// draw in `[0, 1)` is mapped to a rank in `1..=n` with `P(k) ∝ 1/k^θ`.
-/// Construction computes the harmonic normalizer `ζ(n, θ)` once — O(n), paid
-/// per generator, amortized over the whole trial.
-struct ZipfSampler {
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
-}
-
-impl ZipfSampler {
-    fn new(n: u64, theta: f64) -> Self {
-        assert!(
-            theta > 0.0 && theta < 1.0,
-            "Zipf theta must lie in (0, 1), got {theta}"
-        );
-        assert!(n >= 2, "Zipf needs a key range of at least 2");
-        let zeta = |n: u64| (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum::<f64>();
-        let zetan = zeta(n);
-        let zeta2 = zeta(2);
-        Self {
-            n,
-            theta,
-            alpha: 1.0 / (1.0 - theta),
-            zetan,
-            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-        }
-    }
-
-    fn sample(&self, rng: &mut SmallRng) -> u64 {
-        // 53 uniform mantissa bits → u ∈ [0, 1).
-        let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 1;
-        }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 2;
-        }
-        let k = 1 + (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        k.clamp(1, self.n)
-    }
-}
-
-enum KeySampler {
-    Uniform(Uniform<u64>),
-    Zipf(ZipfSampler),
 }
 
 /// One thread's operation generator.
 pub struct OpGenerator {
     rng: SmallRng,
-    key_dist: KeySampler,
+    keys: Uniform<u64>,
     insert_threshold: u8,
     remove_threshold: u8,
 }
@@ -261,15 +156,9 @@ pub enum Op {
 impl OpGenerator {
     /// Creates the generator for one worker thread.
     pub fn new(spec: &WorkloadSpec, thread_id: usize) -> Self {
-        let key_dist = match spec.key_dist {
-            KeyDist::Uniform => {
-                KeySampler::Uniform(Uniform::new_inclusive(1, spec.key_range.max(1)))
-            }
-            KeyDist::Zipf(theta) => KeySampler::Zipf(ZipfSampler::new(spec.key_range, theta)),
-        };
         Self {
             rng: SmallRng::seed_from_u64(spec.seed ^ (0x9E37_79B9 * (thread_id as u64 + 1))),
-            key_dist,
+            keys: Uniform::new_inclusive(1, spec.key_range.max(1)),
             insert_threshold: spec.mix.insert_pct,
             remove_threshold: spec.mix.insert_pct + spec.mix.remove_pct,
         }
@@ -292,10 +181,7 @@ impl OpGenerator {
     /// Draws a key only (used for prefilling).
     #[inline]
     pub fn next_key(&mut self) -> u64 {
-        match &self.key_dist {
-            KeySampler::Uniform(u) => u.sample(&mut self.rng),
-            KeySampler::Zipf(z) => z.sample(&mut self.rng),
-        }
+        self.keys.sample(&mut self.rng)
     }
 }
 
@@ -343,51 +229,6 @@ mod tests {
             "contains share {}%",
             pct(con)
         );
-    }
-
-    #[test]
-    fn zipf_keys_stay_in_range_and_are_deterministic() {
-        let spec = WorkloadSpec::new(WorkloadMix::BALANCED, 1_000, 1, StopCondition::TotalOps(1))
-            .with_key_dist(KeyDist::Zipf(0.99));
-        let mut a = OpGenerator::new(&spec, 0);
-        let mut b = OpGenerator::new(&spec, 0);
-        for _ in 0..10_000 {
-            let k = a.next_key();
-            assert!((1..=1_000).contains(&k), "key {k} out of range");
-            assert_eq!(k, b.next_key(), "same seed must give the same stream");
-        }
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_small_ranks() {
-        let spec = WorkloadSpec::new(WorkloadMix::BALANCED, 10_000, 1, StopCondition::TotalOps(1))
-            .with_key_dist(KeyDist::Zipf(0.99));
-        let mut g = OpGenerator::new(&spec, 3);
-        let n = 50_000;
-        let mut top_decile = 0usize;
-        let mut rank1 = 0usize;
-        for _ in 0..n {
-            let k = g.next_key();
-            if k <= 1_000 {
-                top_decile += 1;
-            }
-            if k == 1 {
-                rank1 += 1;
-            }
-        }
-        // Under uniform the top decile would get ~10%; θ=0.99 concentrates
-        // well over half the mass there, and rank 1 alone far exceeds 1/n.
-        assert!(
-            top_decile as f64 / n as f64 > 0.5,
-            "top decile got only {top_decile}/{n}"
-        );
-        assert!(rank1 as f64 / n as f64 > 0.02, "rank 1 got {rank1}/{n}");
-    }
-
-    #[test]
-    fn key_dist_labels() {
-        assert_eq!(KeyDist::Uniform.label(), "uniform");
-        assert_eq!(KeyDist::Zipf(0.75).label(), "zipf0.75");
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl EraTable {
     /// earlier `SeqCst` store of this thread and every scan already sees
     /// it, so the store (and its full fence on x86) can be skipped. This
     /// removes the per-hop `SeqCst` pair the Harris list's `left`-promotion
-    /// paid on every unmarked hop (the BENCH_3 HE harris-list outlier; see
+    /// paid on every unmarked hop (HE's harris-list outlier; see
     /// DESIGN.md, "Skipping idempotent era republishes").
     #[inline]
     pub(crate) fn copy(&self, tid: usize, dst_slot: usize, src_slot: usize) {

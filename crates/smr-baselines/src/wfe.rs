@@ -195,9 +195,7 @@ impl Wfe {
         debug_assert_eq!(board.seq.load(Ordering::Relaxed), seq + 2);
         debug_assert_ne!(board.result_era.load(Ordering::Relaxed), NONE);
         trace::emit(tid, TraceKind::HelpSlowEnd, waited as u64, 0);
-        if let Some(sw) = sw {
-            ctx.local.stats.tel.help_slow.record(sw.elapsed_ns());
-        }
+        ctx.local.stats.tel.help_slow.record(sw.elapsed_ns());
         Shared::from_usize(board.result_ptr.load(Ordering::Relaxed))
     }
 

@@ -26,9 +26,9 @@
 //!
 //! * A scan over an **empty** bag is not a scan: nothing is counted, timed
 //!   or pinged.
-//! * Every scan that enters its sweep counts one `reclaim_scans` and — with
-//!   telemetry on — one scan-histogram sample, and restarts the heartbeat
-//!   window and the per-retire cadence.
+//! * Every scan that enters its sweep counts one `reclaim_scans` and one
+//!   scan-histogram sample, and restarts the heartbeat window and the
+//!   per-retire cadence.
 //! * A **skip** is a scan that freed nothing from a non-empty bag, whatever
 //!   the cause (conceded ping round, fully protected bag, blocked epoch).
 //! * Peer garbage is adopted **before** the sweep sees the bag length
@@ -50,7 +50,7 @@ use crate::registry::Registry;
 use crate::retired::Retired;
 use crate::smr::SmrConfig;
 use crate::stats::ThreadStats;
-use crate::telemetry::{self, trace, Stopwatch, TraceKind};
+use crate::telemetry::{trace, Stopwatch, TraceKind};
 use crate::util::OrphanPool;
 use std::sync::Arc;
 
@@ -393,11 +393,11 @@ impl ReclaimCore {
         self.orphans.len()
     }
 
-    /// A started timer when tier-1 telemetry is on — for the scheme-specific
-    /// histograms (WFE's helping slow path); the pipeline times its own.
+    /// A started timer for the scheme-specific tier-1 histograms (WFE's
+    /// helping slow path); the pipeline times its own.
     #[inline]
-    pub fn stopwatch(&self) -> Option<Stopwatch> {
-        telemetry::stopwatch_if(self.config.telemetry)
+    pub fn stopwatch(&self) -> Stopwatch {
+        Stopwatch::start()
     }
 
     /// Claims registry slot `tid` and builds the thread's pipeline state.
@@ -534,9 +534,7 @@ impl ReclaimCore {
             local.stats.reclaim_skips += 1;
         }
         trace::emit(local.tid, TraceKind::ScanEnd, freed as u64, 0);
-        if let Some(sw) = sw {
-            local.stats.tel.scan.record(sw.elapsed_ns());
-        }
+        local.stats.tel.scan.record(sw.elapsed_ns());
         freed
     }
 
@@ -622,15 +620,13 @@ impl ReclaimCore {
         if !acked {
             local.stats.ping_concessions += 1;
         }
-        if let Some(sw) = sw {
-            let tel = &mut local.stats.tel;
-            let histo = if acked {
-                &mut tel.ping_rtt
-            } else {
-                &mut tel.ping_stall
-            };
-            histo.record(sw.elapsed_ns());
-        }
+        let tel = &mut local.stats.tel;
+        let histo = if acked {
+            &mut tel.ping_rtt
+        } else {
+            &mut tel.ping_stall
+        };
+        histo.record(sw.elapsed_ns());
         acked
     }
 

@@ -156,7 +156,7 @@ pub fn node_layout<T>() -> Layout {
 
 /// Allocates a node on the global allocator with the node-heap ABI layout
 /// and moves `value` into it. The pool-bypassing fallback every allocation
-/// path shares (sentinels, `--no-recycle`, magazine misses).
+/// path shares (sentinels, recycling off, magazine misses).
 pub fn alloc_node_raw<T: SmrNode>(value: T) -> *mut T {
     let layout = node_layout::<T>();
     debug_assert!(layout.size() > 0, "SMR nodes are never zero-sized");
@@ -214,7 +214,7 @@ impl BlockPool {
             config.magazine_cap.max(1) * config.max_threads.max(1) + 2 * config.hi_watermark;
         // With recycling off the reclaimer still holds a depot handle, but
         // its disabled magazines never touch it — build it bin-less so the
-        // `--no-recycle` configuration carries no idle pool state.
+        // recycling-off configuration carries no idle pool state.
         let bins = if config.recycle { CLASS_COUNT } else { 0 };
         Arc::new(Self {
             bins: (0..bins).map(|_| Mutex::new(Vec::new())).collect(),
@@ -292,7 +292,7 @@ impl Drop for BlockPool {
 /// plain vector operations; reclamation sweeps push destroyed blocks back.
 /// When a bin overflows, half of it is spilled to the shared [`BlockPool`]
 /// depot; when it runs dry, a batch is pulled back. A disabled magazine
-/// (`--no-recycle`, [`SmrConfig::recycle`] = false) bypasses the pool
+/// ([`SmrConfig::recycle`] = false) bypasses the pool
 /// entirely: every allocation and free goes straight to the global
 /// allocator, reproducing the pre-recycling behaviour exactly.
 pub struct Magazine {
@@ -331,7 +331,7 @@ impl Magazine {
     }
 
     /// A magazine that never pools: every operation falls through to the
-    /// global allocator (used by `--no-recycle` and standalone tests).
+    /// global allocator (used with recycling off and by standalone tests).
     pub fn disabled() -> Self {
         Self {
             pool: None,

@@ -62,25 +62,18 @@ pub struct SmrConfig {
     pub scan_heartbeat_ops: usize,
     /// Recycle reclaimed node blocks through the thread-local magazines +
     /// shared depot of [`recycle`](crate::recycle) instead of returning them
-    /// to the global allocator (`--no-recycle` in the bench bins turns this
-    /// off for A/B comparisons).
+    /// to the global allocator (`false` restores plain global-allocator
+    /// behaviour).
     pub recycle: bool,
     /// Maximum free blocks a thread's magazine holds per size class before
     /// spilling half to the shared depot (which itself holds up to
     /// `magazine_cap × max_threads + 2 × hi_watermark` blocks per class —
     /// steady-state circulation plus one full reclamation burst).
     pub magazine_cap: usize,
-    /// Tier-1 telemetry: time reclamation scans, ping handshakes and helping
-    /// slow paths into the per-thread latency histograms
-    /// ([`telemetry`](crate::telemetry)). These sit off the operation fast
-    /// path, but `false` bypasses even their clock reads — the same-binary
-    /// A/B the bench bins use (`--no-telemetry`) to prove tier 1 costs
-    /// nothing measurable.
-    pub telemetry: bool,
     /// Retire coalescing: stage retires in a per-thread cache-line-sized
     /// `RetireBatch` (see [`RETIRE_BATCH_CAP`](crate::limbo::RETIRE_BATCH_CAP))
     /// and run the watermark/policy checks only on flush. `false` restores
-    /// the one-record-per-retire path (`--ab-arm no-coalesce` in the bench).
+    /// the one-record-per-retire path.
     pub coalesce: bool,
     /// Flat-combined scan publication: when a scan triggers while a peer's
     /// scan is mid-flight in the same ping domain, publish this thread's
@@ -110,7 +103,6 @@ impl Default for SmrConfig {
             scan_heartbeat_ops: 1024,
             recycle: true,
             magazine_cap: 128,
-            telemetry: true,
             coalesce: true,
             combine: true,
             memo: true,
@@ -135,7 +127,6 @@ impl SmrConfig {
             scan_heartbeat_ops: 64,
             recycle: true,
             magazine_cap: 8,
-            telemetry: true,
             coalesce: true,
             combine: true,
             memo: true,
@@ -186,13 +177,6 @@ impl SmrConfig {
     pub fn with_magazine_cap(mut self, cap: usize) -> Self {
         assert!(cap > 0, "magazine capacity must be positive");
         self.magazine_cap = cap;
-        self
-    }
-
-    /// Builder-style setter for [`SmrConfig::telemetry`] (false bypasses the
-    /// tier-1 latency histograms' clock reads).
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
         self
     }
 

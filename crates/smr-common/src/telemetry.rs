@@ -14,9 +14,7 @@
 //!   so it merges across threads exactly the way every other counter does
 //!   and surfaces as p50/p99/p999/max per benchmark cell. The only
 //!   `Instant::now()` calls sit on paths that are already slow (scans,
-//!   handshakes) or are sampled (1-in-64 operations in the harness);
-//!   [`SmrConfig::telemetry`](crate::SmrConfig) bypasses even those for the
-//!   A/B that keeps this honest.
+//!   handshakes) or are sampled (1-in-61 operations in the harness).
 //! * **Tier 2 — feature-gated `trace`.** Per-thread bounded event rings
 //!   capturing the reclamation lifecycle (scan begin/end, ping
 //!   sent/acked/conceded/strike, orphan adoption, era advances, injected
@@ -164,7 +162,7 @@ impl AddAssign for Histo {
 /// [`ThreadStats`](crate::ThreadStats). All values are nanoseconds.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Telemetry {
-    /// Data-structure operation latency (sampled 1-in-64 by the harness).
+    /// Data-structure operation latency (sampled 1-in-61 by the harness).
     pub op: Histo,
     /// Reclamation scan duration (watermark, heartbeat and epoch scans).
     pub scan: Histo,
@@ -188,8 +186,7 @@ impl AddAssign for Telemetry {
 }
 
 /// A started wall-clock timer (thin wrapper so call sites never touch
-/// `std::time` directly and the `Option<Stopwatch>` bypass idiom stays
-/// uniform).
+/// `std::time` directly).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -210,9 +207,9 @@ impl Stopwatch {
     }
 }
 
-/// `Some(started timer)` when `enabled`, `None` otherwise — the tier-1
-/// bypass: with [`SmrConfig::telemetry`](crate::SmrConfig) off, call sites
-/// skip both `Instant::now()` calls and the histogram store.
+/// `Some(started timer)` when `enabled`, `None` otherwise — for sampled
+/// timing: an unsampled call site skips both `Instant::now()` calls and the
+/// histogram store.
 #[inline]
 pub fn stopwatch_if(enabled: bool) -> Option<Stopwatch> {
     if enabled {

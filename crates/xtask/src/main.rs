@@ -1,12 +1,6 @@
 //! Workspace maintenance tasks, invoked as `cargo run -p xtask -- <task>`.
 //!
-//! Two tasks:
-//!
-//! * `bench-diff <a.json> <b.json> [--threshold t]` — compares two
-//!   `BENCH_*.json` documents cell-by-cell and prints a speedup table with a
-//!   worst / median / geomean summary; with `--threshold` it exits non-zero
-//!   when any cell regresses below `t`, which is how CI gates the
-//!   telemetry-overhead A/B. See the `bench_diff` module.
+//! One task:
 //!
 //! * `lint` — the textual lints. Walks every `.rs` file under `crates/`
 //!   and fails (exit 1) when
@@ -28,7 +22,7 @@
 //!   3. a scheme file — anything under `crates/{core,smr-baselines,smr-pop}/src`,
 //!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
 //!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the
-//!      orphan pool, the scan combiner, the telemetry bypass, or one of the
+//!      orphan pool, the scan combiner, the sampled stopwatch, or one of the
 //!      scan / adoption / combining / watermark trace events. A scheme that
 //!      needs one of those is growing its own copy of the pipeline back;
 //!      it should call `ReclaimCore` instead.
@@ -41,21 +35,15 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-mod bench_diff;
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         Some("lint") => lint(),
-        Some("bench-diff") => bench_diff::run(&mut args),
         Some(other) => {
-            eprintln!("unknown task `{other}` (available: lint, bench-diff)");
+            eprintln!("unknown task `{other}` (available: lint)");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <lint | bench-diff <a.json> <b.json> [--threshold t]>"
-            );
+            eprintln!("usage: cargo run -p xtask -- lint");
             ExitCode::FAILURE
         }
     }

@@ -253,9 +253,9 @@ fn ibr_marked_chain_successor_recycle_keeps_intervals_disjoint() {
     smr.unregister(&mut w);
 }
 
-/// `--no-recycle` reproduces the pre-pool behaviour: a full driver trial runs
-/// green with the pool bypassed and reports zero pool traffic, while the same
-/// trial with recycling reports the pool doing the work.
+/// `SmrConfig::recycle` off reproduces the pre-pool behaviour: a full driver
+/// trial runs green with the pool bypassed and reports zero pool traffic,
+/// while the same trial with recycling reports the pool doing the work.
 #[test]
 fn no_recycle_bypasses_the_pool_end_to_end() {
     let spec = WorkloadSpec::new(

@@ -3,7 +3,7 @@
 //!
 //! This binary installs the counting global allocator and runs the same
 //! single-threaded 50i-50d churn twice over a Harris list — once with the
-//! recycling pool, once with `--no-recycle` semantics — and asserts that with
+//! recycling pool, once with `SmrConfig::recycle` off — and asserts that with
 //! recycling the number of *global-allocator* calls during the measured
 //! window collapses to the warm-up residue (limbo segment buffers, one-off
 //! scratch growth), while the bypass run pays roughly one allocation per
@@ -67,11 +67,8 @@ fn steady_state_bounds_global_allocator_calls() {
         allocs_bypassed as f64 > MEASURED_OPS as f64 / 4.0,
         "bypass run must hit the global allocator per insert, saw {allocs_bypassed}"
     );
-    assert_eq!(stats_bypassed.pool_hits, 0, "--no-recycle must not pool");
-    assert_eq!(
-        stats_bypassed.pool_recycled, 0,
-        "--no-recycle must not pool"
-    );
+    assert_eq!(stats_bypassed.pool_hits, 0, "recycle off must not pool");
+    assert_eq!(stats_bypassed.pool_recycled, 0, "recycle off must not pool");
 
     // The recycling run must be bounded by the warm-up residue: once the
     // pool is primed, nodes cycle magazine → structure → limbo → magazine
