@@ -16,7 +16,7 @@ fn main() {
         "bench binary built with the smr-common `check` feature on; measurements would be invalid"
     );
     assert!(
-        !smr_common::telemetry::trace_compiled_in(),
+        !smr_common::trace::compiled_in(),
         "bench binary built with the smr-common `trace` feature on; measurements would be invalid"
     );
     println!("Table 1 — applicability of SMR schemes to the implemented data structures");

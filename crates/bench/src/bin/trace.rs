@@ -1,4 +1,4 @@
-//! `trace` — tier-2 reclamation-event capture.
+//! `trace` — reclamation-event capture.
 //!
 //! Runs one seeded fault trial (the same standing fault cell as
 //! `stress --faults`) with the per-thread event rings armed, and writes the
@@ -23,7 +23,7 @@
 //! ([`FaultPlan::for_round`]), so a crash or anomaly seen in that round can
 //! be re-captured here with the same seed.
 
-use smr_common::telemetry::{trace, TraceKind};
+use smr_common::trace::{self, TraceKind};
 use smr_common::SmrConfig;
 use smr_harness::families::{run_with, HarrisListFamily, SmrKind};
 use smr_harness::fault::{parse_seed, DEFAULT_SWEEP_SEED};
@@ -75,7 +75,7 @@ fn parse_args() -> Args {
 
 fn main() {
     assert!(
-        smr_common::telemetry::trace_compiled_in(),
+        trace::compiled_in(),
         "the trace binary requires the `trace` feature: \
          cargo run -p nbr-bench --release --features trace --bin trace"
     );

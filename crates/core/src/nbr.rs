@@ -8,7 +8,7 @@
 //! retired before the broadcast.
 
 use crate::neutralize::NeutralizationCore;
-use smr_common::telemetry::{trace, TraceKind};
+use smr_common::trace::{self, TraceKind};
 use smr_common::{Magazine, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats};
 
 /// Per-thread context for [`Nbr`].

@@ -22,7 +22,7 @@
 //! the standing benchmark reports `core.signals_per_free`).
 
 use crate::neutralize::NeutralizationCore;
-use smr_common::telemetry::{trace, TraceKind};
+use smr_common::trace::{self, TraceKind};
 use smr_common::{Magazine, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats};
 
 /// How many retire calls at the LoWatermark are amortized over one scan of the

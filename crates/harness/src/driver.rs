@@ -9,7 +9,7 @@ use crate::alloc_track;
 use crate::fault::{FaultKind, FaultSpec};
 use crate::workload::{Op, OpGenerator, StopCondition, WorkloadSpec};
 use conc_ds::ConcurrentSet;
-use smr_common::telemetry::{self, trace, Histo, TraceKind};
+use smr_common::trace::{self, TraceKind};
 use smr_common::{Smr, SmrConfig, ThreadStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -262,23 +262,8 @@ where
     }
 }
 
-/// Every `OP_SAMPLE_PERIOD`-th operation is latency-sampled into the worker's
-/// tier-1 histogram (two clock reads per sample; ~1/61 of ops — roughly 1 ns
-/// amortized per op at a 30 ns clock read, measured below 1% of throughput in
-/// a paired same-process A/B; DESIGN.md, "Telemetry"). Sampling avoids
-/// perturbing the hot loop while still collecting tens of thousands of
-/// samples per 300 ms trial at Mops rates. Prime, so co-prime with the
-/// 64-op `BATCH`: a period equal to the batch would time only the first op
-/// after each stop/fault check (`benchmark/` uses 61 too).
-pub const OP_SAMPLE_PERIOD: u64 = 61;
-
 /// Operations between two checks of the stop condition and fault plan.
 const BATCH: u64 = 64;
-
-#[inline]
-fn sampled(op: u64) -> bool {
-    op % OP_SAMPLE_PERIOD == 0
-}
 
 /// One worker thread: run operations until the stop condition fires,
 /// executing the thread's assigned fault (if any) at a batch boundary.
@@ -295,13 +280,11 @@ where
     let mut ctx = ds.smr().register(tid);
     let mut gen = OpGenerator::new(spec, tid);
     let mut fault: Option<FaultSpec> = spec.fault_plan.as_ref().and_then(|p| p.fault_for(tid));
-    let mut op_hist = Histo::default();
     shared.start.wait();
     let mut ops = 0u64;
     loop {
         // Check the stop condition every batch to keep overhead low.
-        for i in 0..BATCH {
-            let sw = telemetry::stopwatch_if(sampled(ops + i));
+        for _ in 0..BATCH {
             match gen.next_op() {
                 Op::Insert(k) => {
                     ds.insert(&mut ctx, k);
@@ -312,9 +295,6 @@ where
                 Op::Contains(k) => {
                     ds.contains(&mut ctx, k);
                 }
-            }
-            if let Some(sw) = sw {
-                op_hist.record(sw.elapsed_ns());
             }
         }
         ops += BATCH;
@@ -328,8 +308,7 @@ where
                         // `unregister` and survivors adopt it at their next
                         // scan. The worker's ops still count.
                         trace::emit(tid, TraceKind::FaultDepart, ops, 0);
-                        let mut stats = ds.smr().thread_stats(&ctx);
-                        stats.tel.op += op_hist;
+                        let stats = ds.smr().thread_stats(&ctx);
                         ds.smr().unregister(&mut ctx);
                         return (ops, stats);
                     }
@@ -357,8 +336,7 @@ where
             }
         }
     }
-    let mut stats = ds.smr().thread_stats(&ctx);
-    stats.tel.op += op_hist;
+    let stats = ds.smr().thread_stats(&ctx);
     // Counted window closed — hold the registry steady (keep acknowledging
     // pings, don't unregister) until every surviving worker has snapshotted
     // its stats too. See `SharedState::finished`.
@@ -456,15 +434,6 @@ mod tests {
         SmrConfig::default()
             .with_max_threads(16)
             .with_watermarks(256, 64)
-    }
-
-    #[test]
-    fn sampled_ops_cover_every_in_batch_offset() {
-        let mut offsets = [0u32; BATCH as usize];
-        for op in (0..BATCH * OP_SAMPLE_PERIOD).filter(|&op| sampled(op)) {
-            offsets[(op % BATCH) as usize] += 1;
-        }
-        assert_eq!(offsets, [1; BATCH as usize], "every offset sampled once");
     }
 
     #[test]

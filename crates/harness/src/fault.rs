@@ -186,14 +186,6 @@ impl FaultPlan {
     pub fn faults(&self) -> &[FaultSpec] {
         &self.faults
     }
-
-    /// Number of [`FaultKind::Depart`] faults (workers that will leave).
-    pub fn departures(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| matches!(f.kind, FaultKind::Depart))
-            .count()
-    }
 }
 
 /// The base seed `stress --faults` and `trace` use when none is given.

@@ -121,12 +121,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Attaches a fault-injection plan (see [`crate::fault`]).
     pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.fault_plan = Some(std::sync::Arc::new(plan));

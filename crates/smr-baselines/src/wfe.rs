@@ -34,7 +34,7 @@
 //! scheduler-atomic, the same discipline as the recycling depot mutex.
 
 use crate::hazard_eras::{EraTable, NONE};
-use smr_common::telemetry::{trace, TraceKind};
+use smr_common::trace::{self, TraceKind};
 use smr_common::{
     Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
     SmrConfig, SmrNode, ThreadStats,
@@ -159,14 +159,8 @@ impl Wfe {
 
     /// The `protect` slow path: park a request on the board, give peers a
     /// bounded window to help, then self-help under the lock.
-    fn protect_slow<T: SmrNode>(
-        &self,
-        ctx: &mut WfeCtx,
-        slot: usize,
-        src: &Atomic<T>,
-    ) -> Shared<T> {
+    fn protect_slow<T: SmrNode>(&self, ctx: &WfeCtx, slot: usize, src: &Atomic<T>) -> Shared<T> {
         let tid = ctx.local.tid();
-        let sw = self.core.stopwatch();
         trace::emit(tid, TraceKind::HelpSlowBegin, slot as u64, 0);
         let board = &self.boards[tid];
         let seq = board.seq.load(Ordering::Relaxed);
@@ -195,7 +189,6 @@ impl Wfe {
         debug_assert_eq!(board.seq.load(Ordering::Relaxed), seq + 2);
         debug_assert_ne!(board.result_era.load(Ordering::Relaxed), NONE);
         trace::emit(tid, TraceKind::HelpSlowEnd, waited as u64, 0);
-        ctx.local.stats.tel.help_slow.record(sw.elapsed_ns());
         Shared::from_usize(board.result_ptr.load(Ordering::Relaxed))
     }
 
@@ -536,7 +529,7 @@ mod tests {
         );
         shared.store(node, Ordering::Release);
 
-        let p = smr.protect_slow(&mut reader, 0, &shared);
+        let p = smr.protect_slow(&reader, 0, &shared);
         assert_eq!(unsafe { p.deref().key }, 7);
         assert_eq!(smr.boards[1].seq.load(Ordering::Relaxed) % 2, 0);
         let announced = smr.slots.of(1)[0].load(Ordering::Acquire);

@@ -70,7 +70,7 @@ pub mod registry;
 pub mod retired;
 pub mod smr;
 pub mod stats;
-pub mod telemetry;
+pub mod trace;
 pub mod util;
 pub mod vlock;
 
@@ -87,7 +87,6 @@ pub use recycle::{BlockPool, Magazine};
 pub use registry::{Registry, ThreadSlot};
 pub use retired::Retired;
 pub use smr::{Smr, SmrConfig};
-pub use stats::{SmrStats, ThreadStats};
-pub use telemetry::{Histo, Stopwatch, Telemetry};
+pub use stats::ThreadStats;
 pub use util::{EraClock, OrphanPool};
 pub use vlock::SeqLock;

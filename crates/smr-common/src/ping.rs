@@ -31,6 +31,7 @@
 
 use crate::pad::CachePadded;
 use crate::registry::Registry;
+use crate::trace::{self, TraceKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -170,7 +171,7 @@ impl PingChannel {
             sent += 1;
             self.simulate_ping_cost();
         }
-        crate::telemetry::trace::emit(sender, crate::telemetry::TraceKind::PingSent, seq, sent);
+        trace::emit(sender, TraceKind::PingSent, seq, sent);
         (seq, sent)
     }
 
@@ -214,7 +215,7 @@ impl PingChannel {
     pub fn ack(&self, tid: usize, seq: u64) {
         let slot = &self.slots[tid];
         slot.acked.store(seq, Ordering::SeqCst);
-        crate::telemetry::trace::emit(tid, crate::telemetry::TraceKind::PingAcked, seq, 0);
+        trace::emit(tid, TraceKind::PingAcked, seq, 0);
         // An ack proves the owner is alive and polling: forgive its strikes
         // so the next handshake grants it a full spin window again.
         if slot.strikes.load(Ordering::Relaxed) != 0 {
@@ -284,12 +285,7 @@ impl PingChannel {
                 if iterations > allowance {
                     if allowance > 0 {
                         let strikes = slot.strikes.fetch_add(1, Ordering::SeqCst) + 1;
-                        crate::telemetry::trace::emit(
-                            sender,
-                            crate::telemetry::TraceKind::PingStrike,
-                            tid as u64,
-                            strikes,
-                        );
+                        trace::emit(sender, TraceKind::PingStrike, tid as u64, strikes);
                     }
                     conceded = true;
                     silent += 1;
@@ -303,12 +299,7 @@ impl PingChannel {
             }
         }
         if conceded {
-            crate::telemetry::trace::emit(
-                sender,
-                crate::telemetry::TraceKind::PingConceded,
-                seq,
-                silent,
-            );
+            trace::emit(sender, TraceKind::PingConceded, seq, silent);
             PingOutcome::TimedOut
         } else {
             PingOutcome::AllAcked

@@ -24,11 +24,10 @@
 //!
 //! # The pipeline's rules (one each, tested in `tests/tests/reclaim_core.rs`)
 //!
-//! * A scan over an **empty** bag is not a scan: nothing is counted, timed
-//!   or pinged.
-//! * Every scan that enters its sweep counts one `reclaim_scans` and one
-//!   scan-histogram sample, and restarts the heartbeat window and the
-//!   per-retire cadence.
+//! * A scan over an **empty** bag is not a scan: nothing is counted or
+//!   pinged.
+//! * Every scan that enters its sweep counts one `reclaim_scans`, and
+//!   restarts the heartbeat window and the per-retire cadence.
 //! * A **skip** is a scan that freed nothing from a non-empty bag, whatever
 //!   the cause (conceded ping round, fully protected bag, blocked epoch).
 //! * Peer garbage is adopted **before** the sweep sees the bag length
@@ -50,7 +49,7 @@ use crate::registry::Registry;
 use crate::retired::Retired;
 use crate::smr::SmrConfig;
 use crate::stats::ThreadStats;
-use crate::telemetry::{trace, Stopwatch, TraceKind};
+use crate::trace::{self, TraceKind};
 use crate::util::OrphanPool;
 use std::sync::Arc;
 
@@ -217,7 +216,7 @@ pub struct ReclaimLocal<B = LimboBag> {
     pub limbo: B,
     /// Node-block recycling magazine.
     pub mag: Magazine,
-    /// The thread's counters and histograms.
+    /// The thread's counters.
     pub stats: ThreadStats,
     /// Sweep scratch: reserved / hazard addresses. A scheme that collects
     /// them reserves room for its whole frontier at `register`, so a scan
@@ -393,13 +392,6 @@ impl ReclaimCore {
         self.orphans.len()
     }
 
-    /// A started timer for the scheme-specific tier-1 histograms (WFE's
-    /// helping slow path); the pipeline times its own.
-    #[inline]
-    pub fn stopwatch(&self) -> Stopwatch {
-        Stopwatch::start()
-    }
-
     /// Claims registry slot `tid` and builds the thread's pipeline state.
     /// The scheme resets its own reservation slots afterwards.
     pub fn register<B: Limbo>(&self, tid: usize) -> ReclaimLocal<B> {
@@ -527,14 +519,12 @@ impl ReclaimCore {
     ) -> usize {
         local.stats.reclaim_scans += 1;
         local.note_scan();
-        let sw = self.stopwatch();
         trace::emit(local.tid, TraceKind::ScanBegin, tail as u64, 0);
         let freed = sweep(local, tail);
         if freed == 0 {
             local.stats.reclaim_skips += 1;
         }
         trace::emit(local.tid, TraceKind::ScanEnd, freed as u64, 0);
-        local.stats.tel.scan.record(sw.elapsed_ns());
         freed
     }
 
@@ -595,9 +585,9 @@ impl ReclaimCore {
 
     /// One ping round over `ping`: broadcast from this thread, wait
     /// (bounded by `ack_spin_limit`) until every peer acknowledged or is
-    /// `exempt`, running `while_waiting` per spin. Counts the signals,
-    /// times the round into the RTT (all acked) or stall (conceded)
-    /// histogram and counts a concession. `true` when the round completed.
+    /// `exempt`, running `while_waiting` per spin. Counts the signals and,
+    /// when a peer stayed silent, a concession. `true` when the round
+    /// completed.
     #[inline]
     pub fn ping_round<B>(
         &self,
@@ -606,7 +596,6 @@ impl ReclaimCore {
         exempt: impl Fn(usize) -> bool,
         while_waiting: impl FnMut(),
     ) -> bool {
-        let sw = self.stopwatch();
         let (seq, sent) = ping.ping_all(local.tid, &self.registry);
         local.stats.signals_sent += sent;
         let acked = ping.await_acks(
@@ -620,13 +609,6 @@ impl ReclaimCore {
         if !acked {
             local.stats.ping_concessions += 1;
         }
-        let tel = &mut local.stats.tel;
-        let histo = if acked {
-            &mut tel.ping_rtt
-        } else {
-            &mut tel.ping_stall
-        };
-        histo.record(sw.elapsed_ns());
         acked
     }
 
@@ -885,8 +867,10 @@ mod tests {
         let mut local: ReclaimLocal = toy.core.register(0);
         // Empty bag: not a scan.
         assert_eq!(toy.scan(&mut local), (0, 0));
-        assert_eq!(local.stats.reclaim_scans, 0);
-        assert!(local.stats.tel.scan.is_empty());
+        assert_eq!(
+            (local.stats.reclaim_scans, local.stats.reclaim_skips),
+            (0, 0)
+        );
         // Fully protected bag: a scan and a skip.
         toy.retire(&mut local, 5);
         assert_eq!(toy.scan(&mut local), (0, 1));
@@ -894,14 +878,13 @@ mod tests {
             (local.stats.reclaim_scans, local.stats.reclaim_skips),
             (1, 1)
         );
-        // Frontier passes: a scan, no skip, one histogram sample each.
+        // Frontier passes: a scan, no skip.
         toy.frontier.store(6, Ordering::SeqCst);
         assert_eq!(toy.scan(&mut local), (1, 1));
         assert_eq!(
             (local.stats.reclaim_scans, local.stats.reclaim_skips),
             (2, 1)
         );
-        assert_eq!(local.stats.tel.scan.count(), 2);
         assert_eq!(local.stats.frees, 1);
         // The per-retire cadence restarts with every scan.
         let freq = toy.core.config().empty_freq;

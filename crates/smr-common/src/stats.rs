@@ -7,7 +7,6 @@
 //! These counters are collected per thread with zero synchronization on the
 //! fast path and merged by the harness after each trial.
 
-use crate::telemetry::Telemetry;
 use std::ops::AddAssign;
 
 /// Per-thread counters, owned by the thread's context (no atomics involved).
@@ -67,8 +66,6 @@ pub struct ThreadStats {
     /// Lookups that consulted the memo but fell back to a full traversal
     /// (stale stamp, key mismatch, or marked node).
     pub memo_misses: u64,
-    /// Tier-1 latency histograms (see [`telemetry`](crate::telemetry)).
-    pub tel: Telemetry,
 }
 
 impl ThreadStats {
@@ -119,29 +116,6 @@ impl AddAssign for ThreadStats {
         self.combine_adoptions += rhs.combine_adoptions;
         self.memo_hits += rhs.memo_hits;
         self.memo_misses += rhs.memo_misses;
-        self.tel += rhs.tel;
-    }
-}
-
-/// Aggregated statistics across all threads of a trial.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct SmrStats {
-    /// Sum of all threads' counters (peak fields are maxima).
-    pub total: ThreadStats,
-    /// Number of thread contexts merged in.
-    pub threads: usize,
-}
-
-impl SmrStats {
-    /// Merges one thread's counters into the aggregate.
-    pub fn merge(&mut self, t: &ThreadStats) {
-        self.total += *t;
-        self.threads += 1;
-    }
-
-    /// Convenience: total unreclaimed records across all merged threads.
-    pub fn outstanding(&self) -> u64 {
-        self.total.outstanding()
     }
 }
 
@@ -173,20 +147,6 @@ mod tests {
         assert_eq!(a.peak_limbo, 7);
         assert_eq!(a.signals_sent, 9);
         assert_eq!(a.outstanding(), 6);
-    }
-
-    #[test]
-    fn merge_counts_threads() {
-        let mut agg = SmrStats::default();
-        for i in 0..4 {
-            let t = ThreadStats {
-                retires: i,
-                ..Default::default()
-            };
-            agg.merge(&t);
-        }
-        assert_eq!(agg.threads, 4);
-        assert_eq!(agg.total.retires, 1 + 2 + 3);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   3. a scheme file — anything under `crates/{core,smr-baselines,smr-pop}/src`,
 //!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
 //!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the
-//!      orphan pool, the scan combiner, the sampled stopwatch, or one of the
-//!      scan / adoption / combining / watermark trace events. A scheme that
+//!      orphan pool, the scan combiner, or one of the scan / adoption /
+//!      combining / watermark trace events. A scheme that
 //!      needs one of those is growing its own copy of the pipeline back;
 //!      it should call `ReclaimCore` instead.
 //!
@@ -89,10 +89,9 @@ fn lint() -> ExitCode {
 /// scheme file mentioning one is re-implementing what `ReclaimCore` owns.
 /// `TraceKind::Scan` and `TraceKind::Combine` are prefixes (`ScanBegin`,
 /// `ScanEnd`, `CombinePublish`, `CombineAdopt`).
-const PIPELINE_ONLY: [&str; 7] = [
+const PIPELINE_ONLY: [&str; 6] = [
     "OrphanPool",
     "ScanCombiner",
-    "stopwatch_if",
     "TraceKind::Scan",
     "TraceKind::OrphanAdopt",
     "TraceKind::Combine",
@@ -515,14 +514,14 @@ mod tests {
     #[test]
     fn flags_pipeline_pieces_in_scheme_files() {
         let src = "use smr_common::{OrphanPool, ScanCombiner};\n\
-                   fn f(c: &C) {\n    let sw = telemetry::stopwatch_if(c.telemetry);\n    \
+                   fn f() {\n    \
                    trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    \
                    trace::emit(0, TraceKind::CombineAdopt, 0, 0);\n    \
                    trace::emit(0, TraceKind::LimboHigh, 0, 0);\n    \
                    trace::emit(0, TraceKind::OrphanAdopt, 0, 0);\n}\n";
         for dir in ["core", "smr-baselines", "smr-pop"] {
             let f = run_in(&format!("crates/{dir}/src/x.rs"), src);
-            assert_eq!(f.len(), 7, "{dir}: {f:?}");
+            assert_eq!(f.len(), 6, "{dir}: {f:?}");
             assert!(f.iter().all(|m| m.contains("reclaim pipeline")));
         }
         // The pipeline's own crate, the harness and the structures may.
@@ -540,7 +539,7 @@ mod tests {
                    fn f() {\n    trace::emit(0, TraceKind::EraAdvance, 1, 0);\n    \
                    trace::emit(0, TraceKind::Neutralized, 0, 0);\n}\n\
                    #[cfg(test)]\nmod tests {\n    fn g(p: &OrphanPool) {\n        \
-                   let _ = telemetry::stopwatch_if(true);\n    }\n}\n";
+                   trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    }\n}\n";
         let f = run_in("crates/smr-baselines/src/x.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
