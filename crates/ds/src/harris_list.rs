@@ -88,7 +88,7 @@ impl<S: Smr> HarrisList<S> {
             smr,
             head,
             tail,
-            memo_id: memo::next_memo_id(),
+            memo_id: memo::next_memo_ids(1),
         }
     }
 

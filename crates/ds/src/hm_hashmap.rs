@@ -2,10 +2,12 @@
 //! structure of the Publish-on-Ping benchmark / setbench).
 //!
 //! The map is an array of `HmCore` buckets (the engine behind
-//! [`HmList`](crate::HmList)) sharing **one** reclaimer instance: a key is
-//! hashed (SplitMix64 finalizer) to pick
-//! its bucket and the operation proceeds exactly as on the flat list, with
-//! the bucket's head sentinel as the operation's root. Since every bucket
+//! [`HmList`](crate::HmList)) sharing **one** reclaimer instance. A bucket is
+//! a bare inline head node (24 bytes) whose chain ends in null, as in
+//! Michael's hash table: building a map makes one allocation, for the
+//! bucket array, whatever its size. A key is hashed (SplitMix64 finalizer)
+//! to pick its bucket and the operation proceeds exactly as on the flat
+//! list, with the bucket's head as the operation's root. Since every bucket
 //! list restarts from its own head (the `FromRoot` policy), the NBR phase
 //! discipline is preserved — a neutralized operation restarts its read phase
 //! from the root it started at — so the map runs under every reclaimer in
@@ -18,7 +20,7 @@
 //! scenario for the benchmark matrix.
 
 use crate::hm_list::{HmCore, RestartPolicy};
-use crate::ConcurrentSet;
+use crate::{memo, ConcurrentSet};
 use smr_common::{Smr, SmrConfig};
 
 /// Default number of buckets (used by [`HmHashMap::new`]).
@@ -29,6 +31,8 @@ pub const DEFAULT_BUCKETS: usize = 64;
 pub struct HmHashMap<S: Smr> {
     smr: S,
     buckets: Box<[HmCore]>,
+    /// Memo identity of bucket 0; bucket `i` uses `memo_base + i`.
+    memo_base: u64,
 }
 
 // SAFETY: buckets own their nodes through `Atomic` links; all shared access
@@ -57,9 +61,8 @@ impl<S: Smr> HmHashMap<S> {
         assert!(buckets > 0, "hash map needs at least one bucket");
         Self {
             smr: S::new(config),
-            buckets: (0..buckets)
-                .map(|_| HmCore::new(RestartPolicy::FromRoot))
-                .collect(),
+            buckets: (0..buckets).map(|_| HmCore::new()).collect(),
+            memo_base: memo::next_memo_ids(buckets as u64),
         }
     }
 
@@ -68,9 +71,11 @@ impl<S: Smr> HmHashMap<S> {
         self.buckets.len()
     }
 
+    /// The bucket `key` hashes to, with that bucket's memo identity.
     #[inline]
-    fn bucket(&self, key: u64) -> &HmCore {
-        &self.buckets[(hash(key) % self.buckets.len() as u64) as usize]
+    fn bucket(&self, key: u64) -> (&HmCore, u64) {
+        let i = hash(key) % self.buckets.len() as u64;
+        (&self.buckets[i as usize], self.memo_base + i)
     }
 }
 
@@ -80,15 +85,18 @@ impl<S: Smr> ConcurrentSet<S> for HmHashMap<S> {
     }
 
     fn contains(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.bucket(key).contains(&self.smr, ctx, key)
+        let (bucket, memo_id) = self.bucket(key);
+        bucket.contains(&self.smr, ctx, RestartPolicy::FromRoot, memo_id, key)
     }
 
     fn insert(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.bucket(key).insert(&self.smr, ctx, key)
+        let (bucket, _) = self.bucket(key);
+        bucket.insert(&self.smr, ctx, RestartPolicy::FromRoot, key)
     }
 
     fn remove(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.bucket(key).remove(&self.smr, ctx, key)
+        let (bucket, memo_id) = self.bucket(key);
+        bucket.remove(&self.smr, ctx, RestartPolicy::FromRoot, memo_id, key)
     }
 
     fn size(&self, ctx: &mut S::ThreadCtx) -> usize {
@@ -103,6 +111,7 @@ impl<S: Smr> ConcurrentSet<S> for HmHashMap<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hm_list::tests::chain_end_paths;
     use crate::test_support::{disjoint_key_stress, model_check};
     use nbr::NbrPlus;
     use smr_baselines::{Debra, HazardPointers};
@@ -137,6 +146,17 @@ mod tests {
             .count();
         assert_eq!(occupied, 8, "256 keys must land in all 8 buckets");
         map.smr().unregister(&mut ctx);
+    }
+
+    #[test]
+    fn single_bucket_chain_ends() {
+        fn run<S: Smr>() {
+            let map = HmHashMap::<S>::with_buckets(SmrConfig::for_tests(), 1);
+            chain_end_paths(&map, &map.buckets[0]);
+        }
+        run::<NbrPlus>();
+        run::<Debra>();
+        run::<HazardPointers>();
     }
 
     #[test]

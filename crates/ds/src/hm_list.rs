@@ -13,19 +13,20 @@
 //! ("debra-norestarts"). [`HmList`] implements both behaviours behind the
 //! [`RestartPolicy`] knob so the exact same comparison can be reproduced.
 //!
-//! The list logic itself lives in the crate-internal `HmCore`, which owns
-//! the sentinels but *not* the reclaimer: several cores can share one `S`,
-//! which is how the
-//! fixed-size hash map of HM-list buckets
-//! ([`HmHashMap`](crate::HmHashMap), the related repos' HMLHT structure)
-//! composes out of this module.
+//! The list logic itself lives in the crate-internal `HmCore`, which is
+//! nothing but the head node: chains end in null (Michael's layout, with no
+//! tail sentinel), and the reclaimer, the restart policy and the memo
+//! identity all belong to the owner and are passed into every call. One
+//! core is therefore one 24-byte bucket, and an array of them sharing one
+//! `S` is the fixed-size hash map of HM-list buckets
+//! ([`HmHashMap`](crate::HmHashMap), the related repos' HMLHT structure).
 //!
 //! **Safety note:** the `ContinueFromPred` policy must only be paired with
 //! reclaimers that do not rely on the NBR phase protocol (it is a documented
 //! phase-rule violation for NBR/NBR+, exactly as the paper describes); the
 //! tests only use it with DEBRA and the leaky reclaimer.
 
-use crate::{check_key, memo, ConcurrentSet, KEY_MAX, KEY_MIN};
+use crate::{check_key, memo, ConcurrentSet, KEY_MIN};
 use smr_common::{recycle, Atomic, NodeHeader, Shared, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
 
@@ -65,69 +66,74 @@ struct FindResult {
     curr: Shared<Node>,
 }
 
-/// One Harris-Michael list instance: the sentinels and traversal/update
-/// logic, decoupled from the reclaimer so that many cores can share a single
-/// `S` (the [`HmHashMap`](crate::HmHashMap) buckets). The owning structure
-/// supplies the reclaimer to every call; operations bracket themselves with
-/// `begin_op`/`end_op` and follow the NBR phase discipline, with each core's
-/// head sentinel acting as the operation's root.
-pub(crate) struct HmCore {
-    head: Box<Node>,
-    tail: Shared<Node>,
-    policy: RestartPolicy,
-    /// Identity of this core in the thread-local lookup memo. Every bucket
-    /// of an [`HmHashMap`](crate::HmHashMap) gets its own identity, so two
-    /// buckets never serve each other's cached pointers.
-    memo_id: u64,
+impl FindResult {
+    /// Whether `curr` is the node holding `key` (the chain may have ended).
+    #[inline]
+    fn holds(&self, key: u64) -> bool {
+        // SAFETY: `find` returned with `curr` still protected.
+        !self.curr.is_null() && unsafe { self.curr.deref() }.key == key
+    }
 }
 
+/// One Harris-Michael list: its head node and the traversal/update logic.
+/// A core is exactly one [`Node`] (asserted below), so an
+/// [`HmHashMap`](crate::HmHashMap) bucket is a bare inline head. The owning
+/// structure supplies the reclaimer, the restart policy and the core's memo
+/// identity to every call; operations bracket themselves with
+/// `begin_op`/`end_op` and follow the NBR phase discipline, with the head
+/// acting as the operation's root.
+///
+/// No node ever points at the head and every operation recomputes its
+/// address from `&self`, so a core may be moved while no operation runs.
+pub(crate) struct HmCore {
+    head: Node,
+}
+
+const _: () = assert!(std::mem::size_of::<HmCore>() == std::mem::size_of::<Node>());
+
 impl HmCore {
-    pub(crate) fn new(policy: RestartPolicy) -> Self {
-        let tail = Shared::from_raw(recycle::alloc_node_raw(Node::new(KEY_MAX)));
-        // lint:allow-box-node — head sentinel: owned by the core, never
-        // published for retirement, freed by Box's own drop.
-        let head = Box::new(Node {
-            header: NodeHeader::new(),
-            key: KEY_MIN,
-            next: Atomic::new(tail),
-        });
+    pub(crate) fn new() -> Self {
         Self {
-            head,
-            tail,
-            policy,
-            memo_id: memo::next_memo_id(),
+            head: Node::new(KEY_MIN),
         }
     }
 
     #[inline]
     fn head_shared(&self) -> Shared<Node> {
-        Shared::from_raw(&*self.head as *const Node as *mut Node)
+        Shared::from_raw(&self.head as *const Node as *mut Node)
     }
 
     /// Michael's `find`: returns `(pred, curr)` with `pred.key < key <=
-    /// curr.key`, both reachable and unmarked at the linearization point, and
-    /// unlinks any marked node it encounters along the way. On return the
-    /// thread is still inside a read phase with `pred`/`curr` protected.
-    fn find<S: Smr>(&self, smr: &S, ctx: &mut S::ThreadCtx, key: u64) -> FindResult {
+    /// curr.key` (`curr` null when every key is smaller), both reachable and
+    /// unmarked at the linearization point, and unlinks any marked node it
+    /// encounters along the way. On return the thread is still inside a read
+    /// phase with `pred`/`curr` protected.
+    fn find<S: Smr>(
+        &self,
+        smr: &S,
+        ctx: &mut S::ThreadCtx,
+        policy: RestartPolicy,
+        key: u64,
+    ) -> FindResult {
         'from_root: loop {
             smr.begin_read_phase(ctx);
             let mut pred = self.head_shared();
             // Rotating hazard slots: pred, curr, next.
             let mut pred_slot = 2usize;
             let mut curr_slot = 0usize;
-            // SAFETY: `pred` is the head sentinel here, owned by the core.
-            let mut curr = smr.protect(ctx, curr_slot, unsafe { &pred.deref().next });
+            let mut curr = smr.protect(ctx, curr_slot, &self.head.next);
             if smr.checkpoint(ctx) {
                 continue 'from_root;
             }
             loop {
                 debug_assert_eq!(curr.tag(), 0);
-                if curr.ptr_eq(self.tail) {
+                if curr.is_null() {
                     return FindResult { pred, curr };
                 }
-                let next_slot = 3 - pred_slot - curr_slot; // the remaining slot of {0,1,2}
-                                                           // SAFETY: `curr` is covered by `curr_slot` (the `protect`
-                                                           // that returned it).
+                // The remaining slot of {0, 1, 2}.
+                let next_slot = 3 - pred_slot - curr_slot;
+                // SAFETY: `curr` is covered by `curr_slot` (the `protect`
+                // that returned it).
                 let next = smr.protect(ctx, next_slot, unsafe { &curr.deref().next });
                 if smr.checkpoint(ctx) {
                     continue 'from_root;
@@ -152,7 +158,7 @@ impl HmCore {
                         // SAFETY: unlinked by this thread's CAS just now.
                         unsafe { smr.retire(ctx, curr) };
                     }
-                    match self.policy {
+                    match policy {
                         RestartPolicy::FromRoot => continue 'from_root,
                         RestartPolicy::ContinueFromPred => {
                             if !unlinked {
@@ -182,14 +188,24 @@ impl HmCore {
         }
     }
 
-    pub(crate) fn contains<S: Smr>(&self, smr: &S, ctx: &mut S::ThreadCtx, key: u64) -> bool {
+    /// `memo_id` is this core's identity in the thread-local lookup memo;
+    /// no two cores may share one, so they never serve each other's cached
+    /// pointers.
+    pub(crate) fn contains<S: Smr>(
+        &self,
+        smr: &S,
+        ctx: &mut S::ThreadCtx,
+        policy: RestartPolicy,
+        memo_id: u64,
+        key: u64,
+    ) -> bool {
         check_key(key);
         smr.begin_op(ctx);
         // Zipf-hot lookup memo: when the reclaimer clock can validate a
         // cached pointer (`validation_stamp`), a hit skips the traversal.
         let stamp = smr.validation_stamp(ctx);
         if let Some(stamp) = stamp {
-            if let Some(addr) = memo::lookup(self.memo_id, key, stamp) {
+            if let Some(addr) = memo::lookup(memo_id, key, stamp) {
                 let node = addr as *const Node;
                 // SAFETY: the entry was stored under an operation with the
                 // same validation stamp, pointing at a node then observed
@@ -206,18 +222,17 @@ impl HmCore {
                     smr.end_op(ctx);
                     return true;
                 }
-                memo::invalidate(self.memo_id, key);
+                memo::invalidate(memo_id, key);
             }
             smr.thread_stats_mut(ctx).memo_misses += 1;
         }
-        let r = self.find(smr, ctx, key);
-        // SAFETY: `find` returned with `r.curr` still protected.
-        let found = !r.curr.ptr_eq(self.tail) && unsafe { r.curr.deref() }.key == key;
+        let r = self.find(smr, ctx, policy, key);
+        let found = r.holds(key);
         if found {
             if let Some(stamp) = stamp {
                 // `find` observed `r.curr` unmarked at its linearization
                 // point — the precondition for memoizing it.
-                memo::store(self.memo_id, key, r.curr.untagged_usize(), stamp);
+                memo::store(memo_id, key, r.curr.untagged_usize(), stamp);
             }
         }
         smr.end_read_phase(ctx, &[]);
@@ -226,13 +241,18 @@ impl HmCore {
         found
     }
 
-    pub(crate) fn insert<S: Smr>(&self, smr: &S, ctx: &mut S::ThreadCtx, key: u64) -> bool {
+    pub(crate) fn insert<S: Smr>(
+        &self,
+        smr: &S,
+        ctx: &mut S::ThreadCtx,
+        policy: RestartPolicy,
+        key: u64,
+    ) -> bool {
         check_key(key);
         smr.begin_op(ctx);
         let inserted = loop {
-            let r = self.find(smr, ctx, key);
-            // SAFETY: `find` returned with `r.curr` still protected.
-            if !r.curr.ptr_eq(self.tail) && unsafe { r.curr.deref() }.key == key {
+            let r = self.find(smr, ctx, policy, key);
+            if r.holds(key) {
                 smr.end_read_phase(ctx, &[]);
                 break false;
             }
@@ -257,13 +277,19 @@ impl HmCore {
         inserted
     }
 
-    pub(crate) fn remove<S: Smr>(&self, smr: &S, ctx: &mut S::ThreadCtx, key: u64) -> bool {
+    pub(crate) fn remove<S: Smr>(
+        &self,
+        smr: &S,
+        ctx: &mut S::ThreadCtx,
+        policy: RestartPolicy,
+        memo_id: u64,
+        key: u64,
+    ) -> bool {
         check_key(key);
         smr.begin_op(ctx);
         let removed = loop {
-            let r = self.find(smr, ctx, key);
-            // SAFETY: `find` returned with `r.curr` still protected.
-            if r.curr.ptr_eq(self.tail) || unsafe { r.curr.deref() }.key != key {
+            let r = self.find(smr, ctx, policy, key);
+            if !r.holds(key) {
                 smr.end_read_phase(ctx, &[]);
                 break false;
             }
@@ -292,7 +318,7 @@ impl HmCore {
             // Eager memo invalidation: this thread just logically deleted
             // the node its memo may be caching for `key`. (Other threads'
             // entries die at the stamp/mark validation.)
-            memo::invalidate(self.memo_id, key);
+            memo::invalidate(memo_id, key);
             // Physical delete: if our unlink fails, some traversal will do it
             // (and retire the node).
             // SAFETY: `r.pred` was reserved by `end_read_phase` above.
@@ -310,8 +336,7 @@ impl HmCore {
                 // SAFETY: unlinked by this thread's CAS; retired exactly once.
                 unsafe { smr.retire(ctx, r.curr) };
             } else {
-                let r2 = self.find(smr, ctx, key);
-                let _ = r2;
+                let _ = self.find(smr, ctx, policy, key);
                 smr.end_read_phase(ctx, &[]);
             }
             break true;
@@ -328,10 +353,7 @@ impl HmCore {
         smr.begin_read_phase(ctx);
         let mut count = 0usize;
         let mut curr = self.head.next.load(Ordering::Acquire).with_tag(0);
-        loop {
-            if curr.ptr_eq(self.tail) {
-                break;
-            }
+        while !curr.is_null() {
             // SAFETY: `count` runs inside a read phase; see its doc — only
             // meaningful while no other thread mutates the core.
             let next = unsafe { curr.deref() }.next.load(Ordering::Acquire);
@@ -367,6 +389,9 @@ impl Drop for HmCore {
 pub struct HmList<S: Smr> {
     smr: S,
     core: HmCore,
+    policy: RestartPolicy,
+    /// Identity of this list in the thread-local lookup memo.
+    memo_id: u64,
 }
 
 // SAFETY: the core owns its nodes through `Atomic` links; all shared access
@@ -380,7 +405,9 @@ impl<S: Smr> HmList<S> {
     pub fn with_policy(config: SmrConfig, policy: RestartPolicy) -> Self {
         Self {
             smr: S::new(config),
-            core: HmCore::new(policy),
+            core: HmCore::new(),
+            policy,
+            memo_id: memo::next_memo_ids(1),
         }
     }
 
@@ -392,7 +419,7 @@ impl<S: Smr> HmList<S> {
 
     /// The restart policy this list was created with.
     pub fn policy(&self) -> RestartPolicy {
-        self.core.policy
+        self.policy
     }
 }
 
@@ -402,15 +429,17 @@ impl<S: Smr> ConcurrentSet<S> for HmList<S> {
     }
 
     fn contains(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.core.contains(&self.smr, ctx, key)
+        self.core
+            .contains(&self.smr, ctx, self.policy, self.memo_id, key)
     }
 
     fn insert(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.core.insert(&self.smr, ctx, key)
+        self.core.insert(&self.smr, ctx, self.policy, key)
     }
 
     fn remove(&self, ctx: &mut S::ThreadCtx, key: u64) -> bool {
-        self.core.remove(&self.smr, ctx, key)
+        self.core
+            .remove(&self.smr, ctx, self.policy, self.memo_id, key)
     }
 
     fn size(&self, ctx: &mut S::ThreadCtx) -> usize {
@@ -423,12 +452,121 @@ impl<S: Smr> ConcurrentSet<S> for HmList<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::test_support::{disjoint_key_stress, model_check};
+    use crate::KEY_MAX;
     use nbr::NbrPlus;
     use smr_baselines::{Debra, HazardPointers, Leaky};
     use std::sync::Arc;
+
+    /// Marks the last node of `core`'s chain the way a remover does before
+    /// its unlink, leaving `next == null|MARK` for a traversal to clean up.
+    fn mark_last(core: &HmCore) {
+        let mut last = core.head.next.load(Ordering::Acquire);
+        loop {
+            // SAFETY: single-threaded test; every node is still linked.
+            let next = unsafe { last.deref() }.next.load(Ordering::Acquire);
+            if next.is_null() {
+                break;
+            }
+            last = next;
+        }
+        // SAFETY: as above.
+        let next = &unsafe { last.deref() }.next;
+        assert!(next
+            .compare_exchange(
+                Shared::null(),
+                Shared::null().with_tag(MARK),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .is_ok());
+    }
+
+    /// Drives the ends of a null-terminated chain through `set`, all of
+    /// whose keys live in `core`: keys above every key in the chain, a
+    /// removed last node (its `next` becomes `null|MARK`), and a marked last
+    /// node nobody unlinked, each followed by an insert past it.
+    pub(crate) fn chain_end_paths<S: Smr>(set: &impl ConcurrentSet<S>, core: &HmCore) {
+        let mut ctx = set.smr().register(0);
+        assert!(!set.contains(&mut ctx, 5), "empty chain");
+        assert!(!set.remove(&mut ctx, 5), "empty chain");
+        for k in [10, 20, 30] {
+            assert!(set.insert(&mut ctx, k));
+        }
+        assert!(!set.contains(&mut ctx, 40), "above every key");
+        assert!(!set.remove(&mut ctx, 40), "above every key");
+        assert!(set.remove(&mut ctx, 30), "last node");
+        assert!(set.insert(&mut ctx, 35), "past the removed last node");
+        mark_last(core);
+        assert!(set.insert(&mut ctx, KEY_MAX - 1), "past a marked last node");
+        assert!(!set.contains(&mut ctx, 35), "the marked node is gone");
+        assert!(set.contains(&mut ctx, KEY_MAX - 1));
+        assert_eq!(set.size(&mut ctx), 3);
+        set.smr().unregister(&mut ctx);
+    }
+
+    fn chain_ends<S: Smr>(policy: RestartPolicy) {
+        let list = HmList::<S>::with_policy(SmrConfig::for_tests(), policy);
+        chain_end_paths(&list, &list.core);
+    }
+
+    #[test]
+    fn chain_ends_under_nbr_plus() {
+        chain_ends::<NbrPlus>(RestartPolicy::FromRoot);
+    }
+
+    #[test]
+    fn chain_ends_under_debra() {
+        chain_ends::<Debra>(RestartPolicy::FromRoot);
+        chain_ends::<Debra>(RestartPolicy::ContinueFromPred);
+    }
+
+    #[test]
+    fn chain_ends_under_hp() {
+        chain_ends::<HazardPointers>(RestartPolicy::FromRoot);
+    }
+
+    /// A list holding keys is moved into a `Box` between operations and
+    /// keeps working: nothing points at the inline head.
+    fn survives_a_move<S: Smr>() {
+        let list = HmList::<S>::new(SmrConfig::for_tests());
+        let mut ctx = list.smr().register(0);
+        for k in 1..=16 {
+            assert!(list.insert(&mut ctx, k));
+        }
+        list.smr().unregister(&mut ctx);
+        let before = &list.core as *const HmCore;
+        let list = Box::new(list);
+        assert_ne!(before, &list.core as *const HmCore, "the head moved");
+        let mut ctx = list.smr().register(0);
+        for k in 1..=16 {
+            assert!(list.contains(&mut ctx, k));
+        }
+        for k in (1..=16).step_by(2) {
+            assert!(list.remove(&mut ctx, k));
+        }
+        assert!(list.insert(&mut ctx, 17));
+        assert!(!list.contains(&mut ctx, 1));
+        assert_eq!(list.size(&mut ctx), 9);
+        list.smr().unregister(&mut ctx);
+    }
+
+    #[test]
+    fn survives_a_move_under_nbr_plus() {
+        survives_a_move::<NbrPlus>();
+    }
+
+    #[test]
+    fn survives_a_move_under_debra() {
+        survives_a_move::<Debra>();
+    }
+
+    #[test]
+    fn survives_a_move_under_hp() {
+        survives_a_move::<HazardPointers>();
+    }
 
     #[test]
     fn sequential_basics_restart_variant() {

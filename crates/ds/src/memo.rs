@@ -21,9 +21,9 @@
 //!
 //! The table is thread-local and never shared, so there is no coherence
 //! traffic and no synchronization on the hit path. Entries are tagged with a
-//! per-structure-instance `memo_id` (from a process-global counter, never
-//! reused) so a table outliving a structure can never serve its stale
-//! pointers to a new one.
+//! `memo_id` (from a process-global counter, never reused) — one per
+//! structure instance, or one per bucket for a hash map — so a table
+//! outliving a structure can never serve its stale pointers to a new one.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,9 +57,10 @@ thread_local! {
 /// "empty slot"; monotonically increasing, never reused.
 static NEXT_MEMO_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Allocates a fresh memo identity for one structure instance.
-pub fn next_memo_id() -> u64 {
-    NEXT_MEMO_ID.fetch_add(1, Ordering::Relaxed)
+/// Allocates `count` consecutive fresh memo identities and returns the
+/// first: one for a single-root structure, one per bucket for a hash map.
+pub fn next_memo_ids(count: u64) -> u64 {
+    NEXT_MEMO_ID.fetch_add(count, Ordering::Relaxed)
 }
 
 #[inline]
@@ -115,7 +116,7 @@ mod tests {
 
     #[test]
     fn lookup_requires_exact_stamp() {
-        let id = next_memo_id();
+        let id = next_memo_ids(1);
         store(id, 7, 0xDEAD_B000, 3);
         assert_eq!(lookup(id, 7, 3), Some(0xDEAD_B000));
         assert_eq!(lookup(id, 7, 4), None, "stale stamp must miss");
@@ -128,8 +129,8 @@ mod tests {
 
     #[test]
     fn memo_ids_partition_structures() {
-        let a = next_memo_id();
-        let b = next_memo_id();
+        let a = next_memo_ids(1);
+        let b = next_memo_ids(1);
         store(a, 9, 0x1000, 1);
         assert_eq!(lookup(b, 9, 1), None, "another structure's entry must miss");
         store(b, 9, 0x2000, 1);
@@ -139,8 +140,8 @@ mod tests {
 
     #[test]
     fn invalidate_is_scoped_to_the_owner() {
-        let a = next_memo_id();
-        let b = next_memo_id();
+        let a = next_memo_ids(1);
+        let b = next_memo_ids(1);
         store(a, 5, 0x3000, 2);
         invalidate(b, 5);
         assert_eq!(

@@ -15,10 +15,10 @@
 //!      `Box::new` instead of the node-heap recycle ABI
 //!      (`recycle::alloc_node_raw` / `Magazine::alloc_node`). Mixing the
 //!      global allocator into the node heap is how you get a
-//!      `dealloc_node_raw` of a `Box` pointer; the few deliberate
-//!      exceptions (list head sentinels that are owned by the structure,
-//!      never retired, and freed by `Box`'s own drop) carry an explicit
-//!      `lint:allow-box-node` waiver comment; or
+//!      `dealloc_node_raw` of a `Box` pointer; the three deliberate
+//!      exceptions (the `HarrisList`/`LazyList` heads and the `DgtTree`
+//!      root: owned by the structure, never retired, and freed by `Box`'s
+//!      own drop) carry an explicit `lint:allow-box-node` waiver comment; or
 //!   3. a scheme file — anything under `crates/{core,smr-baselines,smr-pop}/src`,
 //!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
 //!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the

@@ -9,16 +9,23 @@
 //! scratch growth), while the bypass run pays roughly one allocation per
 //! successful insert.
 //!
+//! It also checks that building an `HmHashMap` costs a number of global
+//! allocations that does not grow with its bucket count.
+//!
 //! Kept alone in its own test binary: the allocator counters are
 //! process-global, so a concurrently running test would pollute the deltas.
+//! The tests here take `SERIAL` for the same reason.
 
-use conc_ds::{ConcurrentSet, HarrisList};
+use conc_ds::{ConcurrentSet, HarrisList, HmHashMap};
 use nbr::NbrPlus;
 use smr_common::{Smr, SmrConfig};
 use smr_harness::alloc_track::{self, CountingAlloc};
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const WARM_OPS: u64 = 4_000;
 const MEASURED_OPS: u64 = 20_000;
@@ -56,6 +63,7 @@ fn measure(recycle: bool) -> (u64, smr_common::ThreadStats) {
 
 #[test]
 fn steady_state_bounds_global_allocator_calls() {
+    let _serial = SERIAL.lock().unwrap();
     assert!(alloc_track::is_installed());
 
     let (allocs_pooled, stats_pooled) = measure(true);
@@ -90,4 +98,29 @@ fn steady_state_bounds_global_allocator_calls() {
         stats_pooled.pool_misses
     );
     assert!(stats_pooled.pool_recycled > 0);
+}
+
+/// Global allocations made by `HmHashMap::with_buckets(config, buckets)`.
+fn hash_map_build_allocs(buckets: usize) -> u64 {
+    let config = SmrConfig::for_tests().with_max_threads(4);
+    let before = alloc_track::total_allocs();
+    let _map = HmHashMap::<NbrPlus>::with_buckets(config, buckets);
+    alloc_track::total_allocs() - before
+}
+
+#[test]
+fn hash_map_buckets_cost_no_allocation_each() {
+    let _serial = SERIAL.lock().unwrap();
+    assert!(alloc_track::is_installed());
+
+    // A bucket is an inline head in the one bucket array, so 4096 buckets
+    // cost what one does; a per-bucket head or tail allocation would add
+    // 4096 each. The slack absorbs the test harness's own allocations
+    // (progress output) racing the window.
+    let one = hash_map_build_allocs(1);
+    let many = hash_map_build_allocs(4096);
+    assert!(
+        many <= one + 16,
+        "4096 buckets made {many} global allocations, one bucket made {one}"
+    );
 }
