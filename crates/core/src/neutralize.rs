@@ -1,5 +1,6 @@
-//! The neutralization substrate: per-thread signal slots and the
-//! reader/writer/reclaimer handshakes of Sections 4.2–4.3.
+//! The neutralization substrate: per-thread signal slots, the reservations
+//! arrays (one [`SlotBlock`] row per thread) and the reader/writer/reclaimer
+//! handshakes of Sections 4.2–4.3.
 //!
 //! # Substitution for POSIX signals (DESIGN.md, S1)
 //!
@@ -56,13 +57,16 @@
 //! `Acquire` loads (see DESIGN.md, "Memory-ordering argument for single-fence
 //! scans").
 
-use smr_common::{CachePadded, PingChannel, ReclaimCore, ReclaimLocal, Registry, SmrConfig};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use smr_common::{
+    CachePadded, PingChannel, ReclaimCore, ReclaimLocal, Registry, SlotBlock, SmrConfig,
+};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
-/// Per-thread shared neutralization state (single-writer for `restartable`,
-/// `reservations`, `announce_ts`). The pending/acked signal handshake itself
-/// lives in the shared [`PingChannel`] owned by [`NeutralizationCore`].
-#[derive(Debug)]
+/// Per-thread shared neutralization state (single-writer for `restartable`
+/// and `announce_ts`). The reservations array lives in the
+/// [`NeutralizationCore`]'s [`SlotBlock`], and the pending/acked signal
+/// handshake in its shared [`PingChannel`].
+#[derive(Debug, Default)]
 pub struct SignalSlot {
     /// True while the owning thread is inside a read phase (Φ_read) and may be
     /// neutralized (Algorithm 1, line 3).
@@ -71,20 +75,9 @@ pub struct SignalSlot {
     /// broadcasting signals, even otherwise; two completed increments after a
     /// snapshot ⇒ a relaxed grace period elapsed.
     announce_ts: AtomicU64,
-    /// The records the owner will access in its write phase (Algorithm 1,
-    /// line 5: the SWMR reservations array). A zero entry is empty.
-    reservations: Box<[AtomicUsize]>,
 }
 
 impl SignalSlot {
-    fn new(max_reservations: usize) -> Self {
-        Self {
-            restartable: AtomicBool::new(false),
-            announce_ts: AtomicU64::new(0),
-            reservations: (0..max_reservations).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
     /// The owner's announcement timestamp (NBR+).
     #[inline]
     pub fn announce_ts(&self) -> u64 {
@@ -95,10 +88,13 @@ impl SignalSlot {
 /// The shared core used by both `Nbr` and `NbrPlus`: the reclaim pipeline
 /// (a combining one — NBR and NBR+ threads whose HiWatermark fires
 /// mid-broadcast publish their bag instead of stacking a second signal
-/// storm), the signal slots and the signal channel.
+/// storm), the signal slots, the reservations and the signal channel.
 pub struct NeutralizationCore {
     reclaim: ReclaimCore,
     slots: Vec<CachePadded<SignalSlot>>,
+    /// The records each thread will access in its write phase (Algorithm 1,
+    /// line 5: the SWMR reservations array), one row per thread.
+    reservations: SlotBlock,
     /// The pending/acked handshake, shared with the Publish-on-Ping
     /// reclaimers (`smr-pop`) via `smr-common`.
     ping: PingChannel,
@@ -119,10 +115,11 @@ impl NeutralizationCore {
         let reclaim = ReclaimCore::combining(config);
         let config = reclaim.config();
         let slots = (0..config.max_threads)
-            .map(|_| CachePadded::new(SignalSlot::new(config.max_reservations)))
+            .map(|_| CachePadded::default())
             .collect();
         Self {
             slots,
+            reservations: SlotBlock::new(config),
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
             reclaim,
         }
@@ -159,14 +156,14 @@ impl NeutralizationCore {
         local
             .addrs
             .reserve_exact(config.max_reservations * config.max_threads);
-        let slot = self.slot(tid);
-        slot.restartable.store(false, Ordering::SeqCst);
+        self.slot(tid).restartable.store(false, Ordering::SeqCst);
         // Catch up with the global sequence: this thread holds no pointers, so
         // it trivially acknowledges everything that has been sent so far.
         self.ping.reset_slot(tid);
-        for r in slot.reservations.iter() {
-            r.store(0, Ordering::SeqCst);
-        }
+        // `clear`'s `Release` stores suffice here and in `unregister`: a
+        // reclaimer that still sees a stale reservation only keeps its record
+        // longer.
+        self.reservations.clear(tid);
         local
     }
 
@@ -174,12 +171,8 @@ impl NeutralizationCore {
     /// its bag still holds to the orphan pool.
     pub fn unregister(&self, local: &mut ReclaimLocal) {
         let tid = local.tid();
-        smr_common::check::clear_claims(tid);
-        let slot = self.slot(tid);
-        slot.restartable.store(false, Ordering::SeqCst);
-        for r in slot.reservations.iter() {
-            r.store(0, Ordering::SeqCst);
-        }
+        self.slot(tid).restartable.store(false, Ordering::SeqCst);
+        self.reservations.clear(tid);
         // Mark the ping slot departed *before* leaving the registry, closing
         // the window where a reclaimer that snapshotted the active set is
         // still spinning on this thread's ack: the departed flag wakes it
@@ -197,20 +190,9 @@ impl NeutralizationCore {
     /// holds no shared pointers at this boundary), and becomes restartable.
     #[inline]
     pub fn begin_read_phase(&self, tid: usize) {
-        // Oracle mirror: retract the mirrored reservations before the real
-        // slots are cleared, so the mirror stays a subset of what reclaimers
-        // can actually observe.
-        smr_common::check::clear_claims(tid);
-        let slot = self.slot(tid);
-        for r in slot.reservations.iter() {
-            if r.load(Ordering::Relaxed) != 0 {
-                // Release is enough: the clear becomes visible to a reclaimer
-                // no later than the SeqCst swap below, and a reclaimer that
-                // still sees the stale reservation only keeps a record longer
-                // (conservative).
-                r.store(0, Ordering::Release);
-            }
-        }
+        // The clear (mirrored claims first) becomes visible to a reclaimer
+        // no later than the SeqCst swap below.
+        self.reservations.clear(tid);
         if let Some(seq) = self.ping.poll(tid) {
             // Only ack when something is pending: `acked` is single-writer,
             // so the unconditional store the seed performed here was an XCHG
@@ -221,7 +203,7 @@ impl NeutralizationCore {
         // SeqCst RMW: the paper's CAS-as-fence (line 8). Ensures no read of a
         // shared record in the upcoming Φ_read can be ordered before the
         // thread became restartable.
-        slot.restartable.swap(true, Ordering::SeqCst);
+        self.slot(tid).restartable.swap(true, Ordering::SeqCst);
     }
 
     /// Neutralization checkpoint for `tid`. Returns `true` if a signal arrived
@@ -244,28 +226,15 @@ impl NeutralizationCore {
     /// subsequently observes `restartable == false`.
     #[inline]
     pub fn end_read_phase(&self, tid: usize, reservations: &[usize]) {
-        let slot = self.slot(tid);
-        assert!(
-            reservations.len() <= slot.reservations.len(),
-            "too many reservations: {} > max_reservations {}",
-            reservations.len(),
-            slot.reservations.len()
-        );
         // Release stores suffice for the reservation values: the reclaimer
         // only trusts them after observing `restartable == false`, and that
         // observation synchronizes with the SeqCst swap below, which is
-        // sequenced after every store here. The seed published all `R` slots
-        // with SeqCst stores (R XCHGs per operation); skipping the slots that
-        // stay zero and downgrading the rest to Release leaves the per-op
-        // cost at the single swap the paper's Algorithm 1 line 12 requires.
-        for (i, r) in slot.reservations.iter().enumerate() {
-            let val = reservations.get(i).copied().unwrap_or(0);
-            if val != 0 || r.load(Ordering::Relaxed) != 0 {
-                r.store(val, Ordering::Release);
-            }
-        }
+        // sequenced after every store here. Skipping the unchanged slots and
+        // storing the rest with Release leaves the per-op cost at the single
+        // swap the paper's Algorithm 1 line 12 requires.
+        self.reservations.publish(tid, reservations);
         // SeqCst RMW: the paper's CAS-as-fence (line 12).
-        slot.restartable.swap(false, Ordering::SeqCst);
+        self.slot(tid).restartable.swap(false, Ordering::SeqCst);
         // Oracle mirror (after the swap): the reservations only become binding
         // on reclaimers once `restartable == false` is observable, so claiming
         // here never over-claims.
@@ -328,17 +297,8 @@ impl NeutralizationCore {
     pub fn collect_reservations_into(&self, collector: usize, reserved: &mut Vec<usize>) {
         reserved.clear();
         fence(Ordering::SeqCst);
-        for tid in self.registry().active_tids() {
-            if tid == collector {
-                continue;
-            }
-            for r in self.slot(tid).reservations.iter() {
-                let addr = r.load(Ordering::Acquire);
-                if addr != 0 {
-                    reserved.push(addr);
-                }
-            }
-        }
+        self.reservations
+            .collect_into(self.registry(), Some(collector), reserved);
     }
 
     // ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 //! Fault-injection adversary: seeded plans of stalls, departures and
-//! black-holed pings (ROADMAP direction 4, "preemption adversary").
+//! black-holed pings (ROADMAP 1(a), the fault rows).
 //!
 //! A [`FaultPlan`] names, per victim thread, one fault and the operation
 //! count at which it fires. The [`driver`](crate::driver) checks the plan at

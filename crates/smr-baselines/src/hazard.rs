@@ -15,17 +15,14 @@
 //! uses for structures without a dedicated validation bit: a protection is
 //! considered successful once the source field re-reads equal to the announced
 //! value. Retired records are scanned against every announced hazard and freed
-//! only when unprotected, which bounds garbage by `HiWatermark + K·N`.
+//! only when unprotected, which bounds garbage by `HiWatermark + K·N`. The
+//! `K` hazards of each thread are its row of the shared [`SlotBlock`].
 
 use smr_common::{
-    barrier, Atomic, CachePadded, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    barrier, Atomic, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock, Smr,
     SmrConfig, SmrNode, ThreadStats,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct HazardSlots {
-    slots: Box<[AtomicUsize]>,
-}
+use std::sync::atomic::Ordering;
 
 /// Per-thread context for [`HazardPointers`].
 pub struct HpCtx {
@@ -35,22 +32,10 @@ pub struct HpCtx {
 /// The hazard-pointer reclaimer.
 pub struct HazardPointers {
     core: ReclaimCore,
-    hazards: Vec<CachePadded<HazardSlots>>,
+    hazards: SlotBlock,
 }
 
 impl HazardPointers {
-    /// One pass over every active thread's hazard slots.
-    fn collect_hazards(&self, out: &mut Vec<usize>) {
-        for tid in self.core.registry().active_tids() {
-            for h in self.hazards[tid].slots.iter() {
-                let addr = h.load(Ordering::Acquire);
-                if addr != 0 {
-                    out.push(addr);
-                }
-            }
-        }
-    }
-
     fn scan_and_reclaim(&self, ctx: &mut HpCtx) {
         self.core.scan(&mut ctx.local, |local, _tail| {
             // Single-barrier scan: one heavy barrier orders this scan against
@@ -72,8 +57,9 @@ impl HazardPointers {
             // exactly ONE relocation of a continuously-held record per scan,
             // which is what the `Smr::protect_copy` relocation contract
             // licenses callers to do.
-            self.collect_hazards(&mut local.addrs);
-            self.collect_hazards(&mut local.addrs);
+            let registry = self.core.registry();
+            self.hazards.collect_into(registry, None, &mut local.addrs);
+            self.hazards.collect_into(registry, None, &mut local.addrs);
             // SAFETY: a retired record is unlinked; any thread that could
             // still dereference it must have announced (and validated) a
             // hazard pointer to it before our scan's barrier, so records
@@ -81,17 +67,6 @@ impl HazardPointers {
             // asymmetric single-barrier variant argued in DESIGN.md).
             unsafe { local.sweep_unreserved(usize::MAX) }
         });
-    }
-
-    fn clear_slots(&self, tid: usize) {
-        // Claims drop first: mirrored claims must stay a subset of the real
-        // announcements (a claim outliving its slot would flag legal frees).
-        smr_common::check::clear_claims(tid);
-        for h in self.hazards[tid].slots.iter() {
-            if h.load(Ordering::Relaxed) != 0 {
-                h.store(0, Ordering::Release);
-            }
-        }
     }
 }
 
@@ -111,19 +86,9 @@ impl Smr for HazardPointers {
 
     fn new(config: SmrConfig) -> Self {
         barrier::init();
-        let hazards = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(HazardSlots {
-                    slots: (0..config.hazards_per_thread)
-                        .map(|_| AtomicUsize::new(0))
-                        .collect(),
-                })
-            })
-            .collect();
-        Self {
-            core: ReclaimCore::new(config),
-            hazards,
-        }
+        let core = ReclaimCore::new(config);
+        let hazards = SlotBlock::new(core.config());
+        Self { core, hazards }
     }
 
     fn config(&self) -> &SmrConfig {
@@ -132,16 +97,16 @@ impl Smr for HazardPointers {
 
     fn register(&self, tid: usize) -> HpCtx {
         let mut local: ReclaimLocal = self.core.register(tid);
-        self.clear_slots(tid);
+        self.hazards.clear(tid);
         let config = self.core.config();
         local
             .addrs
-            .reserve_exact(config.hazards_per_thread * config.max_threads);
+            .reserve_exact(config.max_reservations * config.max_threads);
         HpCtx { local }
     }
 
     fn unregister(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.local.tid());
+        self.hazards.clear(ctx.local.tid());
         // Last chance to free what is already safe; the rest is orphaned.
         self.scan_and_reclaim(ctx);
         self.core.unregister(&mut ctx.local);
@@ -155,7 +120,7 @@ impl Smr for HazardPointers {
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut HpCtx, slot: usize, src: &Atomic<T>) -> Shared<T> {
         let tid = ctx.local.tid();
-        let slots = &self.hazards[tid].slots;
+        let slots = self.hazards.of(tid);
         debug_assert!(slot < slots.len(), "hazard slot index out of range");
         // The slot is being repurposed: whatever it validated before stops
         // being protected at the first announcement store below, so the
@@ -202,18 +167,18 @@ impl Smr for HazardPointers {
         // hazards"). That argument needs only this store ordered before the
         // later overwrite of `src_slot`, which `Release` gives.
         let tid = ctx.local.tid();
-        self.hazards[tid].slots[dst_slot].store(ptr.untagged_usize(), Ordering::Release);
+        self.hazards.of(tid)[dst_slot].store(ptr.untagged_usize(), Ordering::Release);
         smr_common::check::claim_addr(tid, dst_slot, ptr.untagged_usize());
     }
 
     #[inline]
     fn clear_protections(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.local.tid());
+        self.hazards.clear(ctx.local.tid());
     }
 
     #[inline]
     fn end_op(&self, ctx: &mut HpCtx) {
-        self.clear_slots(ctx.local.tid());
+        self.hazards.clear(ctx.local.tid());
         if self.core.heartbeat_due(&mut ctx.local) {
             self.scan_and_reclaim(ctx);
         }
@@ -318,7 +283,7 @@ mod tests {
         let p = smr.protect(&mut ctx, 0, &shared);
         assert!(p.ptr_eq(a));
         // The announced hazard must equal the validated pointer.
-        let announced = smr.hazards[0].slots[0].load(Ordering::SeqCst);
+        let announced = smr.hazards.of(0)[0].load(Ordering::SeqCst);
         assert_eq!(announced, a.untagged_usize());
         let old = shared.swap(Shared::null(), Ordering::AcqRel);
         unsafe { smr.retire(&mut ctx, old) };
@@ -335,7 +300,7 @@ mod tests {
         // Coalescing slack: the watermark trigger is consulted only on batch
         // flush, so the bag may overshoot by one unfilled batch.
         let bound = cfg.hi_watermark
-            + cfg.hazards_per_thread * cfg.max_threads
+            + cfg.max_reservations * cfg.max_threads
             + (smr_common::RETIRE_BATCH_CAP - 1);
         for i in 0..(cfg.hi_watermark * 8) {
             let p = smr.alloc(
@@ -401,7 +366,7 @@ mod tests {
                     // for unrelated announcements, exactly once per held
                     // record. The record stays continuously protected.
                     smr.protect_copy(&mut ctx, 0, 1, p);
-                    smr.hazards[1].slots[1].store(0x1000, Ordering::SeqCst);
+                    smr.hazards.of(1)[1].store(0x1000, Ordering::SeqCst);
                     for i in 0..32u64 {
                         assert_eq!(
                             unsafe { p.deref().key },
@@ -409,7 +374,7 @@ mod tests {
                             "record freed while continuously protected (scan race)"
                         );
                         // Churn the reused source slot like a traversal would.
-                        smr.hazards[1].slots[1].store(0x1000 + i as usize * 16, Ordering::SeqCst);
+                        smr.hazards.of(1)[1].store(0x1000 + i as usize * 16, Ordering::SeqCst);
                         std::thread::yield_now();
                     }
                     done_moving.store(true, Ordering::SeqCst);
@@ -537,9 +502,9 @@ mod tests {
         );
         shared.store(a, Ordering::Release);
         let _ = smr.protect(&mut ctx, 2, &shared);
-        assert_ne!(smr.hazards[0].slots[2].load(Ordering::SeqCst), 0);
+        assert_ne!(smr.hazards.of(0)[2].load(Ordering::SeqCst), 0);
         smr.end_op(&mut ctx);
-        assert_eq!(smr.hazards[0].slots[2].load(Ordering::SeqCst), 0);
+        assert_eq!(smr.hazards.of(0)[2].load(Ordering::SeqCst), 0);
         let old = shared.swap(Shared::null(), Ordering::AcqRel);
         unsafe { smr.retire(&mut ctx, old) };
         smr.unregister(&mut ctx);

@@ -21,54 +21,37 @@
 //! lets HE run the paper-faithful batch-unlink traversal; the full safety
 //! argument is in DESIGN.md, "Traversals through unlinked records under the
 //! interval reclaimers".
+//!
+//! The announced eras live in a [`SlotBlock`], one line-aligned row per
+//! thread, each slot one era word ([`NONE`] when empty).
 
 use smr_common::{
-    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Registry, Retired, Shared,
+    Atomic, EraClock, Magazine, ReclaimCore, ReclaimLocal, Registry, Retired, Shared, SlotBlock,
     Smr, SmrConfig, SmrNode, ThreadStats,
 };
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{fence, Ordering};
 
 /// Slot value meaning "no era announced".
 pub(crate) const NONE: u64 = 0;
 
-/// The per-thread era reservation slots HE and WFE both publish into:
-/// `hazards_per_thread` single-writer slots per thread, [`NONE`] when empty.
-pub(crate) struct EraTable {
-    threads: Vec<CachePadded<Box<[AtomicU64]>>>,
+// An era is stored in a slot word as `era as usize`, which must not truncate.
+const _: () = assert!(usize::BITS >= u64::BITS);
+
+/// The era slots HE and WFE both publish into: a [`SlotBlock`] plus the two
+/// era-specific operations, the copy and the hull fold.
+pub(crate) struct EraTable(pub(crate) SlotBlock);
+
+impl Deref for EraTable {
+    type Target = SlotBlock;
+
+    #[inline]
+    fn deref(&self) -> &SlotBlock {
+        &self.0
+    }
 }
 
 impl EraTable {
-    pub(crate) fn new(config: &SmrConfig) -> Self {
-        let threads = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(
-                    (0..config.hazards_per_thread)
-                        .map(|_| AtomicU64::new(NONE))
-                        .collect(),
-                )
-            })
-            .collect();
-        Self { threads }
-    }
-
-    /// Thread `tid`'s slots.
-    #[inline]
-    pub(crate) fn of(&self, tid: usize) -> &[AtomicU64] {
-        &self.threads[tid]
-    }
-
-    /// Withdraws every era `tid` announced.
-    pub(crate) fn clear(&self, tid: usize) {
-        // Claims drop first: mirrored claims must stay a subset of the real
-        // announcements (a claim outliving its slot would flag legal frees).
-        smr_common::check::clear_claims(tid);
-        for s in self.of(tid) {
-            if s.load(Ordering::Relaxed) != NONE {
-                s.store(NONE, Ordering::Release);
-            }
-        }
-    }
-
     /// Copies the era announced in `src_slot` (not the current one, which may
     /// postdate the record's retirement) into `dst_slot`: that era covers the
     /// record's lifetime, so it stays protected under `dst_slot`.
@@ -90,8 +73,8 @@ impl EraTable {
         if slots[dst_slot].load(Ordering::Relaxed) != era {
             slots[dst_slot].store(era, Ordering::SeqCst);
         }
-        if era != NONE {
-            smr_common::check::claim_era(tid, dst_slot, era);
+        if era != NONE as usize {
+            smr_common::check::claim_era(tid, dst_slot, era as u64);
         }
     }
 
@@ -116,7 +99,7 @@ impl EraTable {
             // of the same thread, so per-thread double collection suffices.
             for _ in 0..2 {
                 for s in self.of(tid) {
-                    let e = s.load(Ordering::Acquire);
+                    let e = s.load(Ordering::Acquire) as u64;
                     if e != NONE {
                         lo = lo.min(e);
                         hi = hi.max(e);
@@ -164,7 +147,7 @@ impl HazardEras {
         {
             for tid in self.core.registry().active_tids() {
                 for s in self.slots.of(tid) {
-                    let e = s.load(Ordering::Acquire);
+                    let e = s.load(Ordering::Acquire) as u64;
                     if e != NONE {
                         lowers.push(e);
                         uppers.push(e);
@@ -224,9 +207,10 @@ impl Smr for HazardEras {
     const CAN_TRAVERSE_UNLINKED: bool = true;
 
     fn new(config: SmrConfig) -> Self {
+        let core = ReclaimCore::new(config);
         Self {
-            slots: EraTable::new(&config),
-            core: ReclaimCore::new(config),
+            slots: EraTable(SlotBlock::new(core.config())),
+            core,
             era: EraClock::new(),
             #[cfg(feature = "check")]
             resurrect_point_sweep: std::sync::atomic::AtomicBool::new(false),
@@ -268,7 +252,7 @@ impl Smr for HazardEras {
         let tid = ctx.local.tid();
         let slots = self.slots.of(tid);
         debug_assert!(slot < slots.len(), "era slot index out of range");
-        let mut announced = slots[slot].load(Ordering::Relaxed);
+        let mut announced = slots[slot].load(Ordering::Relaxed) as u64;
         loop {
             let p = src.load(Ordering::Acquire);
             let era = self.era.now();
@@ -279,7 +263,7 @@ impl Smr for HazardEras {
                 smr_common::check::claim_era(tid, slot, era);
                 return p;
             }
-            slots[slot].store(era, Ordering::SeqCst);
+            slots[slot].store(era as usize, Ordering::SeqCst);
             // Keep the mirrored claim in lockstep with the real slot: the
             // old era stops being announced by the store above, and leaving
             // it claimed would stretch the oracle's hull beyond what the

@@ -36,8 +36,8 @@
 use crate::hazard_eras::{EraTable, NONE};
 use smr_common::trace::{self, TraceKind};
 use smr_common::{
-    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
-    SmrConfig, SmrNode, ThreadStats,
+    Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock,
+    Smr, SmrConfig, SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -140,7 +140,7 @@ impl Wfe {
         // store→load order as the fast path; with the era frozen under the
         // lock the validation step ("era unchanged after the load") holds by
         // construction.
-        self.slots.of(tid)[slot].store(era, Ordering::SeqCst);
+        self.slots.of(tid)[slot].store(era as usize, Ordering::SeqCst);
         // Oracle mirror on the requester's behalf (claims are keyed by the
         // owning tid, and under the explorer the fulfiller runs alone).
         smr_common::check::claim_era(tid, slot, era);
@@ -227,9 +227,10 @@ impl Smr for Wfe {
         let boards = (0..config.max_threads)
             .map(|_| CachePadded::new(HelpBoard::new()))
             .collect();
+        let core = ReclaimCore::combining(config);
         Self {
-            slots: EraTable::new(&config),
-            core: ReclaimCore::combining(config),
+            slots: EraTable(SlotBlock::new(core.config())),
+            core,
             era: EraClock::new(),
             boards,
             help_lock: Mutex::new(()),
@@ -272,7 +273,7 @@ impl Smr for Wfe {
         let tid = ctx.local.tid();
         let slots = self.slots.of(tid);
         debug_assert!(slot < slots.len(), "era slot index out of range");
-        let mut announced = slots[slot].load(Ordering::Relaxed);
+        let mut announced = slots[slot].load(Ordering::Relaxed) as u64;
         for _ in 0..MAX_FAST_TRIES {
             let p = src.load(Ordering::Acquire);
             let era = self.era.now();
@@ -280,7 +281,7 @@ impl Smr for Wfe {
                 smr_common::check::claim_era(tid, slot, era);
                 return p;
             }
-            slots[slot].store(era, Ordering::SeqCst);
+            slots[slot].store(era as usize, Ordering::SeqCst);
             // Keep the mirrored claim in lockstep with the real slot (no
             // preempt point sits between the store and this call).
             smr_common::check::claim_era(tid, slot, era);
@@ -486,7 +487,7 @@ mod tests {
         let era = board.result_era.load(Ordering::Relaxed);
         assert_ne!(era, NONE);
         assert_eq!(
-            smr.slots.of(1)[0].load(Ordering::Acquire),
+            smr.slots.of(1)[0].load(Ordering::Acquire) as u64,
             era,
             "the fulfilled era must be announced in the requester's slot"
         );
@@ -532,7 +533,7 @@ mod tests {
         let p = smr.protect_slow(&reader, 0, &shared);
         assert_eq!(unsafe { p.deref().key }, 7);
         assert_eq!(smr.boards[1].seq.load(Ordering::Relaxed) % 2, 0);
-        let announced = smr.slots.of(1)[0].load(Ordering::Acquire);
+        let announced = smr.slots.of(1)[0].load(Ordering::Acquire) as u64;
         assert_eq!(announced, smr.boards[1].result_era.load(Ordering::Relaxed));
 
         smr.clear_protections(&mut reader);

@@ -37,6 +37,9 @@
 //!   (thread-local magazines over a shared depot) that takes malloc/free off
 //!   the reclamation hot path (`recycle` module).
 //! * [`Registry`] — the fixed-capacity thread-slot registry.
+//! * [`SlotBlock`] — one line-aligned row of protection slots per thread,
+//!   the reservations/hazards/era array every protecting reclaimer publishes
+//!   into.
 //! * [`ReclaimCore`] / [`ReclaimLocal`] — the retire → scan → adopt → sweep
 //!   pipeline every reclaimer is assembled on (`reclaim` module): a scheme
 //!   supplies only its reservation rule, its retire stamp, its frontier and
@@ -68,6 +71,7 @@ pub mod reclaim;
 pub mod recycle;
 pub mod registry;
 pub mod retired;
+pub mod slots;
 pub mod smr;
 pub mod stats;
 pub mod trace;
@@ -86,6 +90,7 @@ pub use reclaim::{EpochBags, Limbo, ReclaimCore, ReclaimLocal, ScanTurn};
 pub use recycle::{BlockPool, Magazine};
 pub use registry::{Registry, ThreadSlot};
 pub use retired::Retired;
+pub use slots::{SlotBlock, SLOTS_PER_THREAD};
 pub use smr::{Smr, SmrConfig};
 pub use stats::ThreadStats;
 pub use util::{EraClock, OrphanPool};

@@ -30,12 +30,12 @@ use std::sync::atomic::Ordering;
 pub struct SmrConfig {
     /// Maximum number of concurrently registered threads (`N` in Algorithm 1).
     pub max_threads: usize,
-    /// Maximum records a thread reserves before a write phase (`R`). The paper
-    /// observes at most 3 for its data structures; the (a,b)-tree substitute
-    /// needs up to 4 (parent, leaf, sibling, spare).
+    /// Per-thread protection slots (NBR reservations, HP/HE/WFE/HP-POP
+    /// hazards), `R` in Algorithm 1; at most
+    /// [`SLOTS_PER_THREAD`](crate::SLOTS_PER_THREAD). The paper observes at
+    /// most 3 reservations for its data structures; the (a,b)-tree
+    /// substitute needs up to 4 (parent, leaf, sibling, spare).
     pub max_reservations: usize,
-    /// Hazard-pointer slots per thread (HP / HE).
-    pub hazards_per_thread: usize,
     /// Limbo-bag HiWatermark (`S`): retire triggers a reclamation scan once the
     /// bag reaches this size. Paper: 32 768; scaled default: 1 024.
     pub hi_watermark: usize,
@@ -93,7 +93,6 @@ impl Default for SmrConfig {
         Self {
             max_threads: 64,
             max_reservations: 8,
-            hazards_per_thread: 8,
             hi_watermark: 1024,
             lo_watermark: 256,
             epoch_freq: 32,
@@ -117,7 +116,6 @@ impl SmrConfig {
         Self {
             max_threads: 16,
             max_reservations: 4,
-            hazards_per_thread: 4,
             hi_watermark: 32,
             lo_watermark: 8,
             epoch_freq: 4,
@@ -222,6 +220,12 @@ impl SmrConfig {
         assert!(self.max_threads > 0);
         assert!(self.magazine_cap > 0, "magazine capacity must be positive");
         assert!(self.lo_watermark <= self.hi_watermark);
+        assert!(
+            self.max_reservations <= crate::SLOTS_PER_THREAD,
+            "max_reservations {} exceeds the {} protection slots a thread's SlotBlock row holds",
+            self.max_reservations,
+            crate::SLOTS_PER_THREAD
+        );
         assert!(
             self.max_reservations * self.max_threads
                 < self.hi_watermark.max(1) * self.max_threads.max(1) + self.hi_watermark,
@@ -554,6 +558,12 @@ mod tests {
         let c = c.with_coalesce(false).with_combine(false).with_memo(false);
         assert!(!c.coalesce && !c.combine && !c.memo);
         assert_eq!(c.retire_batch_cap(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 16 protection slots")]
+    fn more_reservations_than_a_slot_row_rejected() {
+        SmrConfig::default().with_max_reservations(17).validate();
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! * A reclaimer **pings** every registered thread over the shared
 //!   [`PingChannel`] before it frees anything. Each pinged thread, at its
 //!   next hook site (the per-hop `checkpoint`, or an operation boundary),
-//!   copies all `K` private slots into its shared *published* slots and
-//!   acknowledges. The reclaimer then scans the published slots (plus its
-//!   own private ones) and frees the unreserved prefix it retired before
-//!   the ping — the same sorted-address sweep
-//!   ([`LimboBag::reclaim_prefix_unreserved`]) HP and NBR use.
+//!   copies all `K` private slots into its shared *published* slots (its
+//!   row of a [`SlotBlock`]) and acknowledges. The reclaimer then scans
+//!   the published slots (plus its own private ones) and frees the
+//!   unreserved prefix it retired before the ping — the same sorted-address
+//!   sweep ([`LimboBag::reclaim_prefix_unreserved`]) HP and NBR use.
 //! * A silent thread times out the handshake after
 //!   `SmrConfig::ack_spin_limit` iterations and the round is conceded,
 //!   exactly like a timed-out neutralization round.
@@ -41,17 +41,10 @@
 //! slots, not an epoch's worth of garbage.
 
 use smr_common::{
-    Atomic, CachePadded, Magazine, PingChannel, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
+    Atomic, Magazine, PingChannel, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock, Smr,
     SmrConfig, SmrNode, ThreadStats,
 };
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
-
-struct PublishedSlots {
-    /// The owner's hazard reservations as of its last acknowledged ping.
-    /// Written by the owner (publish-on-ping), read by reclaimers after a
-    /// completed handshake. A zero entry is empty.
-    slots: Box<[AtomicUsize]>,
-}
+use std::sync::atomic::{fence, Ordering};
 
 /// Per-thread context for [`HpPop`].
 pub struct HpPopCtx {
@@ -69,7 +62,10 @@ pub struct HpPop {
     /// of launching a second full ping round.
     core: ReclaimCore,
     ping: PingChannel,
-    published: Vec<CachePadded<PublishedSlots>>,
+    /// Each thread's hazard reservations as of its last acknowledged ping.
+    /// Written by the owner (publish-on-ping), read by reclaimers after a
+    /// completed handshake.
+    published: SlotBlock,
 }
 
 impl HpPop {
@@ -79,26 +75,16 @@ impl HpPop {
         &self.core
     }
 
-    /// Copies the private slot array into `tid`'s published slots, skipping
-    /// stores whose value is unchanged (a stable traversal re-publishes the
-    /// same hazards; skipping the store avoids bouncing the line). `Release`
-    /// suffices: reclaimers only trust the slots after observing the
-    /// `SeqCst` acknowledgement sequenced after these stores.
-    fn publish_from(&self, tid: usize, private: &[usize]) {
-        for (shared, &value) in self.published[tid].slots.iter().zip(private) {
-            if shared.load(Ordering::Relaxed) != value {
-                shared.store(value, Ordering::Release);
-            }
-        }
-    }
-
     /// Services an incoming ping, if any: promote the private reservations
-    /// to the published slots, then acknowledge.
+    /// to the published slots, then acknowledge. The publish skips
+    /// unchanged slots (a stable traversal re-publishes the same hazards),
+    /// and its `Release` stores suffice: reclaimers only trust the slots
+    /// after observing the `SeqCst` acknowledgement sequenced after them.
     #[inline]
     fn poll_ping(&self, ctx: &mut HpPopCtx) {
         let tid = ctx.local.tid();
         if let Some(seq) = self.ping.poll(tid) {
-            self.publish_from(tid, &ctx.private);
+            self.published.publish(tid, &ctx.private);
             self.ping.ack(tid, seq);
             ctx.local.stats.pings_published += 1;
         }
@@ -116,7 +102,7 @@ impl HpPop {
             // burning their spin budget.
             let serve_own = || {
                 if let Some(own) = self.ping.poll(tid) {
-                    self.publish_from(tid, private);
+                    self.published.publish(tid, private);
                     self.ping.ack(tid, own);
                 }
             };
@@ -129,17 +115,8 @@ impl HpPop {
             // Single-fence scan over the published slots (DESIGN.md).
             fence(Ordering::SeqCst);
             local.addrs.clear();
-            for t in self.core.registry().active_tids() {
-                if t == tid {
-                    continue;
-                }
-                for s in self.published[t].slots.iter() {
-                    let addr = s.load(Ordering::Acquire);
-                    if addr != 0 {
-                        local.addrs.push(addr);
-                    }
-                }
-            }
+            self.published
+                .collect_into(self.core.registry(), Some(tid), &mut local.addrs);
             // Our own reservations need no publish: the private slots are
             // directly visible to us, and nobody else is scanning our bag.
             local
@@ -180,19 +157,12 @@ impl Smr for HpPop {
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
-        let published = (0..config.max_threads)
-            .map(|_| {
-                CachePadded::new(PublishedSlots {
-                    slots: (0..config.hazards_per_thread)
-                        .map(|_| AtomicUsize::new(0))
-                        .collect(),
-                })
-            })
-            .collect();
+        let core = ReclaimCore::combining(config);
+        let config = core.config();
         Self {
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
-            published,
-            core: ReclaimCore::combining(config),
+            published: SlotBlock::new(config),
+            core,
         }
     }
 
@@ -202,24 +172,23 @@ impl Smr for HpPop {
 
     fn register(&self, tid: usize) -> HpPopCtx {
         let mut local: ReclaimLocal = self.core.register(tid);
-        for s in self.published[tid].slots.iter() {
-            s.store(0, Ordering::SeqCst);
-        }
+        // `clear`'s `Release` stores suffice: a reclaimer that still sees a
+        // stale published slot only keeps its record longer.
+        self.published.clear(tid);
         self.ping.reset_slot(tid);
         let config = self.core.config();
         local
             .addrs
-            .reserve_exact(config.hazards_per_thread * config.max_threads);
+            .reserve_exact(config.max_reservations * config.max_threads);
         HpPopCtx {
             local,
-            private: vec![0usize; config.hazards_per_thread].into_boxed_slice(),
+            private: vec![0usize; config.max_reservations].into_boxed_slice(),
         }
     }
 
     fn unregister(&self, ctx: &mut HpPopCtx) {
-        smr_common::check::clear_claims(ctx.local.tid());
         ctx.private.fill(0);
-        self.publish_from(ctx.local.tid(), &ctx.private);
+        self.published.clear(ctx.local.tid());
         // Last chance to free what is already safe; the rest is orphaned.
         self.reclaim_with_pings(ctx);
         // Departed-slot exemption: set before leaving the registry so a
@@ -370,7 +339,7 @@ mod tests {
         let p = smr.protect(&mut ctx, 0, &shared);
         assert!(p.ptr_eq(node));
         assert_eq!(
-            smr.published[0].slots[0].load(Ordering::SeqCst),
+            smr.published.of(0)[0].load(Ordering::SeqCst),
             0,
             "no ping yet: the reservation must stay private"
         );
@@ -379,7 +348,7 @@ mod tests {
         let _ = seq;
         assert!(!smr.checkpoint(&mut ctx), "POP never restarts");
         assert_eq!(
-            smr.published[0].slots[0].load(Ordering::SeqCst),
+            smr.published.of(0)[0].load(Ordering::SeqCst),
             node.untagged_usize()
         );
         assert_eq!(smr.thread_stats(&ctx).pings_published, 1);
@@ -509,7 +478,7 @@ mod tests {
         // Retire coalescing amortizes the watermark check to batch flushes,
         // so the bound gains exactly the fixed batch slack (cap − 1).
         let bound = cfg.hi_watermark
-            + cfg.hazards_per_thread * cfg.max_threads
+            + cfg.max_reservations * cfg.max_threads
             + (smr_common::RETIRE_BATCH_CAP - 1);
         for i in 0..(cfg.hi_watermark * 8) {
             let p = smr.alloc(

@@ -25,7 +25,10 @@
 //!      orphan pool, the scan combiner, or one of the scan / adoption /
 //!      combining / watermark trace events. A scheme that
 //!      needs one of those is growing its own copy of the pipeline back;
-//!      it should call `ReclaimCore` instead.
+//!      it should call `ReclaimCore` instead; or
+//!   4. a scheme file, outside `#[cfg(test)]`, declares a boxed atomic
+//!      slice (`Box<[Atomic…`): per-thread protection slots go through
+//!      `smr_common::SlotBlock`, the one line-aligned layout.
 //!
 //! The lint is textual by design: it has no type information, so it trades
 //! a small amount of precision (waiver comments, per-file node-name scope)
@@ -70,7 +73,7 @@ fn lint() -> ExitCode {
 
     if findings.is_empty() {
         println!(
-            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected, pipeline written once)",
+            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected, pipeline and slot layout written once)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -98,7 +101,7 @@ const PIPELINE_ONLY: [&str; 6] = [
     "TraceKind::LimboHigh",
 ];
 
-/// Whether `rel` is a reclaimer's source file (lint rule 3's scope).
+/// Whether `rel` is a reclaimer's source file (lint rules 3 and 4's scope).
 fn is_scheme_file(rel: &Path) -> bool {
     [
         "crates/core/src",
@@ -386,6 +389,14 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<String>) {
                     ));
                 }
             }
+            if code.contains("Box<[Atomic") {
+                findings.push(format!(
+                    "{}:{}: a boxed atomic slot array in a scheme file; \
+                     per-thread protection slots go through `smr_common::SlotBlock`",
+                    rel.display(),
+                    i + 1
+                ));
+            }
         }
 
         if !is_recycle_abi && code.contains("Box::new") {
@@ -542,6 +553,21 @@ mod tests {
                    trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    }\n}\n";
         let f = run_in("crates/smr-baselines/src/x.rs", src);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn flags_boxed_atomic_slots_in_scheme_files_only() {
+        let src =
+            "struct S {\n    slots: Box<[AtomicUsize]>,\n    eras: Vec<Box<[AtomicU64]>>,\n    \
+                   private: Box<[usize]>,\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn g(_: Box<[AtomicUsize]>) {}\n}\n";
+        for dir in ["core", "smr-baselines", "smr-pop"] {
+            let f = run_in(&format!("crates/{dir}/src/x.rs"), src);
+            assert_eq!(f.len(), 2, "{dir}: {f:?}");
+            assert!(f[0].contains(":2:") && f[1].contains(":3:"), "{f:?}");
+            assert!(f.iter().all(|m| m.contains("SlotBlock")));
+        }
+        assert!(run_in("crates/smr-common/src/slots.rs", src).is_empty());
     }
 
     #[test]

@@ -20,12 +20,10 @@ fn cfg() -> SmrConfig {
 /// Lemma-10-style slack per participating thread, plus the whole live set
 /// (interval schemes pin lifetime-overlapping records; the list holds one
 /// node per key) and one orphaned limbo bag that may still be parked in the
-/// pool when the last survivor unregisters.
+/// pool when the last survivor unregisters. The `R·N` protection slots are
+/// counted twice, as headroom.
 fn departure_bound(config: &SmrConfig, threads: u64, key_range: u64) -> u64 {
-    (config.hi_watermark as u64
-        + (config.max_reservations * config.max_threads) as u64
-        + config.hazards_per_thread as u64 * config.max_threads as u64)
-        * (threads + 1)
+    (config.hi_watermark + 2 * config.max_reservations * config.max_threads) as u64 * (threads + 1)
         + key_range
 }
 

@@ -23,12 +23,10 @@ fn stalled_spec(key_range: u64, ops: u64) -> WorkloadSpec {
 }
 
 /// Per-thread bound from Lemma 10, times the number of participating threads,
-/// with headroom for records retired after the last reclamation scan.
+/// with headroom for records retired after the last reclamation scan. Every
+/// thread's `R·N` protection slots are counted twice, as headroom.
 fn bound(config: &SmrConfig, threads: u64) -> u64 {
-    (config.hi_watermark as u64
-        + (config.max_reservations * config.max_threads) as u64
-        + config.hazards_per_thread as u64 * config.max_threads as u64)
-        * (threads + 1)
+    (config.hi_watermark + 2 * config.max_reservations * config.max_threads) as u64 * (threads + 1)
 }
 
 #[test]
@@ -199,7 +197,7 @@ fn wfe_bounded_while_epoch_family_grows_under_injected_permanent_stall() {
 #[test]
 fn hp_pop_bounds_garbage_with_stalled_thread() {
     // HP-POP's private-until-pinged reservations still yield HP's bound: the
-    // stalled reader publishes at most `hazards_per_thread` addresses on each
+    // stalled reader publishes at most `max_reservations` addresses on each
     // ping (its read phase holds no protections in the E2 scenario), so the
     // handshake completes and the sweep frees everything unreserved. The
     // bound() slack already covers K published slots per thread.
