@@ -20,13 +20,17 @@
 //!   and serialized behind a structure-wide mutex. Underflow is handled
 //!   lazily: a leaf may become empty and is simply kept (a *relaxed* (a,b)-tree);
 //!   this does not affect correctness and is documented as part of S3.
+//! * **No deletion flag**: an update validates only its parent, which is
+//!   internal and therefore never unlinked, so re-finding the leaf among the
+//!   parent's children under its lock is the whole validation. A replaced
+//!   leaf is retired without being marked.
 //!
 //! NBR integration: the search is the Φ_read; updates reserve
 //! `[parent, leaf]` before their Φ_write (2 reservations).
 
 use crate::{check_key, ConcurrentSet};
 use smr_common::{recycle, Atomic, NodeHeader, SeqLock, Shared, Smr, SmrConfig};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Maximum keys per leaf node (the `b` of the (a,b)-tree for leaves).
@@ -38,7 +42,6 @@ pub const INT_CAP: usize = 16;
 pub struct AbNode {
     header: NodeHeader,
     lock: SeqLock,
-    removed: AtomicBool,
     /// Distance to the leaves; immutable after construction.
     height: usize,
     // --- leaf payload (immutable after publication) ---
@@ -59,7 +62,6 @@ impl AbNode {
         Self {
             header: NodeHeader::new(),
             lock: SeqLock::new(),
-            removed: AtomicBool::new(false),
             height: 0,
             leaf_len: keys.len(),
             leaf_keys,
@@ -76,7 +78,6 @@ impl AbNode {
         let node = Self {
             header: NodeHeader::new(),
             lock: SeqLock::new(),
-            removed: AtomicBool::new(false),
             height,
             leaf_len: 0,
             leaf_keys: [0u64; LEAF_CAP],
@@ -290,10 +291,10 @@ impl<S: Smr> AbTree<S> {
                 // before calling `lock_parent_of`.
                 let p_ref = unsafe { p.deref() };
                 p_ref.lock.lock();
-                if !p_ref.removed.load(Ordering::Acquire) {
-                    if let Some(idx) = p_ref.slot_of(leaf) {
-                        return Ok(Some(idx));
-                    }
+                // `p` is internal, and internal nodes are never unlinked, so
+                // finding `leaf` among its children is the whole validation.
+                if let Some(idx) = p_ref.slot_of(leaf) {
+                    return Ok(Some(idx));
                 }
                 p_ref.lock.unlock();
                 Err(())
@@ -328,11 +329,6 @@ impl<S: Smr> AbTree<S> {
             }
             (Some(_), None) => unreachable!("validated parent must contain the leaf"),
         }
-        // SAFETY: the caller reserved `leaf`; it is unlinked but not yet
-        // retired (the retire below is what hands it to the reclaimer).
-        unsafe { leaf.deref() }
-            .removed
-            .store(true, Ordering::Release);
         // SAFETY: the old leaf was just unlinked under the parent lock held by
         // this thread, so it is retired exactly once.
         unsafe { self.smr.retire(ctx, leaf) };
@@ -369,7 +365,6 @@ impl<S: Smr> AbTree<S> {
         // version lock (they restart if they raced with this).
         parent_ref.children[idx].store(left, Ordering::Release);
         parent_ref.insert_routing(idx, separator, right);
-        leaf_ref.removed.store(true, Ordering::Release);
         // SAFETY: unlinked above under the parent lock.
         unsafe { self.smr.retire(ctx, leaf) };
         true
@@ -400,7 +395,6 @@ impl<S: Smr> AbTree<S> {
             .smr
             .alloc(ctx, AbNode::new_internal(1, &[all[mid]], &[left, right]));
         self.root.store(new_root, Ordering::Release);
-        leaf_ref.removed.store(true, Ordering::Release);
         self.root_lock.unlock();
         // SAFETY: unlinked above under the root lock.
         unsafe { self.smr.retire(ctx, leaf) };

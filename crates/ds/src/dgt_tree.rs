@@ -10,7 +10,12 @@
 //!   removed and still points to the child that was read) and retry from the
 //!   root on failure. The original uses ticket locks whose version doubles as
 //!   the validation stamp; the [`SeqLock`] versioned lock plays that role
-//!   here.
+//!   here, and its dead bit is the "removed" flag: `remove` sets it on the
+//!   spliced-out parent with [`SeqLock::mark_dead`] while holding that
+//!   parent's lock. Only parents and grandparents are ever checked, so the
+//!   retired leaf is not marked.
+//! * A node is `[key, left, right, lock, header]`, 40 bytes, with the three
+//!   fields a search hop reads in its first 24.
 //!
 //! This is the structure the paper singles out as supported by NBR but **not**
 //! by HP-style schemes (Table 1: "no marks, cannot validate HP"): there is no
@@ -25,39 +30,41 @@
 
 use crate::{check_key, ConcurrentSet, KEY_MAX, KEY_MIN};
 use smr_common::{recycle, Atomic, NodeHeader, SeqLock, Shared, Smr, SmrConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
-/// A node of the external BST. Leaves have both children null.
+/// A node of the external BST. Leaves have both children null. The fields a
+/// search hop reads come first.
+#[repr(C)]
 pub struct Node {
-    header: NodeHeader,
     key: u64,
-    lock: SeqLock,
-    removed: AtomicBool,
     left: Atomic<Node>,
     right: Atomic<Node>,
+    /// Lock, version and the "removed" flag (its dead bit).
+    lock: SeqLock,
+    header: NodeHeader,
 }
 smr_common::impl_smr_node!(Node);
+
+const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 impl Node {
     fn leaf(key: u64) -> Self {
         Self {
-            header: NodeHeader::new(),
             key,
-            lock: SeqLock::new(),
-            removed: AtomicBool::new(false),
             left: Atomic::null(),
             right: Atomic::null(),
+            lock: SeqLock::new(),
+            header: NodeHeader::new(),
         }
     }
 
     fn internal(key: u64, left: Shared<Node>, right: Shared<Node>) -> Self {
         Self {
-            header: NodeHeader::new(),
             key,
-            lock: SeqLock::new(),
-            removed: AtomicBool::new(false),
             left: Atomic::new(left),
             right: Atomic::new(right),
+            lock: SeqLock::new(),
+            header: NodeHeader::new(),
         }
     }
 
@@ -68,7 +75,7 @@ impl Node {
 
     #[inline]
     fn is_removed(&self) -> bool {
-        self.removed.load(Ordering::Acquire)
+        self.lock.is_dead()
     }
 
     /// The child an operation on `key` must follow.
@@ -281,8 +288,7 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
                 parent_ref.left.load(Ordering::Acquire)
             };
             gchild_slot.store(sibling, Ordering::Release);
-            parent_ref.removed.store(true, Ordering::Release);
-            leaf_ref.removed.store(true, Ordering::Release);
+            parent_ref.lock.mark_dead();
             parent_ref.lock.unlock();
             gparent_ref.lock.unlock();
             // SAFETY: both records were just unlinked by this thread (it held
@@ -396,6 +402,16 @@ mod tests {
         }
         assert_eq!(tree.size(&mut ctx), 0);
         tree.smr().unregister(&mut ctx);
+    }
+
+    #[test]
+    fn traversal_fields_fill_the_first_24_bytes() {
+        use std::mem::offset_of;
+        assert_eq!(offset_of!(Node, key), 0);
+        assert_eq!(offset_of!(Node, left), 8);
+        assert_eq!(offset_of!(Node, right), 16);
+        assert_eq!(offset_of!(Node, lock), 24);
+        assert_eq!(offset_of!(Node, header), 32);
     }
 
     #[test]

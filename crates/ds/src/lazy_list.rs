@@ -1,11 +1,16 @@
 //! The lazy list of Heller et al. (LL05) — "a lazy concurrent list-based set".
 //!
 //! * `contains` traverses without any synchronization and decides membership
-//!   from the target node's `marked` flag.
+//!   from the target node's mark.
 //! * `insert` / `remove` traverse optimistically, lock the two affected nodes
-//!   (`pred`, `curr`), validate (`!pred.marked && !curr.marked &&
-//!   pred.next == curr`), and then perform the update; `remove` marks the node
+//!   (`pred`, `curr`), validate (neither is marked and `pred.next == curr`),
+//!   and then perform the update; `remove` marks the node
 //!   (logical delete) before unlinking it (physical delete).
+//!
+//! The mark is the dead bit of the node's [`SeqLock`] word, set by
+//! [`SeqLock::mark_dead`] under the lock `remove` already holds; a node is
+//! `[key, next, lock, header]`, 32 bytes, with the two fields a traversal
+//! hop reads in its first 16.
 //!
 //! This is the paper's canonical "synchronization-free search followed by an
 //! update" structure (Figure 2): the search is the NBR Φ_read, the lock /
@@ -20,32 +25,34 @@
 
 use crate::{check_key, ConcurrentSet, KEY_MAX, KEY_MIN};
 use smr_common::{recycle, Atomic, NodeHeader, SeqLock, Shared, Smr, SmrConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
-/// A node of the lazy list.
+/// A node of the lazy list. The fields a traversal hop reads come first.
+#[repr(C)]
 pub struct Node {
-    header: NodeHeader,
     key: u64,
-    marked: AtomicBool,
-    lock: SeqLock,
     next: Atomic<Node>,
+    /// Lock, version and the logical-deletion mark (its dead bit).
+    lock: SeqLock,
+    header: NodeHeader,
 }
 smr_common::impl_smr_node!(Node);
+
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
 
 impl Node {
     fn new(key: u64) -> Self {
         Self {
-            header: NodeHeader::new(),
             key,
-            marked: AtomicBool::new(false),
-            lock: SeqLock::new(),
             next: Atomic::null(),
+            lock: SeqLock::new(),
+            header: NodeHeader::new(),
         }
     }
 
     #[inline]
     fn is_marked(&self) -> bool {
-        self.marked.load(Ordering::Acquire)
+        self.lock.is_dead()
     }
 }
 
@@ -67,11 +74,8 @@ impl<S: Smr> LazyList<S> {
         // lint:allow-box-node — head sentinel: owned by the structure,
         // never published for retirement, freed by Box's own drop.
         let head = Box::new(Node {
-            header: NodeHeader::new(),
-            key: KEY_MIN,
-            marked: AtomicBool::new(false),
-            lock: SeqLock::new(),
             next: Atomic::from_raw(tail),
+            ..Node::new(KEY_MIN)
         });
         Self { smr, head }
     }
@@ -162,7 +166,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
             // SAFETY: `curr` is still protected by its traversal slot.
             let curr_ref = unsafe { curr.deref() };
             if curr_ref.key == key && !curr_ref.is_marked() {
-                // Already present; linearizes at the `marked` read.
+                // Already present; linearizes at the mark read.
                 self.smr.end_read_phase(ctx, &[]);
                 break false;
             }
@@ -232,7 +236,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
             }
             debug_assert_eq!(curr_ref.key, key);
             // Logical delete, then physical unlink.
-            curr_ref.marked.store(true, Ordering::Release);
+            curr_ref.lock.mark_dead();
             let next = curr_ref.next.load(Ordering::Acquire);
             pred_ref.next.store(next, Ordering::Release);
             curr_ref.lock.unlock();
@@ -388,6 +392,15 @@ mod tests {
             stats.retires
         );
         list.smr().unregister(&mut ctx);
+    }
+
+    #[test]
+    fn traversal_fields_fill_the_first_16_bytes() {
+        use std::mem::offset_of;
+        assert_eq!(offset_of!(Node, key), 0);
+        assert_eq!(offset_of!(Node, next), 8);
+        assert_eq!(offset_of!(Node, lock), 16);
+        assert_eq!(offset_of!(Node, header), 24);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`sched`] — the scheduler: real OS threads, exactly one runnable at a
 //!   time, context switches only at instrumented preemption points, driven
 //!   by seeded Random or PCT strategies.
-//! * [`scenario`] — small list/hash scenarios over the full 11-scheme
-//!   matrix, plus the replay-banner plumbing the integration tests use.
+//! * [`scenario`] — small Harris-list and hash-map scenarios over the full
+//!   scheme registry, lazy-list and DGT-tree scenarios under NBR, NBR+ and
+//!   DEBRA, plus the replay-banner plumbing the integration tests use.
 //!
 //! The crate is **not** a workspace default-member: enabling it turns on the
 //! `check` feature across every scheme crate, and feature unification would

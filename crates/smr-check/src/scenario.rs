@@ -8,7 +8,7 @@
 //! within a few hundred scheduled steps instead of a few million.
 
 use crate::sched::{run_schedule, Outcome, SplitMix64, Strategy};
-use conc_ds::{ConcurrentSet, HarrisList, HmHashMap};
+use conc_ds::{ConcurrentSet, DgtTree, HarrisList, HmHashMap, LazyList};
 use smr_common::check::{self, SessionConfig, Violation};
 use smr_common::{Smr, SmrConfig};
 use std::sync::Arc;
@@ -18,21 +18,35 @@ use std::sync::Arc;
 pub use smr_harness::SmrKind as Scheme;
 
 /// Data structures covered by the exploration matrix.
+///
+/// The two lock-based structures, [`Structure::LazyList`] and
+/// [`Structure::DgtTree`], are swept under NBR, NBR+ and DEBRA only: the
+/// paper marks HP, IBR and HE inapplicable to both (Table 1, as printed by
+/// the `applicability` bin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Structure {
     List,
     HashMap,
+    LazyList,
+    DgtTree,
 }
 
 impl Structure {
-    pub fn all() -> [Structure; 2] {
-        [Structure::List, Structure::HashMap]
+    pub fn all() -> [Structure; 4] {
+        [
+            Structure::List,
+            Structure::HashMap,
+            Structure::LazyList,
+            Structure::DgtTree,
+        ]
     }
 
     pub fn label(self) -> &'static str {
         match self {
             Structure::List => "harris-list",
             Structure::HashMap => "hm-hashmap",
+            Structure::LazyList => "lazy-list",
+            Structure::DgtTree => "dgt-tree",
         }
     }
 }
@@ -241,6 +255,22 @@ pub fn run_matrix_one(
                     strategy,
                     seed,
                     |cfg| HmHashMap::with_buckets(cfg, 2),
+                ),
+                Structure::LazyList => explore_one::<$S, LazyList<$S>, _>(
+                    &label,
+                    scheme.interval(),
+                    params,
+                    strategy,
+                    seed,
+                    LazyList::new,
+                ),
+                Structure::DgtTree => explore_one::<$S, DgtTree<$S>, _>(
+                    &label,
+                    scheme.interval(),
+                    params,
+                    strategy,
+                    seed,
+                    DgtTree::new,
                 ),
             }
         };

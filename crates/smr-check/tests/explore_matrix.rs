@@ -1,11 +1,12 @@
-//! The seeded exploration sweep: every scheme × structure cell runs a batch
-//! of deterministic schedules (a mix of random-switch and PCT strategies)
-//! and must come out oracle-clean.
+//! The seeded exploration sweep: every scheme on the Harris list and the
+//! hash map, and NBR, NBR+ and DEBRA on the lazy list and the DGT tree. Each
+//! cell runs a batch of deterministic schedules (a mix of random-switch and
+//! PCT strategies) and must come out oracle-clean.
 //!
 //! Knobs (environment):
 //!
-//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 24-cell
-//!   matrix then runs 2400 schedules).
+//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 30-cell
+//!   matrix then runs 3000 schedules).
 //! * `SMR_CHECK_SEED` — base seed (default `0x5EED_CAFE`; accepts `0x...`).
 //!   To replay a reported failure, set this to the printed seed and
 //!   `SMR_CHECK_SCHEDULES=1`.
@@ -105,3 +106,24 @@ macro_rules! sweep {
     };
 }
 smr_harness::for_each_scheme!(sweep);
+
+// The lock-based structures: NBR, NBR+ and DEBRA only (the paper's Table 1
+// rules hazard-pointer-style schemes out for both).
+macro_rules! sweep_lock_based {
+    ($($snake:ident: $variant:ident),*) => {
+        paste::paste! {
+            $(
+                #[test]
+                fn [<$snake _lazy_list>]() {
+                    sweep_cell(Scheme::$variant, Structure::LazyList);
+                }
+
+                #[test]
+                fn [<$snake _dgt_tree>]() {
+                    sweep_cell(Scheme::$variant, Structure::DgtTree);
+                }
+            )*
+        }
+    };
+}
+sweep_lock_based!(nbr_plus: NbrPlus, nbr: Nbr, debra: Debra);

@@ -9,6 +9,10 @@
 //! all of them, so relative comparisons remain fair.
 
 /// Per-record metadata embedded in every data-structure node.
+///
+/// The header may sit anywhere in the node: reclaimers reach it only through
+/// [`SmrNode::header`], never by offset, so a node type is free to put the
+/// fields its traversal reads first and the header last.
 #[derive(Debug, Default, Clone)]
 pub struct NodeHeader {
     /// Global era at which the record was allocated (IBR / HE). Written once

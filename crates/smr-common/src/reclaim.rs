@@ -480,9 +480,10 @@ impl ReclaimCore {
     }
 
     /// Folds peer garbage into this thread's bag: bags published to the
-    /// combiner, then departed threads' orphans. Both sources are
+    /// combiner, then departed threads' orphans retired at or before
+    /// `retired_by` (later ones go back to the pool). Both sources are
     /// non-blocking; a contended pool yields nothing this round.
-    fn adopt<B: Limbo>(&self, local: &mut ReclaimLocal<B>) {
+    fn adopt<B: Limbo>(&self, local: &mut ReclaimLocal<B>, retired_by: u64) {
         if let Some(combiner) = &self.combiner {
             let (published, bags) = combiner.adopt();
             if bags > 0 {
@@ -498,7 +499,12 @@ impl ReclaimCore {
                 local.limbo.push(r);
             }
         }
-        let orphaned = self.orphans.take_all();
+        let (orphaned, later): (Vec<_>, Vec<_>) = self
+            .orphans
+            .take_all()
+            .into_iter()
+            .partition(|r| r.retire_era() <= retired_by);
+        self.orphans.adopt(later);
         if !orphaned.is_empty() {
             local.stats.orphan_adoptions += orphaned.len() as u64;
             trace::emit(local.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
@@ -539,7 +545,7 @@ impl ReclaimCore {
         local: &mut ReclaimLocal<B>,
         sweep: impl FnOnce(&mut ReclaimLocal<B>, usize) -> usize,
     ) -> usize {
-        self.adopt(local);
+        self.adopt(local, u64::MAX);
         let tail = local.limbo.len();
         if tail == 0 {
             return 0;
@@ -550,7 +556,11 @@ impl ReclaimCore {
     /// The epoch-bag scan: when `observed` differs from the thread's local
     /// epoch, free every bag two epochs old, retarget the current bag and
     /// adopt peer garbage into it — *after* the rotation, so adopted
-    /// records wait two further advances like any fresh retire.
+    /// records wait two further advances like any fresh retire. Only
+    /// orphans stamped at or before `observed` are adopted: `observed` may
+    /// have been read before this thread was delayed, and a peer that
+    /// departed meanwhile may have retired records at a later epoch, which
+    /// a bag labelled `observed` would free too early.
     ///
     /// # Safety
     /// `observed` must be read from a clock whose every advance requires
@@ -580,7 +590,7 @@ impl ReclaimCore {
         } else {
             self.swept(local, tail, rotate);
         }
-        self.adopt(local);
+        self.adopt(local, observed);
     }
 
     /// One ping round over `ping`: broadcast from this thread, wait
@@ -756,6 +766,37 @@ mod tests {
         assert_eq!(toy.drops(), 5);
         toy.core.unregister(&mut survivor);
         toy.core.unregister(&mut bystander);
+    }
+
+    #[test]
+    fn epoch_scan_adopts_only_orphans_its_epoch_covers() {
+        let toy = Toy::new(ReclaimCore::new(config()));
+        let mut departing: ReclaimLocal<EpochBags> = toy.core.register(0);
+        let mut survivor: ReclaimLocal<EpochBags> = toy.core.register(1);
+        departing.limbo.start_at(7);
+        survivor.limbo.start_at(5);
+        let raw = alloc_node_raw(Node {
+            header: NodeHeader::new(),
+            drops: Arc::clone(&toy.drops),
+        });
+        // SAFETY: freshly allocated, never published, retired once.
+        toy.core
+            .retire(&mut departing, unsafe { Retired::new(raw, 7) });
+        toy.core.unregister(&mut departing);
+        assert_eq!(toy.core.orphan_count(), 1);
+
+        // A stale epoch (read before the peer retired at 7) adopts nothing.
+        // SAFETY (all three scans): test-local record nothing references.
+        unsafe { toy.core.epoch_scan(&mut survivor, 6) };
+        assert_eq!((toy.core.orphan_count(), survivor.limbo.len()), (1, 0));
+        unsafe { toy.core.epoch_scan(&mut survivor, 7) };
+        assert_eq!((toy.core.orphan_count(), survivor.limbo.len()), (0, 1));
+        // Freed two advances after its retire epoch, not before.
+        unsafe { toy.core.epoch_scan(&mut survivor, 8) };
+        assert_eq!(toy.drops(), 0);
+        unsafe { toy.core.epoch_scan(&mut survivor, 9) };
+        assert_eq!(toy.drops(), 1);
+        toy.core.unregister(&mut survivor);
     }
 
     #[test]

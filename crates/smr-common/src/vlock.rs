@@ -9,16 +9,26 @@
 //! — which is exactly the validation step those structures need (and stands in
 //! for the ticket-lock-plus-version scheme of the original DGT code).
 //!
-//! The low bit is the lock bit; the remaining bits are the version, which is
-//! incremented on every unlock, so `version` values returned to optimistic
-//! readers are always even… in spirit: concretely `read_version` returns the
-//! full word and [`SeqLock::try_lock_at`] only succeeds if the word is both
-//! unlocked and unchanged.
+//! Word layout:
+//!
+//! * bit 0 — the lock bit;
+//! * bits 1..=62 — the version, advanced by every unlock (`+1` on an odd word
+//!   clears the lock bit and carries into the version);
+//! * bit 63 — the sticky **dead** bit. [`SeqLock::mark_dead`] sets it while
+//!   the caller holds the lock, and nothing ever clears it. A node's logical
+//!   deletion (the lazy list's mark, the DGT tree's "removed") lives here, so
+//!   a node needs no separate flag word, and a reader learns "locked",
+//!   "changed" and "deleted" from the one load.
+//!
+//! `read_version` returns the full word, and [`SeqLock::try_lock_at`] and
+//! [`SeqLock::validate`] succeed only if the word is unlocked and unchanged.
+//! Marking changes the word, so a version read before the mark fails both.
 
 use crate::backoff::Backoff;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const LOCKED: u64 = 1;
+const DEAD: u64 = 1 << 63;
 
 /// A word-sized versioned spin lock.
 #[derive(Debug, Default)]
@@ -85,6 +95,9 @@ impl SeqLock {
             if self.try_lock() {
                 return;
             }
+            // Under the schedule explorer the holder cannot run while this
+            // thread spins; the point lets the scheduler switch to it.
+            crate::check::preempt("seqlock.spin", self as *const Self as usize);
             backoff.snooze();
         }
     }
@@ -98,8 +111,28 @@ impl SeqLock {
         let v = self.state.load(Ordering::Relaxed);
         debug_assert!(Self::version_is_locked(v), "unlock of an unlocked SeqLock");
         // +1 clears the lock bit and advances the version in one step
-        // (v is odd, so v + 1 is the next even version).
+        // (v is odd, so v + 1 is the next even version); the dead bit is
+        // above the carry and survives.
         self.state.store(v.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Sets the sticky dead bit: the node this lock guards is logically
+    /// deleted. Only the lock holder may call it, so a plain store suffices;
+    /// its `Release` pairs with the `Acquire` load in [`SeqLock::is_dead`],
+    /// so a reader that sees the mark sees the holder's earlier writes.
+    ///
+    /// Panics in debug builds if the lock is not currently held.
+    #[inline]
+    pub fn mark_dead(&self) {
+        let v = self.state.load(Ordering::Relaxed);
+        debug_assert!(Self::version_is_locked(v), "mark_dead without the lock");
+        self.state.store(v | DEAD, Ordering::Release);
+    }
+
+    /// True once [`SeqLock::mark_dead`] has been called.
+    #[inline]
+    pub fn is_dead(&self) -> bool {
+        self.read_version() & DEAD == DEAD
     }
 
     /// Checks that the state is still exactly `version` (unlocked and
@@ -169,6 +202,50 @@ mod tests {
         assert!(!l.validate(v), "locked state must fail validation");
         l.unlock();
         assert!(!l.validate(v), "changed version must fail validation");
+    }
+
+    #[test]
+    fn fresh_lock_is_not_dead() {
+        let l = SeqLock::new();
+        assert!(!l.is_dead());
+        l.lock();
+        assert!(!l.is_dead(), "locking alone must not mark");
+        l.unlock();
+        assert!(!l.is_dead());
+    }
+
+    #[test]
+    fn dead_bit_survives_unlock() {
+        let l = SeqLock::new();
+        l.lock();
+        l.mark_dead();
+        assert!(l.is_dead() && l.is_locked());
+        l.unlock();
+        assert!(l.is_dead(), "unlock must keep the dead bit");
+        assert!(!l.is_locked());
+        // Later lock/unlock cycles keep it too.
+        l.lock();
+        l.unlock();
+        assert!(l.is_dead());
+    }
+
+    #[test]
+    fn marking_invalidates_earlier_versions() {
+        let l = SeqLock::new();
+        let before = l.read_version();
+        l.lock();
+        l.mark_dead();
+        l.unlock();
+        assert!(!l.validate(before), "marking must fail validation");
+        assert!(
+            !l.try_lock_at(before),
+            "a pre-mark version must not lock a dead node"
+        );
+        // The post-mark word is an ordinary unlocked version.
+        let after = l.read_version();
+        assert!(l.validate(after));
+        assert!(l.try_lock_at(after));
+        l.unlock();
     }
 
     #[test]

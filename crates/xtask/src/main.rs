@@ -28,7 +28,11 @@
 //!      it should call `ReclaimCore` instead; or
 //!   4. a scheme file, outside `#[cfg(test)]`, declares a boxed atomic
 //!      slice (`Box<[Atomic…`): per-thread protection slots go through
-//!      `smr_common::SlotBlock`, the one line-aligned layout.
+//!      `smr_common::SlotBlock`, the one line-aligned layout; or
+//!   5. a node struct in a structure file — a type declared with
+//!      `impl_smr_node!` under `crates/ds/src` — has an `AtomicBool` field:
+//!      a node's deletion state lives in its lock word (`SeqLock`'s dead
+//!      bit) or in its link's mark bit, never in a flag word of its own.
 //!
 //! The lint is textual by design: it has no type information, so it trades
 //! a small amount of precision (waiver comments, per-file node-name scope)
@@ -73,7 +77,7 @@ fn lint() -> ExitCode {
 
     if findings.is_empty() {
         println!(
-            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected, pipeline and slot layout written once)",
+            "xtask lint: OK ({} files, every unsafe site justified, node heap ABI respected, pipeline and slot layout written once, no node flag words)",
             files.len()
         );
         ExitCode::SUCCESS
@@ -319,6 +323,9 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<String>) {
     let is_recycle_abi = rel.ends_with("crates/smr-common/src/recycle.rs")
         || rel == Path::new("crates/smr-common/src/recycle.rs");
     let scheme_file = is_scheme_file(rel);
+    let structure_file = rel.starts_with("crates/ds/src");
+    // Brace depth inside a node struct's body (rule 5); 0 = outside.
+    let mut node_struct_depth: i64 = 0;
 
     let mut in_block_comment = false;
     // `#[cfg(test)] mod … { … }` ranges are exempt: test-only unsafe (and
@@ -396,6 +403,31 @@ fn lint_file(rel: &Path, text: &str, findings: &mut Vec<String>) {
                     rel.display(),
                     i + 1
                 ));
+            }
+        }
+
+        if structure_file {
+            let declared = code.split_once("struct ").map(|(_, rest)| {
+                rest.trim_start()
+                    .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .next()
+                    .unwrap_or_default()
+            });
+            let opens_node_struct = node_struct_depth == 0
+                && declared.is_some_and(|name| node_types.iter().any(|ty| ty == name));
+            if opens_node_struct || node_struct_depth > 0 {
+                if has_word(&code, "AtomicBool") {
+                    findings.push(format!(
+                        "{}:{}: an `AtomicBool` in a node struct; a node's deletion \
+                         state lives in its lock word (`SeqLock::mark_dead`) or its \
+                         link's mark bit",
+                        rel.display(),
+                        i + 1
+                    ));
+                }
+                node_struct_depth += code.matches('{').count() as i64;
+                node_struct_depth -= code.matches('}').count() as i64;
+                node_struct_depth = node_struct_depth.max(0);
             }
         }
 
@@ -568,6 +600,20 @@ mod tests {
             assert!(f.iter().all(|m| m.contains("SlotBlock")));
         }
         assert!(run_in("crates/smr-common/src/slots.rs", src).is_empty());
+    }
+
+    #[test]
+    fn flags_atomic_bool_in_node_structs_of_structure_files_only() {
+        let src = "pub struct Node {\n    key: u64,\n    removed: AtomicBool,\n}\n\
+                   smr_common::impl_smr_node!(Node);\n\
+                   pub struct NodeSet {\n    busy: AtomicBool,\n}\n\
+                   struct Tree {\n    done: AtomicBool,\n}\n\
+                   fn f() -> AtomicBool {\n    AtomicBool::new(false)\n}\n";
+        let f = run_in("crates/ds/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].contains(":3:") && f[0].contains("lock word"), "{f:?}");
+        assert!(run_in("crates/smr-common/src/x.rs", src).is_empty());
+        assert!(run_in("crates/core/src/x.rs", src).is_empty());
     }
 
     #[test]
