@@ -126,8 +126,8 @@ impl Smr for Nbr {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut NbrCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // The watermark policy is only consulted when a staged batch
-        // flushes, so the bag can overshoot the trigger by at most
+        // The watermark policy is only consulted once per batch of
+        // retires, so the bag can overshoot the trigger by at most
         // RETIRE_BATCH_CAP - 1.
         let retired = Retired::new(ptr.as_raw(), 0);
         if self.core.reclaim().retire(&mut ctx.local, retired) {
@@ -352,8 +352,9 @@ mod tests {
         let nbr = new_nbr();
         let cfg = nbr.config().clone();
         let mut ctx = nbr.register(0);
-        // Coalescing slack: the policy is consulted only on batch flush, so
-        // the bag may overshoot the trigger by at most one unfilled batch.
+        // Coalescing slack: the policy is consulted once per batch of
+        // retires, so the bag may overshoot the trigger by at most one
+        // unfilled batch.
         let bound = cfg.hi_watermark
             + cfg.max_reservations * (cfg.max_threads - 1)
             + (smr_common::RETIRE_BATCH_CAP - 1);

@@ -278,9 +278,8 @@ impl Smr for NbrPlus {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut NbrPlusCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Records stage in a small thread-local batch; the HiWatermark
-        // trigger is only consulted when a batch flushes (bounded overshoot
-        // of RETIRE_BATCH_CAP - 1), while the cheap amortized
+        // The HiWatermark trigger is only consulted once per batch of
+        // retires (bounded overshoot of RETIRE_BATCH_CAP - 1), while the cheap amortized
         // LoWatermark/piggyback path keeps running per retire so a
         // completed peer RGP is still ridden promptly.
         let retired = Retired::new(ptr.as_raw(), 0);
@@ -585,8 +584,8 @@ mod tests {
         let smr = new_nbr_plus();
         let cfg = smr.config().clone();
         let mut ctx = smr.register(0);
-        // Coalescing slack: the HiWatermark trigger is consulted only on
-        // batch flush, so the bag may overshoot by one unfilled batch.
+        // Coalescing slack: the HiWatermark trigger is consulted once per
+        // batch of retires, so the bag may overshoot by one unfilled batch.
         let bound = cfg.hi_watermark
             + cfg.max_reservations * (cfg.max_threads - 1)
             + (smr_common::RETIRE_BATCH_CAP - 1);

@@ -6,10 +6,10 @@
 //! * A global epoch counter.
 //! * Each thread announces `(epoch, active)` when it begins an operation and
 //!   clears the active bit when it ends one.
-//! * Records retired while the thread's local epoch is `e` go into the bag for
-//!   epoch `e`; once the global epoch has advanced to `e + 2` every operation
-//!   that could have seen those records has finished, so the bag is freed
-//!   (the [`EpochBags`] rotation shared with QSBR).
+//! * A record retired while the thread's local epoch is `e` is stamped `e`;
+//!   once the global epoch has advanced to `e + 2` every operation that could
+//!   have seen it has finished, so the thread's next epoch scan frees it
+//!   (`ReclaimCore::epoch_scan`, shared with QSBR).
 //! * The global epoch advances only when every *active* thread has announced
 //!   the current epoch — so a single stalled or delayed thread stops all
 //!   reclamation (the *delayed thread vulnerability* discussed in Section 7 and
@@ -19,8 +19,8 @@
 //! DEBRA's amortized incremental scanning.
 
 use smr_common::{
-    CachePadded, EpochBags, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
-    SmrConfig, SmrNode, ThreadStats,
+    CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr, SmrConfig,
+    SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -35,7 +35,10 @@ struct EpochSlot {
 
 /// Per-thread context for [`Debra`].
 pub struct DebraCtx {
-    local: ReclaimLocal<EpochBags>,
+    local: ReclaimLocal,
+    /// The last global epoch this thread observed; its retires are stamped
+    /// with it.
+    epoch: u64,
 }
 
 /// The DEBRA epoch-based reclaimer.
@@ -86,15 +89,17 @@ impl Debra {
     }
 
     /// Called whenever the thread observes a (possibly) new global epoch:
-    /// frees every bag whose epoch is at least two behind and retargets the
-    /// current bag.
+    /// frees every record stamped at least two epochs behind it.
     #[inline]
     fn sync_local_epoch(&self, ctx: &mut DebraCtx, observed: u64) {
         // SAFETY: the global epoch only advances once every active thread
-        // has announced the current one, so two advances since a bag's
-        // records were retired mean every operation that could have held a
+        // has announced the current one, so two advances since a record
+        // was retired mean every operation that could have held a
         // reference has completed (classic EBR argument).
-        unsafe { self.core.epoch_scan(&mut ctx.local, observed) }
+        unsafe {
+            self.core
+                .epoch_scan(&mut ctx.local, &mut ctx.epoch, observed)
+        }
     }
 }
 
@@ -123,10 +128,12 @@ impl Smr for Debra {
     }
 
     fn register(&self, tid: usize) -> DebraCtx {
-        let mut local: ReclaimLocal<EpochBags> = self.core.register(tid);
+        let local = self.core.register(tid);
         self.slots[tid].announced.store(QUIESCENT, Ordering::SeqCst);
-        local.limbo.start_at(self.epoch.now());
-        DebraCtx { local }
+        DebraCtx {
+            local,
+            epoch: self.epoch.now(),
+        }
     }
 
     fn unregister(&self, ctx: &mut DebraCtx) {
@@ -145,7 +152,7 @@ impl Smr for Debra {
         let e = self.epoch.now();
         self.announce(ctx.local.tid(), e, true);
         // Oracle: active at epoch `e` — no record retired at epoch ≥ e may
-        // be freed while this op runs (the bag rule frees at retire + 2,
+        // be freed while this op runs (the epoch scan frees at retire + 2,
         // and the advance to retire + 2 needs every active announcement to
         // be past the retire epoch).
         smr_common::check::pin_epoch(ctx.local.tid(), e);
@@ -167,7 +174,7 @@ impl Smr for Debra {
         self.announce(ctx.local.tid(), 0, false);
         if self.core.heartbeat_due(&mut ctx.local) {
             ctx.local.note_scan();
-            // Heartbeat: nudge the epoch forward and free every bag two
+            // Heartbeat: nudge the epoch forward and free every record two
             // grace periods old, so a slow-retiring thread still returns
             // memory between watermark-paced advances.
             self.try_advance(ctx);
@@ -181,7 +188,7 @@ impl Smr for Debra {
         // `begin_op`: the global epoch can advance mid-operation (this
         // thread's announcement of `e` only blocks the advance past `e+1`),
         // and a reader that began in epoch `e+1` before this record was
-        // unlinked may hold a pointer to it. Bagging under the stale
+        // unlinked may hold a pointer to it. Stamping with the stale
         // `begin_op` epoch `e` would free at `e+2` — exactly when that
         // reader can still be active. Re-reading makes the classic argument
         // go through: the `e'+1 → e'+2` advance (with `e'` the retire-time
@@ -190,11 +197,8 @@ impl Smr for Debra {
         // unlink. Found by smr-check (use-after-free/deref on the Harris
         // list; replay: strategy=random/1 within the seeded sweep).
         self.sync_local_epoch(ctx, self.epoch.now());
-        // The record stages in the current epoch's bag (stamped before
-        // staging, so a mid-batch epoch advance retargets later retires
-        // without disturbing the staged ones). DEBRA has no watermark
-        // trigger: the epoch rotation is its only sweep.
-        let retired = Retired::new(ptr.as_raw(), ctx.local.limbo.epoch());
+        // DEBRA has no watermark trigger: the epoch scan is its only sweep.
+        let retired = Retired::new(ptr.as_raw(), ctx.epoch);
         self.core.retire(&mut ctx.local, retired);
     }
 
@@ -204,7 +208,7 @@ impl Smr for Debra {
         // every `begin_op`, so stamp equality between two operations means
         // the global epoch never advanced in between — and a record retired
         // at epoch `e` is only freed once the global epoch reaches `e + 2`.
-        self.core.config().memo.then_some(ctx.local.limbo.epoch())
+        self.core.config().memo.then_some(ctx.epoch)
     }
 
     fn flush(&self, ctx: &mut DebraCtx) {

@@ -252,8 +252,8 @@ impl Smr for Ibr {
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut IbrCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
         // Era-stamped before staging. The `empty_freq` scan cadence stays
-        // per-retire; the watermark trigger is consulted only when a batch
-        // flushes (bounded overshoot of RETIRE_BATCH_CAP - 1).
+        // per-retire; the watermark trigger is consulted once per batch of
+        // retires (bounded overshoot of RETIRE_BATCH_CAP - 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
         let at_hi = self.core.retire(&mut ctx.local, retired);
         if self.core.cadence_due(&mut ctx.local) || at_hi {

@@ -56,8 +56,8 @@ impl Smr for Leaky {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut LeakyCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Nothing is ever swept here, so the cue is ignored: staging only
-        // amortizes the segment pushes and peak-limbo bookkeeping.
+        // Nothing is ever swept here, so the cue is ignored: the retire
+        // skeleton only counts the record and tracks the peak limbo.
         self.core
             .retire(&mut ctx.local, Retired::new(ptr.as_raw(), 0));
     }

@@ -4,17 +4,17 @@
 //! in which it holds no references to shared records — in this benchmark (as in
 //! the paper's adaptation of the IBR benchmark's QSBR), the boundary between
 //! two data-structure operations. The global epoch may advance once every
-//! registered thread has been quiescent during the current epoch; records
-//! retired in epoch `e` are freed once the retiring thread observes epoch
-//! `e + 2` (the [`EpochBags`] rotation shared with DEBRA).
+//! registered thread has been quiescent during the current epoch; a record
+//! stamped with retire epoch `e` is freed once the retiring thread observes
+//! epoch `e + 2` (`ReclaimCore::epoch_scan`, shared with DEBRA).
 //!
 //! Like all EBR-family schemes it has no garbage bound: a thread that stalls
 //! inside an operation (never reaching a quiescent state) pins the epoch
 //! forever (experiment E2).
 
 use smr_common::{
-    CachePadded, EpochBags, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr,
-    SmrConfig, SmrNode, ThreadStats,
+    CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, Smr, SmrConfig,
+    SmrNode, ThreadStats,
 };
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -29,7 +29,10 @@ struct QsbrSlot {
 
 /// Per-thread context for [`Qsbr`].
 pub struct QsbrCtx {
-    local: ReclaimLocal<EpochBags>,
+    local: ReclaimLocal,
+    /// The last global epoch this thread observed; its retires are stamped
+    /// with it.
+    epoch: u64,
 }
 
 /// The QSBR reclaimer.
@@ -65,9 +68,12 @@ impl Qsbr {
     #[inline]
     fn sync_local_epoch(&self, ctx: &mut QsbrCtx, observed: u64) {
         // SAFETY: two epoch advances require every online thread to have
-        // been quiescent twice since a bag's records were retired; any
-        // operation that could have referenced them has ended.
-        unsafe { self.core.epoch_scan(&mut ctx.local, observed) }
+        // been quiescent twice since a record was retired; any operation
+        // that could have referenced it has ended.
+        unsafe {
+            self.core
+                .epoch_scan(&mut ctx.local, &mut ctx.epoch, observed)
+        }
     }
 }
 
@@ -96,12 +102,11 @@ impl Smr for Qsbr {
     }
 
     fn register(&self, tid: usize) -> QsbrCtx {
-        let mut local: ReclaimLocal<EpochBags> = self.core.register(tid);
+        let local = self.core.register(tid);
         let now = self.epoch.now();
         // A freshly registered thread is quiescent by definition.
         self.slots[tid].quiescent_epoch.store(now, Ordering::SeqCst);
-        local.limbo.start_at(now);
-        QsbrCtx { local }
+        QsbrCtx { local, epoch: now }
     }
 
     fn unregister(&self, ctx: &mut QsbrCtx) {
@@ -133,7 +138,7 @@ impl Smr for Qsbr {
     #[inline]
     fn end_op(&self, ctx: &mut QsbrCtx) {
         // Oracle mirror: drop the pin before announcing quiescence — the
-        // scans below may free this thread's own bags, which is legal once
+        // scans below may free this thread's own retires, which is legal once
         // the op is over (claims must stay a subset of real announcements).
         smr_common::check::unpin_epoch(ctx.local.tid());
         // Quiescent state: announce the current epoch and occasionally try to
@@ -168,16 +173,14 @@ impl Smr for Qsbr {
         // this thread's quiescent announcement from its *previous* op does
         // not block mid-op epoch advances, so a reader beginning in epoch
         // `e+1` before this record's unlink can hold a pointer while a
-        // stale-`e` bag is freed at `e+2`. Re-reading restores the grace
+        // stale-`e` stamp frees it at `e+2`. Re-reading restores the grace
         // period argument: the `e'+1 → e'+2` advance requires every thread
         // to go quiescent after the epoch reached `e'+1`, which postdates
         // this retire and hence the unlink (same stale-stamp shape smr-check
         // caught in DEBRA).
         self.sync_local_epoch(ctx, self.epoch.now());
-        // Stage in the current epoch's bag (stamped before staging — see
-        // the sync above). No watermark trigger: the epoch rotation is
-        // QSBR's only sweep.
-        let retired = Retired::new(ptr.as_raw(), ctx.local.limbo.epoch());
+        // No watermark trigger: the epoch scan is QSBR's only sweep.
+        let retired = Retired::new(ptr.as_raw(), ctx.epoch);
         self.core.retire(&mut ctx.local, retired);
     }
 
@@ -188,7 +191,7 @@ impl Smr for Qsbr {
         // equality between two operations means the global epoch never
         // advanced in between — and a record retired at epoch `e` is only
         // freed once its owner observes epoch `e + 2`.
-        self.core.config().memo.then_some(ctx.local.limbo.epoch())
+        self.core.config().memo.then_some(ctx.epoch)
     }
 
     fn flush(&self, ctx: &mut QsbrCtx) {

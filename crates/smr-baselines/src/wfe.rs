@@ -332,8 +332,8 @@ impl Smr for Wfe {
         debug_assert!(!ptr.is_null());
         // Era-stamped before staging. The `empty_freq` cadence stays
         // per-retire so the reclamation frontier advances at the configured
-        // rate; only the watermark check is amortized to batch flushes
-        // (bound slack: batch cap − 1).
+        // rate; only the watermark check is amortized to once per batch of
+        // retires (bound slack: batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
         let at_hi = self.core.retire(&mut ctx.local, retired);
         let cadence = self.core.cadence_due(&mut ctx.local);

@@ -24,8 +24,12 @@
 //! ```text
 //! cargo test -p smr-check                # full seeded sweep + resurrect suite
 //! SMR_CHECK_SCHEDULES=500 cargo test -p smr-check   # deeper sweep
-//! SMR_CHECK_SEED=0xdeadbeef cargo test -p smr-check # replay a reported seed
+//! SMR_CHECK_SEED=0xdeadbeef cargo test -p smr-check # another base seed
 //! ```
+//!
+//! A failing cell's banner prints the exact
+//! `run_matrix_one(Scheme::…, Structure::…, Strategy::…, seed, &Params::default())`
+//! call that replays the run; paste it into a test.
 
 pub mod scenario;
 pub mod sched;

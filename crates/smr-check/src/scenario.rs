@@ -95,13 +95,11 @@ pub fn quiet_config(params: &Params) -> SmrConfig {
         .with_scan_heartbeat_ops(1)
         .with_signal_cost_ns(0)
         .with_magazine_cap(params.magazine_cap)
-        // Hot-path batching stays ON under the explorer: retire coalescing
-        // and flat-combined scan publication add their own preemption points
-        // ("limbo.flush-stage", "combine.handoff") and must hold up under
-        // adversarial schedules. The per-op heartbeat keeps the config
-        // reclamation-hostile anyway — every op exit flushes the stage and
+        // Flat-combined scan publication stays ON under the explorer: it
+        // adds its own preemption point ("combine.handoff") and must hold up
+        // under adversarial schedules. The per-op heartbeat keeps the config
+        // reclamation-hostile anyway — every op exit with garbage pending
         // opens a retire → sweep → free window.
-        .with_coalesce(true)
         .with_combine(true);
     // Short ack spins: under the one-runnable scheduler the awaited thread
     // cannot make progress while the pinger holds the token, so every spin
@@ -285,18 +283,24 @@ pub fn run_matrix_one(
     smr_harness::for_each_scheme!(dispatch)
 }
 
-/// Formats a failing run for the test log: everything needed to replay.
+/// Formats a failing matrix run for the test log: the exact
+/// [`run_matrix_one`] call that replays it, then what went wrong. Each
+/// schedule's seed is derived from the sweep's base seed, so this call —
+/// not `SMR_CHECK_SEED` — is the replay.
 pub fn replay_banner(
-    scheme_label: &str,
-    structure_label: &str,
+    scheme: Scheme,
+    structure: Structure,
     strategy: Strategy,
     seed: u64,
     report: &RunReport,
 ) -> String {
     let mut s = format!(
-        "--- smr-check failure: {scheme_label}/{structure_label} ---\n\
-         replay: strategy={} seed={seed} steps={} budget_exhausted={}\n",
-        strategy.label(),
+        "--- smr-check failure: {}/{} ---\n\
+         replay: run_matrix_one(Scheme::{scheme:?}, Structure::{structure:?}, \
+         Strategy::{strategy:?}, {seed:#x}, &Params::default())\n\
+         steps={} budget_exhausted={}\n",
+        scheme.label(),
+        structure.label(),
         report.steps,
         report.budget_exhausted,
     );

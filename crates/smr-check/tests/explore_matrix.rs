@@ -8,8 +8,9 @@
 //! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 30-cell
 //!   matrix then runs 3000 schedules).
 //! * `SMR_CHECK_SEED` — base seed (default `0x5EED_CAFE`; accepts `0x...`).
-//!   To replay a reported failure, set this to the printed seed and
-//!   `SMR_CHECK_SCHEDULES=1`.
+//!   Each schedule's seed is derived from it per cell, so a reported
+//!   failure is not replayed through this knob: its banner prints the exact
+//!   `run_matrix_one(…)` call that reproduces the run.
 //! * `SMR_CHECK_CELL_SECS` — wall-clock budget per cell (default 30s);
 //!   a cell that runs out of time stops early and reports how far it got
 //!   rather than blowing the CI budget.
@@ -66,7 +67,7 @@ fn sweep_cell(scheme: Scheme, structure: Structure) {
         assert!(
             report.clean(),
             "{}",
-            replay_banner(scheme.label(), structure.label(), strategy, seed, &report)
+            replay_banner(scheme, structure, strategy, seed, &report)
         );
         ran += 1;
         exhausted += report.budget_exhausted as u64;

@@ -22,7 +22,7 @@
 
 use conc_ds::{ConcurrentSet, HarrisList};
 use smr_baselines::{HazardEras, Ibr};
-use smr_check::{explore_one, replay_banner, Params, RunReport, SplitMix64, Strategy};
+use smr_check::{explore_one, Params, RunReport, SplitMix64, Strategy};
 
 fn schedules_budget() -> u64 {
     std::env::var("SMR_CHECK_RESURRECT_SCHEDULES")
@@ -40,6 +40,20 @@ fn strategy_for(i: u64) -> Strategy {
     }
 }
 
+/// What a hunt prints for one run: its schedule and what went wrong.
+fn banner(what: &str, strategy: Strategy, seed: u64, report: &RunReport) -> String {
+    format!(
+        "{what}/harris-list: Strategy::{strategy:?}, seed {seed:#x}, steps={}\n{}\n{}",
+        report.steps,
+        report.failure.as_deref().unwrap_or(""),
+        report
+            .violation
+            .as_ref()
+            .map(|v| v.to_string())
+            .unwrap_or_default()
+    )
+}
+
 /// Runs schedules until `run` reports a violation matching `accept`, then
 /// prints the replay banner for it. Panics (with the closest miss, if any)
 /// when the budget is exhausted without a rediscovery.
@@ -55,12 +69,12 @@ fn hunt(what: &str, accept: &dyn Fn(&RunReport) -> bool, run: &dyn Fn(Strategy, 
             println!(
                 "rediscovered {what} after {} schedule(s):\n{}",
                 i + 1,
-                replay_banner(what, "harris-list", strategy, seed, &report)
+                banner(what, strategy, seed, &report)
             );
             return;
         }
         if !report.clean() && near_miss.is_none() {
-            near_miss = Some(replay_banner(what, "harris-list", strategy, seed, &report));
+            near_miss = Some(banner(what, strategy, seed, &report));
         }
     }
     panic!(

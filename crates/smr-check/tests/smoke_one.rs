@@ -14,7 +14,38 @@ fn one_schedule_per_scheme_list() {
         assert!(
             report.clean(),
             "{}",
-            replay_banner(scheme.label(), "harris-list", strategy, seed, &report)
+            replay_banner(scheme, Structure::List, strategy, seed, &report)
         );
     }
+}
+
+/// A banner's call is the replay: run twice, it takes the same steps to
+/// the same outcome.
+#[test]
+fn banner_call_replays_the_same_run() {
+    let (scheme, structure) = (Scheme::Debra, Structure::HashMap);
+    let (strategy, seed) = (Strategy::Pct { depth: 3 }, 0x5EED_CAFE);
+    let first = run_matrix_one(scheme, structure, strategy, seed, &Params::default());
+    let banner = replay_banner(scheme, structure, strategy, seed, &first);
+    assert!(
+        banner.contains(
+            "run_matrix_one(Scheme::Debra, Structure::HashMap, \
+             Strategy::Pct { depth: 3 }, 0x5eedcafe, &Params::default())"
+        ),
+        "{banner}"
+    );
+    assert!(
+        !first.budget_exhausted,
+        "a free-running tail is not replayable"
+    );
+    let again = run_matrix_one(
+        Scheme::Debra,
+        Structure::HashMap,
+        Strategy::Pct { depth: 3 },
+        0x5eedcafe,
+        &Params::default(),
+    );
+    assert_eq!(again.steps, first.steps);
+    assert_eq!(again.failure, first.failure);
+    assert_eq!(again.clean(), first.clean());
 }

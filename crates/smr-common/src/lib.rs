@@ -86,7 +86,7 @@ pub use limbo::{LimboBag, RETIRE_BATCH_CAP};
 pub use pad::CachePadded;
 pub use ping::{PingChannel, PingOutcome};
 pub use policy::{ScanPolicy, ScanState};
-pub use reclaim::{EpochBags, Limbo, ReclaimCore, ReclaimLocal, ScanTurn};
+pub use reclaim::{ReclaimCore, ReclaimLocal, ScanTurn};
 pub use recycle::{BlockPool, Magazine};
 pub use registry::{Registry, ThreadSlot};
 pub use retired::Retired;

@@ -6,17 +6,14 @@
 //! reservation scan for NBR, epoch scan for DEBRA, hazard scan for HP, …) and
 //! frees every record the scan proves safe.
 //!
-//! The bag is a *segmented batch list*: records live in fixed-capacity
-//! segments, so the retire fast path never pays a reallocate-and-copy of the
-//! whole bag, and a reclamation sweep compacts each segment in place instead
-//! of allocating a fresh vector per scan (which the pre-segmented bag did on
-//! every scan — a malloc/free pair plus a full copy of up to `HiWatermark`
-//! records on the hottest path in the tree).
+//! The bag is one vector of [`Retired`] records in retire order, the same
+//! shape for all twelve schemes. A reclamation sweep compacts it in place,
+//! so a scan allocates nothing and survivors keep their order.
 //!
 //! The bag preserves retire order, which NBR+ relies on: a thread at the
 //! LoWatermark bookmarks the current tail and may later free exactly the
-//! prefix retired before the bookmark (Algorithm 2, lines 14/19). Segments are
-//! kept in retire order and in-place compaction never reorders survivors.
+//! prefix retired before the bookmark (Algorithm 2, lines 14/19). In-place
+//! compaction never reorders survivors, so the bookmark stays valid.
 //!
 //! Reclamation is *sort-then-sweep*: the caller sorts its snapshot of the
 //! announced protections once (hazard addresses, eras, or interval bounds) and
@@ -29,192 +26,93 @@ use crate::recycle::Magazine;
 use crate::retired::Retired;
 use crate::stats::ThreadStats;
 
-/// Records per segment. Large enough that segment allocation is amortized
-/// over hundreds of retires, small enough that a partially reclaimed bag
-/// returns memory to the allocator in useful chunks.
-const SEGMENT_CAPACITY: usize = 256;
-
-/// Capacity of the per-thread retire staging buffer (the `RetireBatch`):
-/// 8 × 16-byte [`Retired`] entries — a cache-line-sized batch that amortizes
-/// the segment bookkeeping and the flush-gated policy checks over eight
-/// retires. Also the slack the robust garbage bounds gain when coalescing is
-/// on: at most `RETIRE_BATCH_CAP - 1` records sit staged past a watermark
-/// check, because the check that would trigger a scan runs on every flush.
+/// Retires per watermark check: [`LimboBag::stage`] returns `true` once
+/// every this many records, and only then does the retire path read the
+/// bag length against the HiWatermark. Also the slack the robust garbage
+/// bounds allow: at most `RETIRE_BATCH_CAP - 1` records are retired past a
+/// check.
 pub const RETIRE_BATCH_CAP: usize = 8;
 
-/// An ordered bag of retired records owned by a single thread.
-pub struct LimboBag {
-    /// Non-empty segments in retire order (older segments first). Each
-    /// segment is filled exactly to its capacity before a new one is started,
-    /// so pushes never reallocate an existing segment.
-    segments: Vec<Vec<Retired>>,
-    /// One empty segment buffer salvaged from the last sweep, reused by the
-    /// next push that needs a segment — a sweep that empties the bag would
-    /// otherwise free every buffer and the next retire burst would pay a
-    /// fresh allocation per segment, putting malloc back on the very path
-    /// the recycling pool takes it off.
-    spare: Vec<Retired>,
-    /// Total records held, staged entries included.
-    len: usize,
-    /// The `RetireBatch`: the newest retires, staged ahead of the segments
-    /// until a flush moves them over. Always the suffix of the retire order,
-    /// so flushing preserves order and prefix bookmarks taken from [`len`]
-    /// stay valid across flushes.
-    stage: Vec<Retired>,
-    /// Flush threshold for [`stage`](LimboBag::stage); `1` disables staging
-    /// (every record goes straight to the segments, as before coalescing).
-    batch_cap: usize,
-}
+/// Records a bag reserves up front at most; past that the vector grows.
+const INITIAL_CAPACITY: usize = 256;
 
-impl Default for LimboBag {
-    fn default() -> Self {
-        Self {
-            segments: Vec::new(),
-            spare: Vec::new(),
-            len: 0,
-            stage: Vec::new(),
-            batch_cap: 1,
-        }
-    }
+/// An ordered bag of retired records owned by a single thread.
+#[derive(Debug, Default)]
+pub struct LimboBag {
+    /// Every held record, oldest first.
+    records: Vec<Retired>,
 }
 
 impl LimboBag {
-    /// An empty bag with staging disabled.
+    /// An empty bag.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty bag with room for `capacity` records (avoids growth in the
-    /// retire fast path).
+    /// An empty bag with room for `capacity` records, up to the first 256
+    /// (the rest is allocated as the bag grows).
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut segments = Vec::with_capacity(capacity.div_ceil(SEGMENT_CAPACITY).max(1));
-        segments.push(Vec::with_capacity(capacity.clamp(1, SEGMENT_CAPACITY)));
         Self {
-            segments,
-            spare: Vec::new(),
-            len: 0,
-            stage: Vec::new(),
-            batch_cap: 1,
+            records: Vec::with_capacity(capacity.clamp(1, INITIAL_CAPACITY)),
         }
     }
 
-    /// An empty bag whose [`stage`](LimboBag::stage) buffers up to
-    /// `batch_cap` records before touching the segments. `batch_cap <= 1`
-    /// disables staging entirely.
-    pub fn with_batch(batch_cap: usize) -> Self {
-        let batch_cap = batch_cap.max(1);
-        Self {
-            stage: Vec::with_capacity(if batch_cap > 1 { batch_cap } else { 0 }),
-            batch_cap,
-            ..Self::default()
-        }
-    }
-
-    /// [`LimboBag::with_capacity`] combined with [`LimboBag::with_batch`].
+    /// [`LimboBag::with_capacity`] for a caller that sizes the bag from an
+    /// `SmrConfig`: `batch_cap` is
+    /// [`SmrConfig::retire_batch_cap`](crate::SmrConfig::retire_batch_cap),
+    /// which is always [`RETIRE_BATCH_CAP`], the fixed cadence of
+    /// [`stage`](LimboBag::stage).
     pub fn with_capacity_and_batch(capacity: usize, batch_cap: usize) -> Self {
-        let batch_cap = batch_cap.max(1);
-        Self {
-            stage: Vec::with_capacity(if batch_cap > 1 { batch_cap } else { 0 }),
-            batch_cap,
-            ..Self::with_capacity(capacity)
-        }
+        debug_assert_eq!(batch_cap, RETIRE_BATCH_CAP);
+        Self::with_capacity(capacity)
     }
 
-    /// Appends a retired record (Algorithm 1, line 19) directly to the
-    /// segments. Any staged records flush first so the bag's global retire
-    /// order is preserved — orphan adoption pushes, for instance, must land
-    /// after the adopter's own earlier (staged) retires.
+    /// Appends a retired record (Algorithm 1, line 19) behind everything
+    /// retired so far — orphan adoption and combiner hand-offs use this.
     #[inline]
     pub fn push(&mut self, retired: Retired) {
-        if !self.stage.is_empty() {
-            self.flush_stage();
-        }
-        self.push_seg(retired);
-        self.len += 1;
+        self.records.push(retired);
     }
 
-    /// Stages a retired record in the `RetireBatch`, flushing to the
-    /// segments when the batch fills. Returns `true` when a flush happened
-    /// (immediately, with staging disabled) — the caller's cue to run its
-    /// watermark/policy checks, which is what bounds the staged overshoot to
-    /// `RETIRE_BATCH_CAP - 1` records.
+    /// Appends one retire and returns `true` once every
+    /// [`RETIRE_BATCH_CAP`] records — when the length reaches a multiple of
+    /// it: the caller's cue to run its watermark/policy checks, which is
+    /// what bounds the overshoot past a check to `RETIRE_BATCH_CAP - 1`
+    /// records.
     #[inline]
     pub fn stage(&mut self, retired: Retired) -> bool {
-        if self.batch_cap <= 1 {
-            self.push(retired);
-            return true;
-        }
-        self.stage.push(retired);
-        self.len += 1;
-        if self.stage.len() >= self.batch_cap {
-            self.flush_stage();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Moves every staged record into the segments, in retire order. Called
-    /// on batch fill, and by every sweep/drain entry point so no staged
-    /// record can be skipped by a scan or stranded at departure.
-    pub fn flush_stage(&mut self) {
-        if self.stage.is_empty() {
-            return;
-        }
-        crate::check::preempt("limbo.flush-stage", 0);
-        let mut staged = core::mem::take(&mut self.stage);
-        for r in staged.drain(..) {
-            self.push_seg(r);
-        }
-        // Keep the allocation for the next batch.
-        self.stage = staged;
-    }
-
-    /// Records currently sitting in the staging buffer (diagnostics/tests).
-    #[inline]
-    pub fn staged_len(&self) -> usize {
-        self.stage.len()
-    }
-
-    /// Segment append without touching `len` (shared by push and flush).
-    #[inline]
-    fn push_seg(&mut self, retired: Retired) {
-        match self.segments.last_mut() {
-            Some(seg) if seg.len() < seg.capacity() => seg.push(retired),
-            _ => {
-                let mut seg = if self.spare.capacity() > 0 {
-                    core::mem::take(&mut self.spare)
-                } else {
-                    Vec::with_capacity(SEGMENT_CAPACITY)
-                };
-                seg.push(retired);
-                self.segments.push(seg);
-            }
-        }
+        self.records.push(retired);
+        self.records.len() % RETIRE_BATCH_CAP == 0
     }
 
     /// Number of unreclaimed records currently held.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// True when the bag holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
-    /// Iterates over the held records in retire order, staged records last
-    /// (used by interval-based scans that need eras rather than addresses).
+    /// Iterates over the held records in retire order (used by
+    /// interval-based scans that need eras rather than addresses).
     pub fn iter(&self) -> impl Iterator<Item = &Retired> {
-        self.segments.iter().flatten().chain(self.stage.iter())
+        self.records.iter()
     }
 
     /// The core sweep: frees every record in the prefix `[0, up_to)` whose
-    /// fate `decide` approves, compacting each segment in place so survivors
-    /// (and the suffix past `up_to`) keep their retire order. Returns the
-    /// number of records freed.
+    /// fate `decide` approves, compacting the bag in place so survivors (and
+    /// the suffix past `up_to`) keep their retire order. Returns the number
+    /// of records freed.
+    ///
+    /// `Retired` has no `Drop` glue (dropping one leaks rather than frees), so
+    /// the raw moves below are plain bit copies. The length is zeroed for the
+    /// duration of the sweep: if `decide` panics, the in-flight records leak
+    /// — which is safe — instead of being double-freed by an unwinding
+    /// caller.
     ///
     /// # Safety
     /// The caller must guarantee that any record for which `decide` returns
@@ -226,40 +124,30 @@ impl LimboBag {
         mut decide: impl FnMut(&Retired) -> bool,
         mag: &mut Magazine,
     ) -> usize {
-        // Staged records are part of `len` (watermark triggers count them),
-        // so a sweep must see them in the segments: callers capture prefix
-        // bookmarks from `len`, and the staged suffix flushes to exactly the
-        // indices those bookmarks assume.
-        self.flush_stage();
-        let limit = up_to.min(self.len);
+        let len = self.records.len();
+        let limit = up_to.min(len);
         if limit == 0 {
             return 0;
         }
-        let mut freed = 0usize;
-        let mut start = 0usize; // global index of the current segment's head
-        for seg in &mut self.segments {
-            let seg_len = seg.len();
-            if start >= limit {
-                break;
-            }
-            let seg_limit = (limit - start).min(seg_len);
-            freed += compact_segment(seg, seg_limit, &mut decide, mag);
-            start += seg_len;
-        }
-        self.len -= freed;
-        let spare = &mut self.spare;
-        self.segments.retain_mut(|s| {
-            if s.is_empty() {
-                // Salvage the largest emptied buffer for the next burst.
-                if spare.capacity() < s.capacity() {
-                    *spare = core::mem::take(s);
-                }
-                false
+        let ptr = self.records.as_mut_ptr();
+        self.records.set_len(0);
+        let mut write = 0usize;
+        for read in 0..limit {
+            let rec = ptr.add(read);
+            if decide(&*rec) {
+                core::ptr::read(rec).reclaim_into(mag);
             } else {
-                true
+                if write != read {
+                    core::ptr::copy_nonoverlapping(rec, ptr.add(write), 1);
+                }
+                write += 1;
             }
-        });
-        freed
+        }
+        if write != limit {
+            core::ptr::copy(ptr.add(limit), ptr.add(write), len - limit);
+        }
+        self.records.set_len(write + len - limit);
+        limit - write
     }
 
     /// Frees every record in the prefix `[0, up_to)` whose fate `decide`
@@ -383,61 +271,10 @@ impl LimboBag {
     }
 
     /// Removes and returns all records without freeing them (ownership moves
-    /// to the caller, e.g. a global pool at thread deregistration). Staged
-    /// records flush first, so departure/unregister hand-offs that drain the
-    /// bag can never strand a staged node.
+    /// to the caller, e.g. a global pool at thread deregistration). The bag
+    /// keeps its allocation.
     pub fn drain(&mut self) -> Vec<Retired> {
-        self.flush_stage();
-        self.len = 0;
-        let mut out = Vec::new();
-        for mut seg in self.segments.drain(..) {
-            out.append(&mut seg);
-        }
-        out
-    }
-}
-
-/// Compacts one segment in place: frees every record in `[0, limit)` that
-/// `decide` approves, shifting survivors (and the suffix `[limit, len)`) left
-/// without reordering. Returns the number of records freed.
-///
-/// `Retired` has no `Drop` glue (dropping one leaks rather than frees), so the
-/// raw moves below are plain bit copies. The segment length is zeroed for the
-/// duration of the sweep: if `decide` panics, the in-flight records leak —
-/// which is safe — instead of being double-freed by an unwinding caller.
-unsafe fn compact_segment(
-    seg: &mut Vec<Retired>,
-    limit: usize,
-    decide: &mut impl FnMut(&Retired) -> bool,
-    mag: &mut Magazine,
-) -> usize {
-    let len = seg.len();
-    debug_assert!(limit <= len);
-    let ptr = seg.as_mut_ptr();
-    seg.set_len(0);
-    let mut write = 0usize;
-    for read in 0..len {
-        let rec = ptr.add(read);
-        if read < limit && decide(&*rec) {
-            core::ptr::read(rec).reclaim_into(mag);
-        } else {
-            if write != read {
-                core::ptr::copy_nonoverlapping(rec, ptr.add(write), 1);
-            }
-            write += 1;
-        }
-    }
-    seg.set_len(write);
-    len - write
-}
-
-impl core::fmt::Debug for LimboBag {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("LimboBag")
-            .field("len", &self.len)
-            .field("segments", &self.segments.len())
-            .field("staged", &self.stage.len())
-            .finish()
+        self.records.drain(..).collect()
     }
 }
 
@@ -545,41 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_push_crosses_segment_boundaries_in_order() {
-        let mut bag = LimboBag::new();
-        let n = SEGMENT_CAPACITY * 2 + 17;
-        let mut addrs = Vec::new();
-        for i in 0..n {
-            let r = retire_one(i as u64, i as u64);
-            addrs.push(r.address());
-            bag.push(r);
-        }
-        assert_eq!(bag.len(), n);
-        assert!(bag.segments.len() >= 3);
-        let seen: Vec<usize> = bag.iter().map(|r| r.address()).collect();
-        assert_eq!(seen, addrs, "retire order must survive segmentation");
-        let mut stats = ThreadStats::default();
-        let mut mag = Magazine::disabled();
-        // Free every third record across segment boundaries; survivors stay
-        // ordered.
-        let victims: Vec<usize> = addrs.iter().copied().step_by(3).collect();
-        let freed =
-            unsafe { bag.reclaim_if(|r| victims.contains(&r.address()), &mut stats, &mut mag) };
-        assert_eq!(freed, victims.len());
-        let survivors: Vec<usize> = bag.iter().map(|r| r.address()).collect();
-        let expect: Vec<usize> = addrs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| i % 3 != 0)
-            .map(|(_, a)| a)
-            .collect();
-        assert_eq!(survivors, expect);
-        unsafe { bag.reclaim_all(&mut stats, &mut mag) };
-        assert_eq!(stats.frees as usize, n);
-    }
-
-    #[test]
     fn reclaim_prefix_unreserved_uses_sorted_addresses() {
         let mut bag = LimboBag::new();
         let mut addrs = Vec::new();
@@ -629,35 +431,20 @@ mod tests {
 
     #[test]
     fn staging_counts_toward_len_and_flushes_on_fill() {
-        let mut bag = LimboBag::with_batch(RETIRE_BATCH_CAP);
+        let mut bag = LimboBag::new();
         let mut addrs = Vec::new();
-        for i in 0..RETIRE_BATCH_CAP - 1 {
+        for i in 1..=3 * RETIRE_BATCH_CAP {
             let r = retire_one(i as u64, i as u64);
             addrs.push(r.address());
-            assert!(!bag.stage(r), "batch must not flush before it fills");
+            assert_eq!(
+                bag.stage(r),
+                i % RETIRE_BATCH_CAP == 0,
+                "one check per batch, at stage {i}"
+            );
+            assert_eq!(bag.len(), i);
         }
-        assert_eq!(bag.len(), RETIRE_BATCH_CAP - 1);
-        assert_eq!(bag.staged_len(), RETIRE_BATCH_CAP - 1);
-        let r = retire_one(99, 99);
-        addrs.push(r.address());
-        assert!(bag.stage(r), "the filling record must flush the batch");
-        assert_eq!(bag.staged_len(), 0);
-        assert_eq!(bag.len(), RETIRE_BATCH_CAP);
         let seen: Vec<usize> = bag.iter().map(|r| r.address()).collect();
-        assert_eq!(seen, addrs, "flush must preserve retire order");
-        let mut stats = ThreadStats::default();
-        let mut mag = Magazine::disabled();
-        unsafe { bag.reclaim_all(&mut stats, &mut mag) };
-    }
-
-    #[test]
-    fn stage_with_batch_cap_one_behaves_like_push() {
-        let mut bag = LimboBag::with_batch(1);
-        for i in 0..3 {
-            assert!(bag.stage(retire_one(i, i)), "cap 1: every stage flushes");
-        }
-        assert_eq!(bag.staged_len(), 0);
-        assert_eq!(bag.len(), 3);
+        assert_eq!(seen, addrs, "staging keeps retire order");
         let mut stats = ThreadStats::default();
         let mut mag = Magazine::disabled();
         unsafe { bag.reclaim_all(&mut stats, &mut mag) };
@@ -665,19 +452,18 @@ mod tests {
 
     #[test]
     fn push_after_staging_flushes_first_to_keep_order() {
-        let mut bag = LimboBag::with_batch(RETIRE_BATCH_CAP);
+        let mut bag = LimboBag::new();
         let mut addrs = Vec::new();
         for i in 0..3 {
             let r = retire_one(i, i);
             addrs.push(r.address());
             bag.stage(r);
         }
-        // An orphan-adoption-style direct push: the staged suffix must land
-        // before it.
+        // An orphan-adoption-style direct push lands behind the staged
+        // records.
         let orphan = retire_one(50, 50);
         addrs.push(orphan.address());
         bag.push(orphan);
-        assert_eq!(bag.staged_len(), 0);
         let seen: Vec<usize> = bag.iter().map(|r| r.address()).collect();
         assert_eq!(seen, addrs);
         let mut stats = ThreadStats::default();
@@ -687,13 +473,13 @@ mod tests {
 
     #[test]
     fn sweeps_and_drain_observe_staged_records() {
-        let mut bag = LimboBag::with_batch(RETIRE_BATCH_CAP);
+        let mut bag = LimboBag::new();
         for i in 0..4 {
             bag.stage(retire_one(i, i));
         }
         let mut stats = ThreadStats::default();
         let mut mag = Magazine::disabled();
-        // A full-bag sweep must flush and free the staged records.
+        // A full-bag sweep frees records staged mid-batch.
         let freed = unsafe { bag.reclaim_if(|_| true, &mut stats, &mut mag) };
         assert_eq!(freed, 4);
         assert!(bag.is_empty());
@@ -702,7 +488,7 @@ mod tests {
             bag.stage(retire_one(i, i));
         }
         let drained = bag.drain();
-        assert_eq!(drained.len(), 3, "drain must not strand staged records");
+        assert_eq!(drained.len(), 3, "drain must not strand mid-batch records");
         assert!(bag.is_empty());
         for r in drained {
             unsafe { r.reclaim() };
@@ -712,16 +498,15 @@ mod tests {
     #[test]
     fn prefix_bookmark_taken_over_staged_records_stays_valid() {
         // NBR+'s bookmark is an index into the retire order captured from
-        // `len()`; flushing the staged suffix must keep it pointing at the
-        // same records.
-        let mut bag = LimboBag::with_batch(RETIRE_BATCH_CAP);
+        // `len()`; later stages must keep it pointing at the same records.
+        let mut bag = LimboBag::new();
         let mut addrs = Vec::new();
         for i in 0..5 {
             let r = retire_one(i, i);
             addrs.push(r.address());
             bag.stage(r);
         }
-        let bookmark = bag.len(); // 5, of which 5 staged
+        let bookmark = bag.len(); // 5, mid-batch
         for i in 5..10 {
             let r = retire_one(i, i);
             addrs.push(r.address());

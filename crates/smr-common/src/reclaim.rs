@@ -53,148 +53,6 @@ use crate::trace::{self, TraceKind};
 use crate::util::OrphanPool;
 use std::sync::Arc;
 
-/// What the pipeline needs from a thread's limbo storage: one [`LimboBag`]
-/// for eleven schemes, the three-epoch [`EpochBags`] rotation for DEBRA and
-/// QSBR.
-pub trait Limbo {
-    /// Empty storage sized and batched per `config`.
-    fn with_config(config: &SmrConfig) -> Self;
-    /// Records held, staged ones included.
-    fn len(&self) -> usize;
-    /// True when nothing is held.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Stages one retire; `true` when the batch flushed
-    /// ([`LimboBag::stage`]).
-    fn stage(&mut self, retired: Retired) -> bool;
-    /// Appends an adopted record behind everything retired so far.
-    fn push(&mut self, retired: Retired);
-    /// Removes every record without freeing it.
-    fn drain(&mut self) -> Vec<Retired>;
-}
-
-impl Limbo for LimboBag {
-    fn with_config(config: &SmrConfig) -> Self {
-        LimboBag::with_capacity_and_batch(config.hi_watermark + 1, config.retire_batch_cap())
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        LimboBag::len(self)
-    }
-    #[inline]
-    fn stage(&mut self, retired: Retired) -> bool {
-        LimboBag::stage(self, retired)
-    }
-    #[inline]
-    fn push(&mut self, retired: Retired) {
-        LimboBag::push(self, retired)
-    }
-    fn drain(&mut self) -> Vec<Retired> {
-        LimboBag::drain(self)
-    }
-}
-
-/// Epoch bags per thread: a record retired in epoch `e` is freed once the
-/// thread observes epoch `e + 2`, so three bags cover every live epoch.
-const EPOCH_BAGS: usize = 3;
-
-/// The three-epoch bag rotation DEBRA and QSBR share: records retired while
-/// the thread's local epoch is `e` go into bag `e % 3`; observing a newer
-/// epoch frees every bag at least two epochs old and retargets the current
-/// bag ([`ReclaimCore::epoch_scan`]).
-#[derive(Debug)]
-pub struct EpochBags {
-    bags: [LimboBag; EPOCH_BAGS],
-    bag_epochs: [u64; EPOCH_BAGS],
-    epoch: u64,
-}
-
-impl EpochBags {
-    /// The local epoch: the one the current bag collects for.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Starts the rotation at `epoch` (registration: all bags are empty).
-    pub fn start_at(&mut self, epoch: u64) {
-        debug_assert_eq!(self.len(), 0);
-        self.epoch = epoch;
-        self.bag_epochs = [epoch; EPOCH_BAGS];
-    }
-
-    /// Records held across all three bags, staged ones included.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bags.iter().map(LimboBag::len).sum()
-    }
-
-    /// True when all three bags are empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    #[inline]
-    fn current(&mut self) -> &mut LimboBag {
-        &mut self.bags[(self.epoch as usize) % EPOCH_BAGS]
-    }
-
-    /// Moves the local epoch to `observed`, freeing every bag whose epoch is
-    /// at least two behind and pointing the current bag at the new epoch.
-    ///
-    /// # Safety
-    /// Two advances of the clock `observed` was read from must imply that no
-    /// thread can still reference a record retired before them.
-    unsafe fn rotate(
-        &mut self,
-        observed: u64,
-        stats: &mut ThreadStats,
-        mag: &mut Magazine,
-    ) -> usize {
-        self.epoch = observed;
-        let mut freed = 0;
-        for (bag, &epoch) in self.bags.iter_mut().zip(&self.bag_epochs) {
-            if !bag.is_empty() && epoch + 2 <= observed {
-                freed += bag.reclaim_all(stats, mag);
-            }
-        }
-        // The slot for the new epoch is either empty or was just reclaimed
-        // above (it last held epoch `observed - 3k`).
-        let idx = (observed as usize) % EPOCH_BAGS;
-        if self.bags[idx].is_empty() {
-            self.bag_epochs[idx] = observed;
-        }
-        freed
-    }
-}
-
-impl Limbo for EpochBags {
-    fn with_config(config: &SmrConfig) -> Self {
-        Self {
-            bags: std::array::from_fn(|_| LimboBag::with_batch(config.retire_batch_cap())),
-            bag_epochs: [0; EPOCH_BAGS],
-            epoch: 0,
-        }
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        EpochBags::len(self)
-    }
-    #[inline]
-    fn stage(&mut self, retired: Retired) -> bool {
-        self.current().stage(retired)
-    }
-    #[inline]
-    fn push(&mut self, retired: Retired) {
-        self.current().push(retired)
-    }
-    fn drain(&mut self) -> Vec<Retired> {
-        self.bags.iter_mut().flat_map(LimboBag::drain).collect()
-    }
-}
-
 /// The calling thread's turn as its combining domain's active scanner
 /// ([`ReclaimCore::scan_or_publish`]); the turn ends when this drops.
 #[must_use = "the scan turn ends when this guard drops"]
@@ -210,10 +68,10 @@ impl Drop for ScanTurn<'_> {
 
 /// The per-thread half of the pipeline; lives in every scheme's thread
 /// context. No synchronization involved.
-pub struct ReclaimLocal<B = LimboBag> {
+pub struct ReclaimLocal {
     tid: usize,
-    /// The thread's retired-but-unfreed records.
-    pub limbo: B,
+    /// The thread's retired-but-unfreed records, in retire order.
+    pub limbo: LimboBag,
     /// Node-block recycling magazine.
     pub mag: Magazine,
     /// The thread's counters.
@@ -231,7 +89,7 @@ pub struct ReclaimLocal<B = LimboBag> {
     epoch_ticks: usize,
 }
 
-impl<B: Limbo> ReclaimLocal<B> {
+impl ReclaimLocal {
     /// The thread's registry slot.
     #[inline]
     pub fn tid(&self) -> usize {
@@ -274,9 +132,7 @@ impl<B: Limbo> ReclaimLocal<B> {
         self.stats.allocs += 1;
         Shared::from_raw(raw)
     }
-}
 
-impl ReclaimLocal<LimboBag> {
     /// Sorts and dedups `addrs`, then frees every record of the prefix
     /// `[0, up_to)` whose address is not among them.
     ///
@@ -394,11 +250,11 @@ impl ReclaimCore {
 
     /// Claims registry slot `tid` and builds the thread's pipeline state.
     /// The scheme resets its own reservation slots afterwards.
-    pub fn register<B: Limbo>(&self, tid: usize) -> ReclaimLocal<B> {
+    pub fn register(&self, tid: usize) -> ReclaimLocal {
         assert!(self.registry.register_tid(tid), "slot {tid} already taken");
         ReclaimLocal {
             tid,
-            limbo: B::with_config(&self.config),
+            limbo: LimboBag::with_capacity(self.config.hi_watermark + 1),
             mag: Magazine::from_config(&self.pool, &self.config),
             stats: ThreadStats::default(),
             addrs: Vec::new(),
@@ -410,27 +266,28 @@ impl ReclaimCore {
         }
     }
 
-    /// Leaves the registry: whatever the bag still holds — staged records
-    /// included — moves to the orphan pool for a survivor's next scan (or
-    /// this core's `Drop`), and the magazine returns its blocks. The scheme
-    /// withdraws its reservations, runs its last scan and marks its ping
-    /// slot departed *before* calling this.
-    pub fn unregister<B: Limbo>(&self, local: &mut ReclaimLocal<B>) {
+    /// Leaves the registry: whatever the bag still holds moves to the
+    /// orphan pool for a survivor's next scan (or this core's `Drop`), and
+    /// the magazine returns its blocks. The scheme withdraws its
+    /// reservations, runs its last scan and marks its ping slot departed
+    /// *before* calling this.
+    pub fn unregister(&self, local: &mut ReclaimLocal) {
         self.orphans.adopt(local.limbo.drain());
         local.mag.flush();
         self.registry.deregister(local.tid);
     }
 
-    /// The retire skeleton: stage, count, and — only when the batch flushes
-    /// — record the bag's high-water mark and consult the HiWatermark.
-    /// `true` when that flush left the bag at or over the HiWatermark: the
-    /// bounded-garbage backstop, for the scheme to pick its trigger from (at
-    /// most `RETIRE_BATCH_CAP - 1` records can sit staged past this check).
+    /// The retire skeleton: stage, count, and — once every
+    /// `RETIRE_BATCH_CAP` retires ([`LimboBag::stage`]) — record the bag's
+    /// high-water mark and consult the HiWatermark. `true` when that check
+    /// found the bag at or over the HiWatermark: the bounded-garbage
+    /// backstop, for the scheme to pick its trigger from (at most
+    /// `RETIRE_BATCH_CAP - 1` records are retired past a check).
     #[inline]
-    pub fn retire<B: Limbo>(&self, local: &mut ReclaimLocal<B>, retired: Retired) -> bool {
-        let flushed = local.limbo.stage(retired);
+    pub fn retire(&self, local: &mut ReclaimLocal, retired: Retired) -> bool {
+        let check = local.limbo.stage(retired);
         local.stats.retires += 1;
-        if !flushed {
+        if !check {
             return false;
         }
         let len = local.limbo.len();
@@ -450,7 +307,7 @@ impl ReclaimCore {
     /// The per-retire scan cadence: counts this retire and reports whether
     /// `empty_freq` retires have passed since the thread's last scan.
     #[inline]
-    pub fn cadence_due<B>(&self, local: &mut ReclaimLocal<B>) -> bool {
+    pub fn cadence_due(&self, local: &mut ReclaimLocal) -> bool {
         local.retires_since_scan += 1;
         local.retires_since_scan >= self.config.empty_freq
     }
@@ -458,7 +315,7 @@ impl ReclaimCore {
     /// The era/epoch cadence: `true` on every `epoch_freq`-th call (the
     /// scheme then advances, or tries to advance, its clock).
     #[inline]
-    pub fn epoch_tick<B>(&self, local: &mut ReclaimLocal<B>) -> bool {
+    pub fn epoch_tick(&self, local: &mut ReclaimLocal) -> bool {
         local.epoch_ticks += 1;
         if local.epoch_ticks < self.config.epoch_freq {
             return false;
@@ -471,7 +328,7 @@ impl ReclaimCore {
     /// `scan_heartbeat_ops` operations completed since the last scan while
     /// garbage is pending.
     #[inline]
-    pub fn heartbeat_due<B: Limbo>(&self, local: &mut ReclaimLocal<B>) -> bool {
+    pub fn heartbeat_due(&self, local: &mut ReclaimLocal) -> bool {
         let due = local.pace.tick_op(&self.policy, local.limbo.len());
         if due {
             local.stats.heartbeat_scans += 1;
@@ -480,10 +337,10 @@ impl ReclaimCore {
     }
 
     /// Folds peer garbage into this thread's bag: bags published to the
-    /// combiner, then departed threads' orphans retired at or before
-    /// `retired_by` (later ones go back to the pool). Both sources are
-    /// non-blocking; a contended pool yields nothing this round.
-    fn adopt<B: Limbo>(&self, local: &mut ReclaimLocal<B>, retired_by: u64) {
+    /// combiner, then departed threads' orphans. Every adopted record keeps
+    /// its own retire stamp. Both sources are non-blocking; a contended pool
+    /// yields nothing this round.
+    fn adopt(&self, local: &mut ReclaimLocal) {
         if let Some(combiner) = &self.combiner {
             let (published, bags) = combiner.adopt();
             if bags > 0 {
@@ -499,12 +356,7 @@ impl ReclaimCore {
                 local.limbo.push(r);
             }
         }
-        let (orphaned, later): (Vec<_>, Vec<_>) = self
-            .orphans
-            .take_all()
-            .into_iter()
-            .partition(|r| r.retire_era() <= retired_by);
-        self.orphans.adopt(later);
+        let orphaned = self.orphans.take_all();
         if !orphaned.is_empty() {
             local.stats.orphan_adoptions += orphaned.len() as u64;
             trace::emit(local.tid, TraceKind::OrphanAdopt, orphaned.len() as u64, 0);
@@ -517,11 +369,11 @@ impl ReclaimCore {
     /// The bookkeeping around one sweep of a non-empty bag of `tail`
     /// records (module docs, "The pipeline's rules").
     #[inline]
-    fn swept<B: Limbo>(
+    fn swept(
         &self,
-        local: &mut ReclaimLocal<B>,
+        local: &mut ReclaimLocal,
         tail: usize,
-        sweep: impl FnOnce(&mut ReclaimLocal<B>, usize) -> usize,
+        sweep: impl FnOnce(&mut ReclaimLocal, usize) -> usize,
     ) -> usize {
         local.stats.reclaim_scans += 1;
         local.note_scan();
@@ -540,12 +392,12 @@ impl ReclaimCore {
     /// the prefix `[0, tail)`, everything retired before its ping. `sweep`
     /// returns the number of records it freed (0 for a conceded round).
     #[inline]
-    pub fn scan<B: Limbo>(
+    pub fn scan(
         &self,
-        local: &mut ReclaimLocal<B>,
-        sweep: impl FnOnce(&mut ReclaimLocal<B>, usize) -> usize,
+        local: &mut ReclaimLocal,
+        sweep: impl FnOnce(&mut ReclaimLocal, usize) -> usize,
     ) -> usize {
-        self.adopt(local, u64::MAX);
+        self.adopt(local);
         let tail = local.limbo.len();
         if tail == 0 {
             return 0;
@@ -553,44 +405,28 @@ impl ReclaimCore {
         self.swept(local, tail, sweep)
     }
 
-    /// The epoch-bag scan: when `observed` differs from the thread's local
-    /// epoch, free every bag two epochs old, retarget the current bag and
-    /// adopt peer garbage into it — *after* the rotation, so adopted
-    /// records wait two further advances like any fresh retire. Only
-    /// orphans stamped at or before `observed` are adopted: `observed` may
-    /// have been read before this thread was delayed, and a peer that
-    /// departed meanwhile may have retired records at a later epoch, which
-    /// a bag labelled `observed` would free too early.
+    /// The epoch scan DEBRA and QSBR share: while `observed` equals the
+    /// thread's local `epoch` nothing happens; once it moves, `epoch`
+    /// follows it and a [`ReclaimCore::scan`] frees every record stamped
+    /// `e` with `e + 2 <= observed`. Adopted orphans keep their own stamps,
+    /// so a stale `observed` can never free a peer's later retire early.
     ///
     /// # Safety
     /// `observed` must be read from a clock whose every advance requires
     /// all threads inside an operation to have announced the current value
     /// (the grace-period argument the caller states).
     #[inline]
-    pub unsafe fn epoch_scan(&self, local: &mut ReclaimLocal<EpochBags>, observed: u64) {
-        if observed != local.limbo.epoch {
-            // SAFETY: forwarded from this function's contract.
-            unsafe { self.epoch_scan_slow(local, observed) }
+    pub unsafe fn epoch_scan(&self, local: &mut ReclaimLocal, epoch: &mut u64, observed: u64) {
+        if observed == *epoch {
+            return;
         }
-    }
-
-    /// [`ReclaimCore::epoch_scan`] past its same-epoch fast path.
-    unsafe fn epoch_scan_slow(&self, local: &mut ReclaimLocal<EpochBags>, observed: u64) {
-        let rotate = move |local: &mut ReclaimLocal<EpochBags>, _tail: usize| {
-            // SAFETY: forwarded from `epoch_scan`'s contract.
-            unsafe {
-                local
-                    .limbo
-                    .rotate(observed, &mut local.stats, &mut local.mag)
-            }
-        };
-        let tail = local.limbo.len();
-        if tail == 0 {
-            rotate(local, 0);
-        } else {
-            self.swept(local, tail, rotate);
-        }
-        self.adopt(local, observed);
+        *epoch = observed;
+        let frontier = observed.saturating_sub(1);
+        self.scan(local, |local, tail| {
+            // SAFETY: forwarded from this function's contract: two advances
+            // past a record's stamp end every operation that could reach it.
+            unsafe { local.sweep_retired_before(tail, frontier) }
+        });
     }
 
     /// One ping round over `ping`: broadcast from this thread, wait
@@ -599,9 +435,9 @@ impl ReclaimCore {
     /// when a peer stayed silent, a concession. `true` when the round
     /// completed.
     #[inline]
-    pub fn ping_round<B>(
+    pub fn ping_round(
         &self,
-        local: &mut ReclaimLocal<B>,
+        local: &mut ReclaimLocal,
         ping: &PingChannel,
         exempt: impl Fn(usize) -> bool,
         while_waiting: impl FnMut(),
@@ -635,9 +471,9 @@ impl ReclaimCore {
     /// publisher's pacing windows (module docs, last rule). Every scheme
     /// passes `true`; NBR passes `false` until its half of the rule is
     /// signed off (`nbr.rs`, `Smr::retire`).
-    pub fn scan_or_publish<B: Limbo>(
+    pub fn scan_or_publish(
         &self,
-        local: &mut ReclaimLocal<B>,
+        local: &mut ReclaimLocal,
         restart_pacing: bool,
     ) -> Option<ScanTurn<'_>> {
         let Some(combiner) = &self.combiner else {
@@ -769,34 +605,34 @@ mod tests {
     }
 
     #[test]
-    fn epoch_scan_adopts_only_orphans_its_epoch_covers() {
+    fn epoch_scan_frees_each_record_two_epochs_past_its_own_stamp() {
         let toy = Toy::new(ReclaimCore::new(config()));
-        let mut departing: ReclaimLocal<EpochBags> = toy.core.register(0);
-        let mut survivor: ReclaimLocal<EpochBags> = toy.core.register(1);
-        departing.limbo.start_at(7);
-        survivor.limbo.start_at(5);
-        let raw = alloc_node_raw(Node {
-            header: NodeHeader::new(),
-            drops: Arc::clone(&toy.drops),
-        });
-        // SAFETY: freshly allocated, never published, retired once.
-        toy.core
-            .retire(&mut departing, unsafe { Retired::new(raw, 7) });
-        toy.core.unregister(&mut departing);
-        assert_eq!(toy.core.orphan_count(), 1);
+        let mut departing: ReclaimLocal = toy.core.register(0);
+        let mut local: ReclaimLocal = toy.core.register(1);
+        let mut epoch = 3;
+        // A thread's own retire stamped 3 survives epoch 4 and is freed at 5.
+        // SAFETY (every `epoch_scan` below): test-local records nothing else
+        // references.
+        toy.retire(&mut local, 3);
+        unsafe { toy.core.epoch_scan(&mut local, &mut epoch, 3) };
+        assert_eq!(local.stats.reclaim_scans, 0, "same epoch: fast path");
+        unsafe { toy.core.epoch_scan(&mut local, &mut epoch, 4) };
+        assert_eq!((toy.drops(), local.limbo.len(), epoch), (0, 1, 4));
+        unsafe { toy.core.epoch_scan(&mut local, &mut epoch, 5) };
+        assert_eq!((toy.drops(), local.limbo.len()), (1, 0));
 
-        // A stale epoch (read before the peer retired at 7) adopts nothing.
-        // SAFETY (all three scans): test-local record nothing references.
-        unsafe { toy.core.epoch_scan(&mut survivor, 6) };
-        assert_eq!((toy.core.orphan_count(), survivor.limbo.len()), (1, 0));
-        unsafe { toy.core.epoch_scan(&mut survivor, 7) };
-        assert_eq!((toy.core.orphan_count(), survivor.limbo.len()), (0, 1));
-        // Freed two advances after its retire epoch, not before.
-        unsafe { toy.core.epoch_scan(&mut survivor, 8) };
-        assert_eq!(toy.drops(), 0);
-        unsafe { toy.core.epoch_scan(&mut survivor, 9) };
-        assert_eq!(toy.drops(), 1);
-        toy.core.unregister(&mut survivor);
+        // An orphan stamped 7 reaches a thread that observed a stale 6: it
+        // is adopted at once, survives 6, 7 and 8, and is freed at 9.
+        toy.retire(&mut departing, 7);
+        toy.core.unregister(&mut departing);
+        for observed in 6..=8 {
+            unsafe { toy.core.epoch_scan(&mut local, &mut epoch, observed) };
+            assert_eq!(toy.drops(), 1, "orphan freed early at epoch {observed}");
+        }
+        assert_eq!((local.stats.orphan_adoptions, local.limbo.len()), (1, 1));
+        unsafe { toy.core.epoch_scan(&mut local, &mut epoch, 9) };
+        assert_eq!((toy.drops(), local.limbo.len()), (2, 0));
+        toy.core.unregister(&mut local);
     }
 
     #[test]
@@ -842,7 +678,7 @@ mod tests {
         for _ in 0..3 {
             assert!(!toy.retire(&mut local, 1));
         }
-        assert_eq!(local.limbo.staged_len(), 3);
+        assert_eq!(local.limbo.len(), 3);
         toy.core.unregister(&mut local);
         assert_eq!(toy.core.orphan_count(), 3);
         assert_eq!(toy.drops(), 0);
@@ -860,13 +696,14 @@ mod tests {
         let mut local: ReclaimLocal = toy.core.register(0);
         let cap = crate::RETIRE_BATCH_CAP;
         for i in 1..=cap + 3 {
-            toy.retire(&mut local, 1);
-            assert_eq!(local.limbo.staged_len(), i % cap, "flush at the boundary");
+            assert!(!toy.retire(&mut local, 1), "below the HiWatermark");
             assert_eq!(local.limbo.len(), i);
         }
-        assert_eq!(local.limbo.staged_len(), 3);
         assert_eq!(local.stats.retires, (cap + 3) as u64);
-        assert_eq!(local.stats.peak_limbo, cap as u64, "observed on flush only");
+        assert_eq!(
+            local.stats.peak_limbo, cap as u64,
+            "observed per batch only"
+        );
         toy.core.unregister(&mut local);
     }
 
@@ -940,47 +777,6 @@ mod tests {
         toy.retire(&mut local, 1);
         toy.scan(&mut local);
         assert!(!toy.core.cadence_due(&mut local));
-        toy.core.unregister(&mut local);
-    }
-
-    #[test]
-    fn epoch_bags_free_at_two_advances_and_adopt_after_rotating() {
-        let toy = Toy::new(ReclaimCore::new(config()));
-        let mut departing: ReclaimLocal<EpochBags> = toy.core.register(0);
-        let mut local: ReclaimLocal<EpochBags> = toy.core.register(1);
-        departing.limbo.start_at(7);
-        local.limbo.start_at(1);
-        let retire = |local: &mut ReclaimLocal<EpochBags>| {
-            let raw = alloc_node_raw(Node {
-                header: NodeHeader::new(),
-                drops: Arc::clone(&toy.drops),
-            });
-            let stamp = local.limbo.epoch();
-            // SAFETY: freshly allocated, never published, retired once.
-            toy.core.retire(local, unsafe { Retired::new(raw, stamp) });
-        };
-        retire(&mut local);
-        // SAFETY (all `epoch_scan`s below): single-threaded test.
-        unsafe { toy.core.epoch_scan(&mut local, 1) };
-        assert_eq!(local.stats.reclaim_scans, 0, "same epoch: fast path");
-        unsafe { toy.core.epoch_scan(&mut local, 2) };
-        assert_eq!((toy.drops(), local.stats.reclaim_skips), (0, 1));
-        retire(&mut local);
-        unsafe { toy.core.epoch_scan(&mut local, 3) };
-        assert_eq!((toy.drops(), local.limbo.len()), (1, 1));
-        assert_eq!(local.stats.reclaim_scans, 2);
-
-        // An orphan retired at epoch 7 reaches a thread still at epoch 3:
-        // adopted only after the rotation to 8, it waits for epoch 10.
-        retire(&mut departing);
-        toy.core.unregister(&mut departing);
-        unsafe { toy.core.epoch_scan(&mut local, 8) };
-        assert_eq!(local.stats.orphan_adoptions, 1);
-        assert_eq!((toy.drops(), local.limbo.len()), (2, 1));
-        unsafe { toy.core.epoch_scan(&mut local, 9) };
-        assert_eq!(toy.drops(), 2);
-        unsafe { toy.core.epoch_scan(&mut local, 10) };
-        assert_eq!((toy.drops(), local.limbo.len()), (3, 0));
         toy.core.unregister(&mut local);
     }
 }

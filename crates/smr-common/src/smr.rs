@@ -70,11 +70,6 @@ pub struct SmrConfig {
     /// `magazine_cap × max_threads + 2 × hi_watermark` blocks per class —
     /// steady-state circulation plus one full reclamation burst).
     pub magazine_cap: usize,
-    /// Retire coalescing: stage retires in a per-thread cache-line-sized
-    /// `RetireBatch` (see [`RETIRE_BATCH_CAP`](crate::limbo::RETIRE_BATCH_CAP))
-    /// and run the watermark/policy checks only on flush. `false` restores
-    /// the one-record-per-retire path.
-    pub coalesce: bool,
     /// Flat-combined scan publication: when a scan triggers while a peer's
     /// scan is mid-flight in the same ping domain, publish this thread's
     /// limbo to a combiner slot and let the active scanner sweep it in the
@@ -102,7 +97,6 @@ impl Default for SmrConfig {
             scan_heartbeat_ops: 1024,
             recycle: true,
             magazine_cap: 128,
-            coalesce: true,
             combine: true,
             memo: true,
         }
@@ -125,7 +119,6 @@ impl SmrConfig {
             scan_heartbeat_ops: 64,
             recycle: true,
             magazine_cap: 8,
-            coalesce: true,
             combine: true,
             memo: true,
         }
@@ -185,12 +178,6 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style setter for [`SmrConfig::coalesce`].
-    pub fn with_coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
-    }
-
     /// Builder-style setter for [`SmrConfig::combine`].
     pub fn with_combine(mut self, combine: bool) -> Self {
         self.combine = combine;
@@ -203,16 +190,11 @@ impl SmrConfig {
         self
     }
 
-    /// Staging capacity the schemes hand to
-    /// [`LimboBag::with_batch`](crate::LimboBag::with_batch):
-    /// [`RETIRE_BATCH_CAP`](crate::limbo::RETIRE_BATCH_CAP) when coalescing
-    /// is on, 1 (staging disabled) otherwise.
+    /// Retires per watermark check
+    /// ([`LimboBag::with_capacity_and_batch`](crate::LimboBag::with_capacity_and_batch)):
+    /// always [`RETIRE_BATCH_CAP`](crate::limbo::RETIRE_BATCH_CAP).
     pub fn retire_batch_cap(&self) -> usize {
-        if self.coalesce {
-            crate::limbo::RETIRE_BATCH_CAP
-        } else {
-            1
-        }
+        crate::limbo::RETIRE_BATCH_CAP
     }
 
     /// Validates internal consistency (used by constructors).
@@ -553,11 +535,11 @@ mod tests {
     #[test]
     fn batching_flags_default_on_and_toggle() {
         let c = SmrConfig::default();
-        assert!(c.coalesce && c.combine && c.memo);
+        assert!(c.combine && c.memo);
         assert_eq!(c.retire_batch_cap(), crate::limbo::RETIRE_BATCH_CAP);
-        let c = c.with_coalesce(false).with_combine(false).with_memo(false);
-        assert!(!c.coalesce && !c.combine && !c.memo);
-        assert_eq!(c.retire_batch_cap(), 1);
+        let c = c.with_combine(false).with_memo(false);
+        assert!(!c.combine && !c.memo);
+        assert_eq!(c.retire_batch_cap(), crate::limbo::RETIRE_BATCH_CAP);
     }
 
     #[test]

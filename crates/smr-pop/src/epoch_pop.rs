@@ -258,8 +258,8 @@ impl Smr for EpochPop {
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut EpochPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
         // Era-stamped before staging; the era-advance cadence stays
-        // per-retire, only the watermark check is amortized to batch
-        // flushes (bound slack: batch cap − 1).
+        // per-retire, only the watermark check is amortized to once per
+        // batch of retires (bound slack: batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
         let at_hi = self.core.retire(&mut ctx.local, retired);
         if self.core.epoch_tick(&mut ctx.local) {

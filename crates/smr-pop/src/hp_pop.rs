@@ -280,7 +280,7 @@ impl Smr for HpPop {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HpPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // The watermark check is amortized to batch flushes (bound slack:
+        // The watermark check runs once per batch of retires (bound slack:
         // batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), 0);
         let at_hi = self.core.retire(&mut ctx.local, retired);
@@ -475,8 +475,8 @@ mod tests {
         let smr = HpPop::new(SmrConfig::for_tests());
         let cfg = smr.config().clone();
         let mut ctx = smr.register(0);
-        // Retire coalescing amortizes the watermark check to batch flushes,
-        // so the bound gains exactly the fixed batch slack (cap − 1).
+        // The watermark check runs once per batch of retires, so the bound
+        // gains exactly the fixed batch slack (cap − 1).
         let bound = cfg.hi_watermark
             + cfg.max_reservations * cfg.max_threads
             + (smr_common::RETIRE_BATCH_CAP - 1);

@@ -127,7 +127,7 @@ fn black_holed_pings_degrade_without_stopping_reclamation() {
 }
 
 mod staged_probe {
-    //! Drop-counting node for the staged-batch departure regression: every
+    //! Drop-counting node for the mid-batch departure regression: every
     //! reclaim runs the destructor exactly once, so the counter separates
     //! "leaked" (< n) from "double-adopted" (> n, if it doesn't crash first).
 
@@ -153,12 +153,11 @@ mod staged_probe {
 
 #[test]
 fn staged_retires_survive_departure_and_are_freed_exactly_once() {
-    // ISSUE-9 regression: a worker that departs with a *part-filled* retire
-    // staging buffer (fewer than `RETIRE_BATCH_CAP` retires since the last
-    // flush) must not strand those records. `unregister` flushes the stage
-    // before the final scan / orphan hand-off, so every staged node is freed
-    // exactly once — by the departing thread's last scan, a survivor's
-    // adoption, or the domain owner's drop — and never twice.
+    // A worker that departs mid-batch (fewer than `RETIRE_BATCH_CAP`
+    // retires, so no watermark check has run yet) must not strand those
+    // records: every one is freed exactly once — by the departing thread's
+    // last scan, a survivor's adoption, or the domain owner's drop — and
+    // never twice.
     use smr_baselines::{Debra, HazardEras, HazardPointers, Ibr, Leaky, Qsbr, Rcu, Wfe};
     use smr_common::{NodeHeader, Smr, RETIRE_BATCH_CAP};
     use smr_pop::{EpochPop, HpPop};
@@ -166,7 +165,7 @@ fn staged_retires_survive_departure_and_are_freed_exactly_once() {
     use std::sync::atomic::Ordering;
 
     fn run_one<S: Smr>(smr: S, label: &str) {
-        // Strictly inside one batch: nothing flushed, nothing swept yet.
+        // Strictly inside one batch: no watermark check, nothing swept yet.
         let n = RETIRE_BATCH_CAP - 3;
         assert!(n >= 1);
         let before = DROPS.load(Ordering::SeqCst);

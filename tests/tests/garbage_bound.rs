@@ -322,53 +322,45 @@ fn adaptive_trigger_preserves_bounds_for_bounded_schemes() {
 
 #[test]
 fn coalescing_adds_exactly_the_batch_slack_to_robust_bounds() {
-    // ISSUE-9: with retire coalescing ON, each thread's watermark trigger is
-    // only evaluated at batch flushes, so a bag can overshoot the HiWatermark
-    // by at most the records still sitting in the staging buffer — a *fixed*
-    // slack of RETIRE_BATCH_CAP − 1 per participating thread, zero when
-    // coalescing is off. The robust schemes (HP, WFE) must hold their
-    // stalled-reader bounds at exactly that widened figure in both modes.
+    // Each thread's watermark trigger is only evaluated once every
+    // RETIRE_BATCH_CAP retires, so a bag can overshoot the HiWatermark by at
+    // most the records retired since the last check — a *fixed* slack of
+    // RETIRE_BATCH_CAP − 1 per participating thread. The robust schemes (HP,
+    // WFE) must hold their stalled-reader bounds at exactly that widened
+    // figure.
     use smr_common::RETIRE_BATCH_CAP;
-    for coalesce in [false, true] {
-        let config = cfg().with_coalesce(coalesce);
-        let slack = if coalesce {
-            (RETIRE_BATCH_CAP as u64 - 1) * 4 // threads + 1 participants
-        } else {
-            0
-        };
-        let hp =
-            run_with::<DgtTreeFamily>(SmrKind::Hp, &stalled_spec(4_096, 60_000), config.clone());
-        assert!(
-            hp.outstanding_garbage() <= bound(&config, 3) + slack,
-            "HP (coalesce={coalesce}): outstanding {} exceeds bound {} + batch slack {}",
-            hp.outstanding_garbage(),
-            bound(&config, 3),
-            slack
-        );
-        assert!(hp.smr_totals.frees > 0);
+    let config = cfg();
+    let slack = (RETIRE_BATCH_CAP as u64 - 1) * 4; // threads + 1 participants
+    let hp = run_with::<DgtTreeFamily>(SmrKind::Hp, &stalled_spec(4_096, 60_000), config.clone());
+    assert!(
+        hp.outstanding_garbage() <= bound(&config, 3) + slack,
+        "HP: outstanding {} exceeds bound {} + batch slack {}",
+        hp.outstanding_garbage(),
+        bound(&config, 3),
+        slack
+    );
+    assert!(hp.smr_totals.frees > 0);
 
-        let live_at_stall = 2 * (4_096 / 2);
-        let wfe =
-            run_with::<DgtTreeFamily>(SmrKind::Wfe, &stalled_spec(4_096, 60_000), config.clone());
-        assert!(
-            wfe.outstanding_garbage() <= bound(&config, 3) + live_at_stall + slack,
-            "WFE (coalesce={coalesce}): outstanding {} exceeds robust bound {} + batch slack {}",
-            wfe.outstanding_garbage(),
-            bound(&config, 3) + live_at_stall,
-            slack
-        );
-        assert!(wfe.smr_totals.frees > 0);
-    }
+    let live_at_stall = 2 * (4_096 / 2);
+    let wfe = run_with::<DgtTreeFamily>(SmrKind::Wfe, &stalled_spec(4_096, 60_000), config.clone());
+    assert!(
+        wfe.outstanding_garbage() <= bound(&config, 3) + live_at_stall + slack,
+        "WFE: outstanding {} exceeds robust bound {} + batch slack {}",
+        wfe.outstanding_garbage(),
+        bound(&config, 3) + live_at_stall,
+        slack
+    );
+    assert!(wfe.smr_totals.frees > 0);
 }
 
 #[test]
 fn wfe_robust_bound_holds_with_coalescing_under_permanent_stall() {
-    // The ISSUE-9 acceptance row: coalescing + combining explicitly on, one
-    // worker permanently stalled inside an open operation, and WFE's garbage
-    // still under the fixed robust bound widened by the batch slack only.
+    // Combining explicitly on, one worker permanently stalled inside an
+    // open operation, and WFE's garbage still under the fixed robust bound
+    // widened by the batch slack only.
     use smr_common::RETIRE_BATCH_CAP;
     use smr_harness::{FaultKind, FaultPlan};
-    let config = cfg().with_coalesce(true).with_combine(true);
+    let config = cfg().with_combine(true);
     let key_range = 4_096u64;
     let spec = WorkloadSpec::new(
         WorkloadMix::UPDATE_HEAVY,

@@ -1,23 +1,22 @@
-//! Property-based tests (proptest) for the limbo bag's retire-coalescing
-//! staging layer (ISSUE 9).
+//! Property-based tests (proptest) for the limbo bag's retire order and
+//! its watermark-check cadence.
 //!
 //! NBR+'s prefix bookmark and the interval schemes' era sweeps both assume
-//! the limbo bag yields records **in retire order** — the staging buffer in
-//! front of the segments must be a pure batching optimization, invisible to
-//! everything downstream. These properties pin that down against arbitrary
-//! batch capacities and arbitrary interleavings of stages and drains:
+//! the limbo bag yields records **in retire order**. These properties pin
+//! that down against a plain `Vec` model, for bags grown past their
+//! initial 256-record reservation and for arbitrary interleavings of
+//! stages and drains:
 //!
-//! 1. `drain()` returns every record exactly once, in exact retire order,
-//!    no matter where the batch boundaries fell;
-//! 2. `len()` always counts staged + flushed records (the watermark trigger
-//!    reads it, so an undercount would defer scans unboundedly);
-//! 3. `stage()` reports a flush exactly at batch-capacity boundaries (and on
-//!    every record when coalescing is off, i.e. cap ≤ 1).
+//! 1. a prefix sweep keeps survivors and the suffix in retire order, and
+//!    `drain()` returns every held record exactly once, in that order;
+//! 2. `len()` always counts every held record (the watermark trigger reads
+//!    it, so an undercount would defer scans unboundedly);
+//! 3. `stage()` returns `true` exactly once per `RETIRE_BATCH_CAP` pushes.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use smr_common::recycle::alloc_node_raw;
-use smr_common::{LimboBag, NodeHeader, Retired, RETIRE_BATCH_CAP};
+use smr_common::{LimboBag, Magazine, NodeHeader, Retired, ThreadStats, RETIRE_BATCH_CAP};
 
 struct Node {
     header: NodeHeader,
@@ -48,24 +47,31 @@ fn reclaim_all(records: Vec<Retired>) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// One uninterrupted run of stages followed by a single drain: output
-    /// order equals retire order for every batch capacity, including the
-    /// degenerate cap ≤ 1 (coalescing disabled) and caps larger than the
-    /// default `RETIRE_BATCH_CAP`.
+    /// One uninterrupted run of stages, one prefix sweep that frees every
+    /// `step`-th record retired before a bookmark, then a drain: survivors
+    /// and the suffix past the bookmark come out in retire order, also past
+    /// the bag's initial reservation.
     #[test]
-    fn drain_preserves_retire_order(
-        cap in 0usize..=2 * RETIRE_BATCH_CAP,
-        n in 0usize..96,
-    ) {
-        let mut bag = LimboBag::with_batch(cap);
+    fn drain_preserves_retire_order(n in 0usize..600, cut in 0usize..600, step in 2u64..5) {
+        let mut bag = LimboBag::with_capacity(256);
         for i in 0..n {
             bag.stage(retired(i as u64));
             assert_eq!(bag.len(), i + 1, "len must count staged records");
         }
+        let bookmark = cut.min(n);
+        let mut stats = ThreadStats::default();
+        let mut mag = Magazine::disabled();
+        // SAFETY: no thread ever saw these records.
+        let freed = unsafe {
+            bag.reclaim_prefix_if(bookmark, |r| r.retire_era() % step == 0, &mut stats, &mut mag)
+        };
         let out = bag.drain();
         let eras: Vec<u64> = out.iter().map(|r| r.retire_era()).collect();
-        let expected: Vec<u64> = (0..n as u64).collect();
-        assert_eq!(eras, expected, "cap {cap}: drain must preserve retire order");
+        let expected: Vec<u64> = (0..n as u64)
+            .filter(|&e| e >= bookmark as u64 || e % step != 0)
+            .collect();
+        assert_eq!(eras, expected, "sweep and drain must preserve retire order");
+        assert_eq!(freed, n - expected.len());
         assert!(bag.is_empty());
         reclaim_all(out);
     }
@@ -73,14 +79,13 @@ proptest! {
     /// Arbitrary interleaving of stages and mid-sequence drains: the
     /// concatenation of all drained outputs is still the exact retire
     /// sequence — a drain may cut a batch anywhere without reordering or
-    /// dropping the staged suffix.
+    /// dropping records.
     #[test]
     fn interleaved_drains_concatenate_to_the_retire_sequence(
-        cap in 0usize..=RETIRE_BATCH_CAP + 2,
         // 1 = stage the next record, 0 = drain the bag
         script in vec(0u8..2, 0..128),
     ) {
-        let mut bag = LimboBag::with_batch(cap);
+        let mut bag = LimboBag::new();
         let mut next_era = 0u64;
         let mut collected = Vec::new();
         for do_stage in script {
@@ -89,7 +94,7 @@ proptest! {
                 next_era += 1;
             } else {
                 collected.extend(bag.drain());
-                assert_eq!(bag.len(), 0, "drain must empty the bag, stage included");
+                assert_eq!(bag.len(), 0, "drain must empty the bag");
             }
         }
         collected.extend(bag.drain());
@@ -97,30 +102,32 @@ proptest! {
         let expected: Vec<u64> = (0..next_era).collect();
         assert_eq!(
             eras, expected,
-            "cap {cap}: drains must neither reorder, drop nor duplicate records"
+            "drains must neither reorder, drop nor duplicate records"
         );
         reclaim_all(collected);
     }
 
-    /// The flush signal drives every watermark check in the schemes, so its
-    /// cadence is part of the contract: with coalescing on, `stage` reports
-    /// a flush exactly when the staged count reaches the capacity; with cap
-    /// ≤ 1 every stage is an immediate flush.
+    /// `stage`'s `true` drives every watermark check in the schemes, so its
+    /// cadence is part of the contract: whatever the bag held when a run of
+    /// stages began, every `RETIRE_BATCH_CAP` consecutive stages of the run
+    /// return `true` exactly once.
     #[test]
     fn flush_signal_fires_exactly_at_batch_boundaries(
-        cap in 0usize..=RETIRE_BATCH_CAP + 2,
+        held in 0usize..3 * RETIRE_BATCH_CAP,
         n in 1usize..96,
     ) {
-        let mut bag = LimboBag::with_batch(cap);
-        for i in 0..n {
-            let flushed = bag.stage(retired(i as u64));
-            let expected = if cap <= 1 { true } else { (i + 1) % cap == 0 };
+        let mut bag = LimboBag::new();
+        for i in 0..held {
+            bag.push(retired(i as u64));
+        }
+        let checks: Vec<bool> = (0..n).map(|i| bag.stage(retired((held + i) as u64))).collect();
+        for (start, window) in checks.windows(RETIRE_BATCH_CAP).enumerate() {
             assert_eq!(
-                flushed, expected,
-                "cap {cap}: flush signal wrong after {} stages",
-                i + 1
+                window.iter().filter(|&&c| c).count(),
+                1,
+                "{held} held: stages {start}..{} must check exactly once",
+                start + RETIRE_BATCH_CAP
             );
-            assert_eq!(bag.staged_len(), if cap <= 1 { 0 } else { (i + 1) % cap });
         }
         reclaim_all(bag.drain());
     }

@@ -5,7 +5,7 @@
 //! single-threaded 50i-50d churn twice over a Harris list — once with the
 //! recycling pool, once with `SmrConfig::recycle` off — and asserts that with
 //! recycling the number of *global-allocator* calls during the measured
-//! window collapses to the warm-up residue (limbo segment buffers, one-off
+//! window collapses to the warm-up residue (limbo bag growth, one-off
 //! scratch growth), while the bypass run pays roughly one allocation per
 //! successful insert.
 //!
