@@ -25,7 +25,7 @@ fn main() {
     println!("| structure | NBR / NBR+ | EBR family (DEBRA/QSBR/RCU) | HP / IBR / HE |");
     println!("|---|---|---|---|");
     println!("| lazy list (LL05) | yes, impl | yes, impl | no per the paper (breaks wait-free contains); run here IBR-benchmark-style, impl |");
-    println!("| Harris list (HL01) | yes, impl | yes, impl | yes, impl |");
+    println!("| Harris list (HL01) | yes, impl | yes, impl | yes with the Harris-Michael fallback (no marked-chain walk: a scan before the hop frees the chain), impl |");
     println!("| Harris-Michael list (HM04), original | **no** (Φ_read resumes from pred) | yes, impl | yes, impl |");
     println!("| Harris-Michael list, restart-from-root variant (E4) | yes, impl | yes, impl | yes, impl |");
     println!("| DGT external BST (DGT15) | yes, impl | yes, impl | no per the paper (no marks ⇒ cannot validate); run here with re-read validation, impl |");

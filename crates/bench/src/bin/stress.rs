@@ -103,22 +103,9 @@ fn main() {
                             "    ok: {:.3} Mops/s, {} retired, {} freed",
                             r.mops, r.smr_totals.retires, r.smr_totals.frees
                         );
-                        // The combiner only trips under genuine scan
-                        // concurrency and the memo only under a stamp-capable
-                        // scheme, so the counters go through the greppable
-                        // note channel rather than silently reading 0.
-                        if r.smr_totals.combine_publishes > 0 || r.smr_totals.combine_adoptions > 0
-                        {
-                            report::note(
-                                "scan-combining",
-                                &format!(
-                                    "smr={} {} bags published to the combiner, {} adopted by peer scans",
-                                    kind.label(),
-                                    r.smr_totals.combine_publishes,
-                                    r.smr_totals.combine_adoptions,
-                                ),
-                            );
-                        }
+                        // The memo only trips under a stamp-capable scheme,
+                        // so its counters go through the greppable note
+                        // channel rather than silently reading 0.
                         if r.smr_totals.memo_hits > 0 || r.smr_totals.memo_misses > 0 {
                             report::note(
                                 "lookup-memo",

@@ -47,8 +47,8 @@ impl Nbr {
             self.core
                 .collect_reservations_into(local.tid(), &mut local.addrs);
             // SAFETY: every record in the prefix `[0, tail)` — this thread's
-            // own retires plus the orphans and combiner bags adopted before
-            // `tail` was captured — was unlinked before the broadcast; the
+            // own retires plus the orphans adopted before `tail` was
+            // captured — was unlinked before the broadcast; the
             // handshake established that every other thread either
             // restarted its read phase (discarding unreserved pointers) or
             // is confined to its reservations, which we exclude below. This
@@ -131,25 +131,7 @@ impl Smr for Nbr {
         // RETIRE_BATCH_CAP - 1.
         let retired = Retired::new(ptr.as_raw(), 0);
         if self.core.reclaim().retire(&mut ctx.local, retired) {
-            // Run the scan as the domain's active scanner, or — when a
-            // peer's scan is already mid-flight — publish this thread's bag
-            // so that scan (or the next one) sweeps it in the same ping
-            // round instead of stacking a second broadcast.
-            //
-            // `false`: unlike every other combining scheme, a hand-off does
-            // not restart NBR's heartbeat window, so a publisher's next
-            // operation exit with garbage usually broadcasts for a
-            // near-empty bag — as NBR has done since it began combining.
-            // Restarting it (one `true`) cuts NBR's signals-per-free from
-            // 0.0076 to 0.0045, NBR+'s level: with the combiner both
-            // amortise a round over 2–3 bags, and
-            // `garbage_bound::nbr_plus_piggybacks_instead_of_signalling`
-            // (default config, `plus_rate < nbr_rate`) becomes a coin flip.
-            // Which of the two gives way needs a decision, not a refactor
-            // (ROADMAP, "NBR's hand-off pacing").
-            if let Some(_turn) = self.core.reclaim().scan_or_publish(&mut ctx.local, false) {
-                self.reclaim_with_signals(ctx);
-            }
+            self.reclaim_with_signals(ctx);
         }
     }
 

@@ -85,8 +85,8 @@ impl NbrPlus {
     }
 
     /// HiWatermark path: induce an RGP (signals + verified handshake) and
-    /// reclaim everything retired before the broadcast. Records adopted by
-    /// the scan prologue (orphans, combiner bags) append *after* the
+    /// reclaim everything retired before the broadcast. Orphans adopted by
+    /// the scan prologue append *after* the
     /// LoWatermark bookmark prefix, so the bookmark indices stay valid, and
     /// they join this round's prefix before the broadcast.
     fn reclaim_at_hi_watermark(&self, ctx: &mut NbrPlusCtx) -> usize {
@@ -151,23 +151,6 @@ impl NbrPlus {
             return 0;
         }
         self.piggyback_if_rgp_elapsed(ctx)
-    }
-
-    /// HiWatermark trigger (after the RGP ride/defer checks declined): run
-    /// the scan as the domain's active scanner, or — when a peer's scan is
-    /// already mid-flight — publish this thread's bag to the combiner so
-    /// that scan sweeps it in the same ping round.
-    fn scan_or_publish(&self, ctx: &mut NbrPlusCtx) {
-        if let Some(_turn) = self.core.reclaim().scan_or_publish(&mut ctx.local, true) {
-            self.reclaim_at_hi_watermark(ctx);
-        } else if ctx.local.limbo.is_empty() {
-            // Published: the bag is empty now, so the LoWatermark bookmark
-            // refers to nothing — reset Algorithm 2's bookkeeping (the
-            // pipeline already restarted the heartbeat window: publication
-            // is a reclamation event from this thread's perspective).
-            ctx.bookmark = 0;
-            Self::clean_up(ctx);
-        }
     }
 }
 
@@ -312,7 +295,7 @@ impl Smr for NbrPlus {
                 // A peer's grace period is mid-handshake; keep running so it
                 // can complete, then piggyback on it.
             } else {
-                self.scan_or_publish(ctx);
+                self.reclaim_at_hi_watermark(ctx);
             }
         } else if policy.opportunistic_on_retire(ctx.local.limbo.len()) {
             self.try_reclaim_at_lo_watermark(ctx);

@@ -85,10 +85,8 @@ impl SignalSlot {
     }
 }
 
-/// The shared core used by both `Nbr` and `NbrPlus`: the reclaim pipeline
-/// (a combining one — NBR and NBR+ threads whose HiWatermark fires
-/// mid-broadcast publish their bag instead of stacking a second signal
-/// storm), the signal slots, the reservations and the signal channel.
+/// The shared core used by both `Nbr` and `NbrPlus`: the reclaim pipeline,
+/// the signal slots, the reservations and the signal channel.
 pub struct NeutralizationCore {
     reclaim: ReclaimCore,
     slots: Vec<CachePadded<SignalSlot>>,
@@ -112,7 +110,7 @@ impl std::fmt::Debug for NeutralizationCore {
 impl NeutralizationCore {
     /// Creates the shared state for `config.max_threads` threads.
     pub fn new(config: SmrConfig) -> Self {
-        let reclaim = ReclaimCore::combining(config);
+        let reclaim = ReclaimCore::new(config);
         let config = reclaim.config();
         let slots = (0..config.max_threads)
             .map(|_| CachePadded::default())

@@ -148,20 +148,21 @@ impl<S: Smr> HarrisList<S> {
                     continue 'search_again;
                 }
                 if t_next.tag() & MARK != 0 && !S::CAN_TRAVERSE_UNLINKED {
-                    // `t` is logically deleted. Address-validation reclaimers
-                    // (HP, HP-POP) must not follow pointers out of records
-                    // that may already be unlinked — the validating re-read
-                    // targets a *frozen* field, so it can never observe that
-                    // the pointee was retired and freed (DESIGN.md, "Why the
-                    // HP family keeps the Harris-Michael fallback"). Instead
-                    // of walking the marked chain we unlink this single node
-                    // from `left` (which is its immediate predecessor here,
-                    // since we never walk past a marked node in this mode)
-                    // and restart from the head — i.e. the Harris-Michael
-                    // behaviour Table 1 requires for the HP family. The
-                    // interval reclaimers (IBR, HE) take the batch-unlink
-                    // path below instead: their contiguous announced
-                    // intervals pin every record on the frozen chain.
+                    // `t` is logically deleted. Validating reclaimers (HP,
+                    // HP-POP, IBR, HE, WFE) must not follow pointers out of
+                    // records that may already be unlinked — the validating
+                    // re-read targets a *frozen* field, so it can never
+                    // observe that the pointee was retired and freed, and an
+                    // era announced after a scan does not cover a record
+                    // that scan already freed (DESIGN.md, "Traversals through
+                    // unlinked records under the interval reclaimers" and
+                    // "Why the HP family keeps the Harris-Michael
+                    // fallback"). Instead of walking the marked chain we
+                    // unlink this single node from `left` (which is its
+                    // immediate predecessor here, since we never walk past a
+                    // marked node in this mode) and restart from the head —
+                    // i.e. the Harris-Michael behaviour Table 1 requires for
+                    // the HP family.
                     self.smr
                         .end_read_phase(ctx, &[left.untagged_usize(), t.untagged_usize()]);
                     // SAFETY: `left` is covered by SLOT_LEFT and was just
@@ -220,12 +221,9 @@ impl<S: Smr> HarrisList<S> {
                 // thread just now, so no reclaimer can free them before the
                 // retire below; dereferencing them here is safe even though
                 // they are not reserved. Retiring strictly *after* the unlink
-                // CAS is what the interval reclaimers' traversal-through-
-                // unlinked safety argument builds on: every chain record's
-                // retire era is then at least the unlink era, which a
-                // concurrent traverser's announced interval provably reaches
-                // (DESIGN.md, "Traversals through unlinked records under the
-                // interval reclaimers").
+                // CAS keeps every chain record's retire era at or after the
+                // unlink era (fact F4 in DESIGN.md, "Traversals through
+                // unlinked records under the interval reclaimers").
                 let mut c = left_next.with_tag(0);
                 while !c.ptr_eq(right) {
                     // SAFETY: `c` is on the chain this thread's CAS just

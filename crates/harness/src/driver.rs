@@ -280,10 +280,22 @@ where
     let mut ctx = ds.smr().register(tid);
     let mut gen = OpGenerator::new(spec, tid);
     let mut fault: Option<FaultSpec> = spec.fault_plan.as_ref().and_then(|p| p.fault_for(tid));
-    shared.start.wait();
+    // A stall or black hole at op 0 pins its read phase *before* the start
+    // barrier and parks right after it, as `stalled_worker` does: parking
+    // after the barrier instead races the peers for the first quantum, and
+    // a late victim leaves an unpinned prefix that reclamation frees.
+    if let Some(f) = fault.filter(|f| f.at_op == 0 && !matches!(f.kind, FaultKind::Depart)) {
+        fault = None;
+        ds.smr().begin_op(&mut ctx);
+        ds.smr().begin_read_phase(&mut ctx);
+        shared.start.wait();
+        park(ds.smr(), &mut ctx, shared, tid, f.kind);
+    } else {
+        shared.start.wait();
+    }
     let mut ops = 0u64;
-    loop {
-        // Check the stop condition every batch to keep overhead low.
+    // Check the stop condition every batch to keep overhead low.
+    while !shared.stop.load(Ordering::Acquire) {
         for _ in 0..BATCH {
             match gen.next_op() {
                 Op::Insert(k) => {
@@ -312,21 +324,13 @@ where
                         ds.smr().unregister(&mut ctx);
                         return (ops, stats);
                     }
-                    FaultKind::Stall { for_ops } => {
-                        trace::emit(tid, TraceKind::FaultStall, for_ops, 0);
-                        park_in_read_phase(ds.smr(), &mut ctx, shared, for_ops, true);
-                        trace::emit(tid, TraceKind::FaultParkEnd, 0, 0);
-                    }
-                    FaultKind::BlackholePings { for_ops } => {
-                        trace::emit(tid, TraceKind::FaultBlackhole, for_ops, 0);
-                        park_in_read_phase(ds.smr(), &mut ctx, shared, for_ops, false);
-                        trace::emit(tid, TraceKind::FaultParkEnd, 1, 0);
+                    kind => {
+                        ds.smr().begin_op(&mut ctx);
+                        ds.smr().begin_read_phase(&mut ctx);
+                        park(ds.smr(), &mut ctx, shared, tid, kind);
                     }
                 }
             }
-        }
-        if shared.stop.load(Ordering::Acquire) {
-            break;
         }
         if shared.track_ops {
             let done = shared.ops_done.fetch_add(BATCH, Ordering::AcqRel) + BATCH;
@@ -347,26 +351,35 @@ where
     (ops, stats)
 }
 
-/// The stall/black-hole fault body: open an operation and a read phase
-/// (pinning the epoch for EBR-family reclaimers, announcing restartability
-/// for NBR) and park until `for_ops` further operations complete globally or
-/// the trial stops. With `ack_pings` the victim keeps servicing
+/// The stall/black-hole fault body, entered inside an open operation and
+/// read phase (pinning the epoch for EBR-family reclaimers, announcing
+/// restartability for NBR): park until `for_ops` further operations complete
+/// globally or the trial stops, then close both. A stall keeps servicing
 /// neutralization checkpoints while parked (a descheduled-but-signalable
-/// thread); without, it acknowledges nothing (a black hole) and the peers'
-/// `await_acks` degradation path is on trial.
-fn park_in_read_phase<S: Smr>(
+/// thread); a black hole acknowledges nothing and the peers' `await_acks`
+/// degradation path is on trial.
+fn park<S: Smr>(
     smr: &S,
     ctx: &mut S::ThreadCtx,
     shared: &SharedState,
-    for_ops: u64,
-    ack_pings: bool,
+    tid: usize,
+    kind: FaultKind,
 ) {
+    let (for_ops, ack_pings) = match kind {
+        FaultKind::Stall { for_ops } => {
+            trace::emit(tid, TraceKind::FaultStall, for_ops, 0);
+            (for_ops, true)
+        }
+        FaultKind::BlackholePings { for_ops } => {
+            trace::emit(tid, TraceKind::FaultBlackhole, for_ops, 0);
+            (for_ops, false)
+        }
+        FaultKind::Depart => unreachable!("a departure does not park"),
+    };
     let resume_at = shared
         .ops_done
         .load(Ordering::Acquire)
         .saturating_add(for_ops);
-    smr.begin_op(ctx);
-    smr.begin_read_phase(ctx);
     while shared.ops_done.load(Ordering::Acquire) < resume_at
         && !shared.stop.load(Ordering::Acquire)
     {
@@ -377,6 +390,7 @@ fn park_in_read_phase<S: Smr>(
     }
     smr.end_read_phase(ctx, &[]);
     smr.end_op(ctx);
+    trace::emit(tid, TraceKind::FaultParkEnd, u64::from(!ack_pings), 0);
 }
 
 /// The E2 stalled thread: begins an operation (pinning the epoch for

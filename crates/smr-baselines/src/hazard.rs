@@ -81,7 +81,7 @@ impl Smr for HazardPointers {
     // recycled *before this thread ever loaded the pointer*, a window no
     // address-based hazard can cover (DESIGN.md, "Why the HP family keeps
     // the Harris-Michael fallback"). Traversing out of unlinked records is
-    // therefore inherently unsafe for HP, unlike the interval family.
+    // therefore inherently unsafe for HP.
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {

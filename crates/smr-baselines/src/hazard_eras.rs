@@ -10,17 +10,14 @@
 //!
 //! **Era-hull scan.** The reclamation scan treats each thread's announced
 //! eras as the contiguous interval `[min, max]` over its slots rather than as
-//! a set of points. Point-era sweeping has a gap that is unsound the moment a
-//! traversal follows a pointer out of an *unlinked* record (the Harris list's
-//! marked chains): a record born and retired strictly *between* two of the
-//! traverser's announced eras is covered by neither point and gets freed
-//! while the traverser holds a validated pointer to it — the root cause of
-//! the marked-chain race this port originally side-stepped with
-//! `CAN_TRAVERSE_UNLINKED = false` (reproduced deterministically in
-//! `tests/tests/marked_chain_race.rs`). The hull closes the gap and is what
-//! lets HE run the paper-faithful batch-unlink traversal; the full safety
-//! argument is in DESIGN.md, "Traversals through unlinked records under the
-//! interval reclaimers".
+//! a set of points. The hull closes the gap between two announced eras, but
+//! not a hop made *after* a scan: a scan that saw the hull end below a
+//! chain record's birth era frees it, and the validated re-read of the
+//! frozen `next` still returns its address (`tests/tests/marked_chain_race.rs`,
+//! the scan-before-hop tests). So HE keeps `CAN_TRAVERSE_UNLINKED = false`
+//! and the Harris list restarts instead of walking marked chains under it
+//! (DESIGN.md, "Traversals through unlinked records under the interval
+//! reclaimers").
 //!
 //! The announced eras live in a [`SlotBlock`], one line-aligned row per
 //! thread, each slot one era word ([`NONE`] when empty).
@@ -124,42 +121,9 @@ pub struct HazardEras {
     core: ReclaimCore,
     era: EraClock,
     slots: EraTable,
-    /// Test-only resurrection of the pre-fix **point-era** sweep: each
-    /// announced era is treated as a degenerate `[e, e]` interval instead of
-    /// folding a thread's slots into their contiguous hull. This reopens the
-    /// exact marked-chain soundness hole PR 5 closed (a record born and
-    /// retired strictly between two announced eras is covered by neither
-    /// point) so the smr-check explorer can prove it rediscovers the bug.
-    /// Only settable under the `check` feature; never read by release builds.
-    #[cfg(feature = "check")]
-    resurrect_point_sweep: std::sync::atomic::AtomicBool,
 }
 
 impl HazardEras {
-    /// [`EraTable::collect_hulls`], or — resurrected pre-fix behaviour —
-    /// every announced era as its own degenerate interval, so the gap
-    /// between two announcements covers nothing.
-    fn collect_hulls(&self, lowers: &mut Vec<u64>, uppers: &mut Vec<u64>) {
-        #[cfg(feature = "check")]
-        if self
-            .resurrect_point_sweep
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            for tid in self.core.registry().active_tids() {
-                for s in self.slots.of(tid) {
-                    let e = s.load(Ordering::Acquire) as u64;
-                    if e != NONE {
-                        lowers.push(e);
-                        uppers.push(e);
-                    }
-                }
-            }
-            return;
-        }
-        self.slots
-            .collect_hulls(self.core.registry(), lowers, uppers);
-    }
-
     fn scan_and_reclaim(&self, ctx: &mut HeCtx) {
         self.core.scan(&mut ctx.local, |local, _tail| {
             // Single-fence scan (see DESIGN.md): one SeqCst fence, then
@@ -167,27 +131,17 @@ impl HazardEras {
             fence(Ordering::SeqCst);
             local.lowers.clear();
             local.uppers.clear();
-            self.collect_hulls(&mut local.lowers, &mut local.uppers);
-            // SAFETY: a thread can only dereference a record whose lifetime
-            // overlaps its announced era hull — announced point eras cover
-            // every record reached through live predecessors, and the hull
-            // in between covers records reached through *unlinked*
-            // (marked-frozen) predecessors, whose retire eras are
-            // sandwiched between the traverser's announcements (DESIGN.md,
+            self.slots
+                .collect_hulls(self.core.registry(), &mut local.lowers, &mut local.uppers);
+            // SAFETY: a thread only dereferences records it reached through
+            // live predecessors (`CAN_TRAVERSE_UNLINKED = false`), each
+            // alive at the era it announced for that load, so the record's
+            // lifetime overlaps its announced era hull (DESIGN.md,
             // "Traversals through unlinked records under the interval
             // reclaimers"). If no hull overlaps [birth, retire], no thread
             // can still dereference the record.
             unsafe { local.sweep_disjoint_intervals() }
         });
-    }
-
-    /// Restores the pre-fix point-era sweep (see the field docs). Test-only:
-    /// the smr-check resurrect suite flips this to prove the checker finds
-    /// the historical marked-chain bug.
-    #[cfg(feature = "check")]
-    pub fn resurrect_point_era_sweep(&self) {
-        self.resurrect_point_sweep
-            .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 }
 
@@ -196,15 +150,12 @@ impl Smr for HazardEras {
 
     const NAME: &'static str = "HE";
     const USES_PROTECTION: bool = true;
-    // Safe since the scan sweeps per-thread era *hulls* (see the module
-    // docs): a record reached through a marked-frozen pointer out of an
-    // unlinked record has its lifetime sandwiched between the eras the
-    // traverser announced before and at the hop, so the hull pins it even
-    // though no announced point era falls inside the lifetime. The HE
-    // *paper*'s point-era scan inherits HP's usage contract and must not set
-    // this; the deterministic reproducer in `marked_chain_race.rs` shows
-    // exactly how the point sweep frees a chain successor early.
-    const CAN_TRAVERSE_UNLINKED: bool = true;
+    // The era hull pins a record on a frozen marked chain only if no scan
+    // ran before the hop that reached it: a scan that saw the hull end below
+    // the record's birth era has already freed it, and the validated re-read
+    // of the frozen `next` still returns its address (`marked_chain_race.rs`,
+    // the scan-before-hop tests; same rule as IBR).
+    const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
         let core = ReclaimCore::new(config);
@@ -212,8 +163,6 @@ impl Smr for HazardEras {
             slots: EraTable(SlotBlock::new(core.config())),
             core,
             era: EraClock::new(),
-            #[cfg(feature = "check")]
-            resurrect_point_sweep: std::sync::atomic::AtomicBool::new(false),
         }
     }
 

@@ -115,18 +115,13 @@ impl Smr for Ibr {
 
     const NAME: &'static str = "IBR";
     const USES_PROTECTION: bool = true;
-    // The IBR paper's claim, now proven for this port: the announced interval
-    // is *contiguous* — `lower` fixed at `begin_op`, `upper` re-validated to
-    // cover every load — so a record reached through a marked-frozen pointer
-    // out of an unlinked record (whose lifetime sits between two of the
-    // traversal's access eras) is still pinned by the interval in between.
-    // The residual race that originally parked this flag at `false`
-    // root-caused to hazard eras' *point*-era sweep, not to interval
-    // protection: `tests/tests/marked_chain_race.rs` runs the exact
-    // interleaving under IBR and the chain stays pinned. Full argument in
-    // DESIGN.md, "Traversals through unlinked records under the interval
-    // reclaimers".
-    const CAN_TRAVERSE_UNLINKED: bool = true;
+    // The contiguous interval pins a record on a frozen marked chain only
+    // if no scan ran before the hop that reached it: a scan that saw `upper`
+    // below the record's birth era has already freed it, and the validated
+    // re-read of the frozen `next` still returns its address
+    // (`marked_chain_race.rs`, the scan-before-hop tests; DESIGN.md,
+    // "Traversals through unlinked records under the interval reclaimers").
+    const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
         let slots = (0..config.max_threads)

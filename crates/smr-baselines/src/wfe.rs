@@ -86,10 +86,6 @@ pub struct WfeCtx {
 
 /// The Wait-Free Eras reclaimer.
 pub struct Wfe {
-    /// A combining pipeline: a watermark-triggered thread that loses the
-    /// race to an in-flight peer scan hands its limbo over instead of
-    /// stacking a second era-hull sweep (generalizes NBR+'s
-    /// ride-don't-stack to the era family).
     core: ReclaimCore,
     era: EraClock,
     slots: EraTable,
@@ -100,12 +96,6 @@ pub struct Wfe {
 }
 
 impl Wfe {
-    /// The reclaim pipeline this scheme runs on.
-    #[inline]
-    pub fn reclaim(&self) -> &ReclaimCore {
-        &self.core
-    }
-
     /// Advances the global era, first servicing every pending help request
     /// while the era is frozen under the lock — the helping half of the
     /// protocol: era advances are exactly the events that defeat the fast
@@ -209,7 +199,7 @@ impl Wfe {
             // the owner's slots before the pointer is ever handed back).
             // No overlapping hull ⇒ no live reference. The sweep is
             // ownership-agnostic (each record carries its own eras), so
-            // bags adopted from the combiner flow through it unchanged.
+            // adopted orphans flow through it unchanged.
             unsafe { local.sweep_disjoint_intervals() }
         });
     }
@@ -220,14 +210,14 @@ impl Smr for Wfe {
 
     const NAME: &'static str = "WFE";
     const USES_PROTECTION: bool = true;
-    // Same era-hull sweep as HE, same safety argument, same capability.
-    const CAN_TRAVERSE_UNLINKED: bool = true;
+    // Same era-hull sweep as HE, and the same scan-before-hop hole.
+    const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
         let boards = (0..config.max_threads)
             .map(|_| CachePadded::new(HelpBoard::new()))
             .collect();
-        let core = ReclaimCore::combining(config);
+        let core = ReclaimCore::new(config);
         Self {
             slots: EraTable(SlotBlock::new(core.config())),
             core,
@@ -336,14 +326,7 @@ impl Smr for Wfe {
         // retires (bound slack: batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
         let at_hi = self.core.retire(&mut ctx.local, retired);
-        let cadence = self.core.cadence_due(&mut ctx.local);
-        if at_hi {
-            // Watermark scans combine: run as the domain's active scanner,
-            // or hand the bag to the peer that already is.
-            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
-                self.scan_and_reclaim(ctx);
-            }
-        } else if cadence {
+        if self.core.cadence_due(&mut ctx.local) || at_hi {
             self.scan_and_reclaim(ctx);
         }
     }

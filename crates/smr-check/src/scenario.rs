@@ -94,13 +94,7 @@ pub fn quiet_config(params: &Params) -> SmrConfig {
         .with_watermarks(4, 2)
         .with_scan_heartbeat_ops(1)
         .with_signal_cost_ns(0)
-        .with_magazine_cap(params.magazine_cap)
-        // Flat-combined scan publication stays ON under the explorer: it
-        // adds its own preemption point ("combine.handoff") and must hold up
-        // under adversarial schedules. The per-op heartbeat keeps the config
-        // reclamation-hostile anyway — every op exit with garbage pending
-        // opens a retire → sweep → free window.
-        .with_combine(true);
+        .with_magazine_cap(params.magazine_cap);
     // Short ack spins: under the one-runnable scheduler the awaited thread
     // cannot make progress while the pinger holds the token, so every spin
     // iteration is a wasted scheduled step. The spin loop preempts at

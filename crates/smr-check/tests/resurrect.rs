@@ -1,15 +1,6 @@
-//! Resurrect-the-bug validation: flip the test-only flags that restore two
-//! historical soundness bugs and assert the explorer + oracle rediscover
-//! both within a bounded schedule budget, printing the replayable seed.
-//!
-//! * **HE point-era sweep** (pre-PR-5): each announced era treated as a
-//!   degenerate `[e, e]` interval instead of the per-thread hull. A record
-//!   born and retired strictly *between* two eras a traverser announced is
-//!   covered by neither point and gets freed while the traverser can still
-//!   reach it through a marked-frozen pointer (the marked-chain race).
-//!   Expected oracle verdict: `premature-free/era-hull` (the claim hull
-//!   overlaps the lifetime the point sweep ignored) or, if the schedule
-//!   lets the traverser touch the block first, `use-after-free/deref`.
+//! Resurrect-the-bug validation: flip the test-only flag that restores a
+//! historical soundness bug and assert the explorer + oracle rediscover it
+//! within a bounded schedule budget, printing the replayable seed.
 //!
 //! * **IBR stamp-before-pop** (recycle ABA): the allocation reads the era
 //!   clock *before* popping a block, so a block retired and recycled in the
@@ -18,10 +9,10 @@
 //!   `recycle/overlapping-incarnations` (checked because IBR sessions run
 //!   with `birth_era_monotonic`).
 //!
-//! Budget knob: `SMR_CHECK_RESURRECT_SCHEDULES` (default 400 per bug).
+//! Budget knob: `SMR_CHECK_RESURRECT_SCHEDULES` (default 400).
 
 use conc_ds::{ConcurrentSet, HarrisList};
-use smr_baselines::{HazardEras, Ibr};
+use smr_baselines::Ibr;
 use smr_check::{explore_one, Params, RunReport, SplitMix64, Strategy};
 
 fn schedules_budget() -> u64 {
@@ -82,41 +73,6 @@ fn hunt(what: &str, accept: &dyn Fn(&RunReport) -> bool, run: &dyn Fn(Strategy, 
         near_miss
             .map(|m| format!("; closest other failure:\n{m}"))
             .unwrap_or_default()
-    );
-}
-
-#[test]
-fn rediscovers_he_point_era_sweep_bug() {
-    // Heavy remove/insert churn on few keys: marked chains form and the
-    // era clock (epoch_freq=1) ticks on every retire, opening gaps between
-    // a traverser's two announced eras.
-    let params = Params {
-        workers: 3,
-        ops_per_worker: 12,
-        key_range: 4,
-        ..Params::default()
-    };
-    hunt(
-        "he-point-era-sweep",
-        &|report| {
-            report.violation.as_ref().is_some_and(|v| {
-                v.rule.starts_with("premature-free") || v.rule.starts_with("use-after-free")
-            })
-        },
-        &|strategy, seed| {
-            explore_one::<HazardEras, HarrisList<HazardEras>, _>(
-                "he-resurrect",
-                true,
-                &params,
-                strategy,
-                seed,
-                |cfg| {
-                    let ds = HarrisList::<HazardEras>::new(cfg);
-                    ds.smr().resurrect_point_era_sweep();
-                    ds
-                },
-            )
-        },
     );
 }
 

@@ -61,7 +61,6 @@ pub mod atomic;
 pub mod backoff;
 pub mod barrier;
 pub mod check;
-pub mod combine;
 pub mod header;
 pub mod limbo;
 pub mod pad;
@@ -80,13 +79,12 @@ pub mod vlock;
 
 pub use atomic::{Atomic, Shared};
 pub use backoff::Backoff;
-pub use combine::ScanCombiner;
 pub use header::{NodeHeader, SmrNode};
 pub use limbo::{LimboBag, RETIRE_BATCH_CAP};
 pub use pad::CachePadded;
 pub use ping::{PingChannel, PingOutcome};
 pub use policy::{ScanPolicy, ScanState};
-pub use reclaim::{ReclaimCore, ReclaimLocal, ScanTurn};
+pub use reclaim::{ReclaimCore, ReclaimLocal};
 pub use recycle::{BlockPool, Magazine};
 pub use registry::{Registry, ThreadSlot};
 pub use retired::Retired;

@@ -17,7 +17,7 @@
 //! 4. which [`LimboBag`] **sweep** frees against that frontier.
 //!
 //! [`ReclaimCore`] is the shared half (config, [`ScanPolicy`], [`Registry`],
-//! [`BlockPool`], [`OrphanPool`], [`ScanCombiner`]); [`ReclaimLocal`] is the
+//! [`BlockPool`], [`OrphanPool`]); [`ReclaimLocal`] is the
 //! per-thread half (tid, limbo, pacing, [`Magazine`], [`ThreadStats`], sweep
 //! scratch). Entry points are `#[inline]` generics over closures: each
 //! scheme monomorphises to straight-line code, no `dyn` anywhere.
@@ -34,12 +34,8 @@
 //!   (`tail`), so a ping-based scheme's "prefix retired before my ping"
 //!   argument covers adopted records unchanged: they were retired — by
 //!   their previous owner — before this scan's ping.
-//! * A successful combiner hand-off is a scan from the publisher's point of
-//!   view: its bag is empty, so its pacing windows restart. (NBR alone still
-//!   opts out — see [`ReclaimCore::scan_or_publish`].)
 
 use crate::atomic::Shared;
-use crate::combine::ScanCombiner;
 use crate::header::SmrNode;
 use crate::limbo::LimboBag;
 use crate::ping::{PingChannel, PingOutcome};
@@ -52,19 +48,6 @@ use crate::stats::ThreadStats;
 use crate::trace::{self, TraceKind};
 use crate::util::OrphanPool;
 use std::sync::Arc;
-
-/// The calling thread's turn as its combining domain's active scanner
-/// ([`ReclaimCore::scan_or_publish`]); the turn ends when this drops.
-#[must_use = "the scan turn ends when this guard drops"]
-pub struct ScanTurn<'a>(Option<&'a ScanCombiner>);
-
-impl Drop for ScanTurn<'_> {
-    fn drop(&mut self) {
-        if let Some(combiner) = self.0 {
-            combiner.finish();
-        }
-    }
-}
 
 /// The per-thread half of the pipeline; lives in every scheme's thread
 /// context. No synchronization involved.
@@ -190,37 +173,17 @@ pub struct ReclaimCore {
     registry: Registry,
     pool: Arc<BlockPool>,
     orphans: OrphanPool,
-    /// `Some` for a ping/era domain built with [`ReclaimCore::combining`]
-    /// while `SmrConfig::combine` is on.
-    combiner: Option<ScanCombiner>,
 }
 
 impl ReclaimCore {
-    /// The pipeline for a scheme whose watermark scans always run directly.
+    /// The pipeline for one reclaimer instance.
     pub fn new(config: SmrConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    /// The pipeline for a scheme whose watermark scans pay a handshake
-    /// round (NBR, NBR+, EpochPOP, HP-POP, WFE): with `SmrConfig::combine`
-    /// on, a trigger that finds a peer's scan mid-flight hands its bag over
-    /// instead of stacking a second round
-    /// ([`ReclaimCore::scan_or_publish`]).
-    pub fn combining(config: SmrConfig) -> Self {
-        let combiner = config
-            .combine
-            .then(|| ScanCombiner::new(config.max_threads));
-        Self::build(config, combiner)
-    }
-
-    fn build(config: SmrConfig, combiner: Option<ScanCombiner>) -> Self {
         config.validate();
         Self {
             policy: ScanPolicy::from_config(&config),
             registry: Registry::new(config.max_threads),
             pool: BlockPool::from_config(&config),
             orphans: OrphanPool::new(),
-            combiner,
             config,
         }
     }
@@ -336,26 +299,10 @@ impl ReclaimCore {
         due
     }
 
-    /// Folds peer garbage into this thread's bag: bags published to the
-    /// combiner, then departed threads' orphans. Every adopted record keeps
-    /// its own retire stamp. Both sources are non-blocking; a contended pool
+    /// Folds departed threads' orphans into this thread's bag. Every adopted
+    /// record keeps its own retire stamp. Non-blocking: a contended pool
     /// yields nothing this round.
     fn adopt(&self, local: &mut ReclaimLocal) {
-        if let Some(combiner) = &self.combiner {
-            let (published, bags) = combiner.adopt();
-            if bags > 0 {
-                local.stats.combine_adoptions += bags;
-                trace::emit(
-                    local.tid,
-                    TraceKind::CombineAdopt,
-                    published.len() as u64,
-                    bags,
-                );
-            }
-            for r in published {
-                local.limbo.push(r);
-            }
-        }
         let orphaned = self.orphans.take_all();
         if !orphaned.is_empty() {
             local.stats.orphan_adoptions += orphaned.len() as u64;
@@ -457,56 +404,13 @@ impl ReclaimCore {
         }
         acked
     }
-
-    /// Watermark-triggered entry for a [`ReclaimCore::combining`] scheme.
-    /// `Some(turn)`: no peer's scan is mid-flight (or combining is off) —
-    /// run the scan now and drop the turn afterwards. `None`: a peer is
-    /// scanning; this thread's bag was published for that scanner (or the
-    /// next) to adopt, leaving it empty — or, when the slot still held an
-    /// unadopted bag, kept for the next trigger. Heartbeat, `flush` and
-    /// `unregister` scans stay direct: local progress must never depend on
-    /// a peer.
-    ///
-    /// `restart_pacing`: whether a successful hand-off restarts the
-    /// publisher's pacing windows (module docs, last rule). Every scheme
-    /// passes `true`; NBR passes `false` until its half of the rule is
-    /// signed off (`nbr.rs`, `Smr::retire`).
-    pub fn scan_or_publish(
-        &self,
-        local: &mut ReclaimLocal,
-        restart_pacing: bool,
-    ) -> Option<ScanTurn<'_>> {
-        let Some(combiner) = &self.combiner else {
-            return Some(ScanTurn(None));
-        };
-        if combiner.try_begin() {
-            return Some(ScanTurn(Some(combiner)));
-        }
-        let records = local.limbo.drain();
-        let published = records.len() as u64;
-        match combiner.publish(local.tid, records) {
-            Ok(()) => {
-                local.stats.combine_publishes += 1;
-                trace::emit(local.tid, TraceKind::CombinePublish, published, 0);
-                if restart_pacing {
-                    local.note_scan();
-                }
-            }
-            Err(records) => {
-                for r in records {
-                    local.limbo.push(r);
-                }
-            }
-        }
-        None
-    }
 }
 
 impl Drop for ReclaimCore {
     fn drop(&mut self) {
         // SAFETY: by the `Smr` contract every thread has deregistered before
         // the reclaimer drops, so no reference to an orphaned record
-        // remains (the combiner drains its own unadopted bags the same way).
+        // remains.
         unsafe { self.orphans.drain_and_free() };
     }
 }
@@ -636,39 +540,24 @@ mod tests {
     }
 
     #[test]
-    fn combiner_bags_are_adopted_before_the_tail_is_captured() {
-        let toy = Toy::new(ReclaimCore::combining(config()));
+    fn orphans_are_adopted_before_the_tail_is_captured() {
+        let toy = Toy::new(ReclaimCore::new(config()));
         let mut scanner: ReclaimLocal = toy.core.register(0);
-        let mut publisher: ReclaimLocal = toy.core.register(1);
+        let mut departing: ReclaimLocal = toy.core.register(1);
         toy.retire(&mut scanner, 1);
         toy.retire(&mut scanner, 1);
         for _ in 0..3 {
-            toy.retire(&mut publisher, 1);
+            toy.retire(&mut departing, 1);
         }
-        let turn = toy.core.scan_or_publish(&mut scanner, true);
-        assert!(turn.is_some(), "an idle domain hands out the turn");
-        // The peer's trigger fires mid-scan: its bag is handed over, and the
-        // hand-off restarts its pacing like a scan of its own would.
-        let elapsed = (0..10).any(|_| toy.core.heartbeat_due(&mut publisher));
-        assert!(elapsed, "the publisher's heartbeat window has run out");
-        assert!(toy.core.scan_or_publish(&mut publisher, true).is_none());
-        assert_eq!(publisher.limbo.len(), 0);
-        assert_eq!(publisher.stats.combine_publishes, 1);
-        toy.retire(&mut publisher, 1);
-        assert!(!toy.core.heartbeat_due(&mut publisher), "window restarted");
+        toy.core.unregister(&mut departing);
 
         toy.frontier.store(10, Ordering::SeqCst);
         let (freed, tail) = toy.scan(&mut scanner);
-        assert_eq!(tail, 5, "the sweep's prefix covers the adopted bag");
+        assert_eq!(tail, 5, "the sweep's prefix covers the adopted orphans");
         assert_eq!(freed, 5);
-        assert_eq!(scanner.stats.combine_adoptions, 1);
-        drop(turn);
-        assert!(
-            toy.core.scan_or_publish(&mut publisher, true).is_some(),
-            "dropping the turn frees the domain"
-        );
+        assert_eq!(scanner.stats.orphan_adoptions, 3);
+        assert_eq!(toy.drops(), 5);
         toy.core.unregister(&mut scanner);
-        toy.core.unregister(&mut publisher);
     }
 
     #[test]

@@ -70,12 +70,6 @@ pub struct SmrConfig {
     /// `magazine_cap × max_threads + 2 × hi_watermark` blocks per class —
     /// steady-state circulation plus one full reclamation burst).
     pub magazine_cap: usize,
-    /// Flat-combined scan publication: when a scan triggers while a peer's
-    /// scan is mid-flight in the same ping domain, publish this thread's
-    /// limbo to a combiner slot and let the active scanner sweep it in the
-    /// same ping round instead of stacking a second ping storm. Only the
-    /// ping-based schemes (NBR, NBR+, EpochPOP, HP-POP, WFE) consult this.
-    pub combine: bool,
     /// Epoch-stamped lookup memo: lets the `ds` crate cache Zipf-hot lookup
     /// results keyed by [`Smr::validation_stamp`]. Schemes whose clock
     /// cannot validate a cached pointer (see that method) ignore this flag
@@ -97,7 +91,6 @@ impl Default for SmrConfig {
             scan_heartbeat_ops: 1024,
             recycle: true,
             magazine_cap: 128,
-            combine: true,
             memo: true,
         }
     }
@@ -119,7 +112,6 @@ impl SmrConfig {
             scan_heartbeat_ops: 64,
             recycle: true,
             magazine_cap: 8,
-            combine: true,
             memo: true,
         }
     }
@@ -175,12 +167,6 @@ impl SmrConfig {
     pub fn with_epoch_freqs(mut self, epoch_freq: usize, empty_freq: usize) -> Self {
         self.epoch_freq = epoch_freq.max(1);
         self.empty_freq = empty_freq.max(1);
-        self
-    }
-
-    /// Builder-style setter for [`SmrConfig::combine`].
-    pub fn with_combine(mut self, combine: bool) -> Self {
-        self.combine = combine;
         self
     }
 
@@ -262,15 +248,14 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// (but not yet reclaimed) record.
     ///
     /// Epoch/era-based schemes (EBR family, NBR — within a read phase)
-    /// allow this: the whole chain is quiesced together. The interval
-    /// schemes (IBR, hazard eras with the era-hull scan) allow it too: the
-    /// contiguous announced interval pins every record on a frozen marked
-    /// chain, including lifetimes lying strictly between two access eras
-    /// (DESIGN.md, "Traversals through unlinked records under the interval
-    /// reclaimers"). Address-validation protection (HP, HP-POP) cannot: the
-    /// pointee may have been retired and freed *before the pointer was ever
-    /// loaded*, and the validating re-read targets a frozen field that
-    /// still holds the stale pointer. Data structures whose traversals can
+    /// allow this: the whole chain is quiesced together. Validating
+    /// protection (HP, HP-POP, and the interval schemes IBR, HE and WFE)
+    /// cannot: the pointee may have been retired and freed *before the
+    /// pointer was ever loaded*, and the validating re-read targets a
+    /// frozen field that still holds the stale pointer. An interval
+    /// announced after a scan does not reach back to cover it (DESIGN.md,
+    /// "Traversals through unlinked records under the interval
+    /// reclaimers"). Data structures whose traversals can
     /// pass through unlinked records (e.g. the Harris list's marked chains)
     /// consult this flag and fall back to unlinking one record at a time —
     /// exactly the applicability distinction Table 1 of the paper draws.
@@ -535,10 +520,10 @@ mod tests {
     #[test]
     fn batching_flags_default_on_and_toggle() {
         let c = SmrConfig::default();
-        assert!(c.combine && c.memo);
+        assert!(c.memo);
         assert_eq!(c.retire_batch_cap(), crate::limbo::RETIRE_BATCH_CAP);
-        let c = c.with_combine(false).with_memo(false);
-        assert!(!c.combine && !c.memo);
+        let c = c.with_memo(false);
+        assert!(!c.memo);
         assert_eq!(c.retire_batch_cap(), crate::limbo::RETIRE_BATCH_CAP);
     }
 

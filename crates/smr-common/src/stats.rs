@@ -55,11 +55,10 @@ pub struct ThreadStats {
     pub ping_concessions: u64,
     /// Orphaned records adopted from departed threads' limbo bags.
     pub orphan_adoptions: u64,
-    /// Scan requests this thread published to a combiner slot instead of
-    /// running its own ping round (a peer's scan was already mid-flight).
+    /// Always 0: the scan combiner that counted bag hand-offs is deleted.
+    /// Kept only because the standing benchmark's report still reads it.
     pub combine_publishes: u64,
-    /// Published peer bags this thread adopted and swept as the active
-    /// combiner in its own scan round.
+    /// Always 0, for the same reason as `combine_publishes`.
     pub combine_adoptions: u64,
     /// Lookups answered from the epoch-stamped memo (traversal skipped).
     pub memo_hits: u64,

@@ -67,12 +67,6 @@ pub enum TraceKind {
     /// Injected departure fired (unregister without quiescing). `a` = the
     /// victim's local op count.
     FaultDepart,
-    /// A scan trigger found a peer's scan mid-flight and published its limbo
-    /// bag to the combiner instead. `a` = records published.
-    CombinePublish,
-    /// The active scanner adopted published peer bags at its prologue. `a` =
-    /// records adopted, `b` = bags.
-    CombineAdopt,
 }
 
 /// One traced event.
@@ -275,8 +269,6 @@ impl TraceKind {
                 }
             }
             TraceKind::FaultDepart => "fault:depart",
-            TraceKind::CombinePublish => "combine-publish",
-            TraceKind::CombineAdopt => "combine-adopt",
         }
     }
 
@@ -297,8 +289,6 @@ impl TraceKind {
             TraceKind::FaultStall | TraceKind::FaultBlackhole => ("for_ops", "_"),
             TraceKind::FaultParkEnd => ("blackhole", "_"),
             TraceKind::FaultDepart => ("at_op", "_"),
-            TraceKind::CombinePublish => ("records", "_"),
-            TraceKind::CombineAdopt => ("records", "bags"),
         }
     }
 }

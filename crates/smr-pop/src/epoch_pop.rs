@@ -65,9 +65,6 @@ pub struct EpochPopCtx {
 
 /// The EpochPOP reclaimer.
 pub struct EpochPop {
-    /// A combining pipeline: a watermark-triggered thread that finds a
-    /// peer's ping handshake already in flight hands its limbo over instead
-    /// of launching a second full ping round.
     core: ReclaimCore,
     era: EraClock,
     ping: PingChannel,
@@ -75,12 +72,6 @@ pub struct EpochPop {
 }
 
 impl EpochPop {
-    /// The reclaim pipeline this scheme runs on.
-    #[inline]
-    pub fn reclaim(&self) -> &ReclaimCore {
-        &self.core
-    }
-
     /// Copies `value` into `tid`'s published slot. `Release` suffices: the
     /// slot is only trusted by a reclaimer after it observes the `SeqCst`
     /// acknowledgement store sequenced after this publish.
@@ -183,7 +174,7 @@ impl Smr for EpochPop {
             era: EraClock::new(),
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
             slots,
-            core: ReclaimCore::combining(config),
+            core: ReclaimCore::new(config),
         }
     }
 
@@ -271,9 +262,7 @@ impl Smr for EpochPop {
         // storm; at least `empty_freq` retires must separate two scans.
         let paced = self.core.cadence_due(&mut ctx.local);
         if at_hi && paced {
-            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
-                self.reclaim_with_pings(ctx);
-            }
+            self.reclaim_with_pings(ctx);
         }
     }
 

@@ -57,9 +57,6 @@ pub struct HpPopCtx {
 
 /// The HP-POP reclaimer.
 pub struct HpPop {
-    /// A combining pipeline: a watermark-triggered thread that finds a
-    /// peer's ping handshake already in flight hands its limbo over instead
-    /// of launching a second full ping round.
     core: ReclaimCore,
     ping: PingChannel,
     /// Each thread's hazard reservations as of its last acknowledged ping.
@@ -69,12 +66,6 @@ pub struct HpPop {
 }
 
 impl HpPop {
-    /// The reclaim pipeline this scheme runs on.
-    #[inline]
-    pub fn reclaim(&self) -> &ReclaimCore {
-        &self.core
-    }
-
     /// Services an incoming ping, if any: promote the private reservations
     /// to the published slots, then acknowledge. The publish skips
     /// unchanged slots (a stable traversal re-publishes the same hazards),
@@ -140,24 +131,20 @@ impl Smr for HpPop {
 
     const NAME: &'static str = "HP-POP";
     const USES_PROTECTION: bool = true;
-    // Re-derived when the interval family (IBR, HE) flipped to `true`: the
-    // ping-snapshot scan does NOT make marked-chain traversal safe, because
-    // the danger predates the hazard. A record reached through a marked-
+    // The ping-snapshot scan does NOT make marked-chain traversal safe,
+    // because the danger predates the hazard. A record reached through a marked-
     // *frozen* pointer out of an unlinked record may have been retired,
     // swept and recycled under an earlier ping this thread already
     // acknowledged — before this thread ever loaded the pointer, so no
     // private slot existed for that publish to surface, and no address
     // re-validation can notice (the re-read targets the frozen field, which
-    // still holds the stale pointer). Interval schemes close this with the
-    // era hull between their announcements; an address-based scheme has no
-    // analogous "interval of addresses", so the HP family keeps the
-    // Harris-Michael fallback (Table 1's applicability distinction; full
-    // derivation in DESIGN.md, "Why the HP family keeps the Harris-Michael
-    // fallback").
+    // still holds the stale pointer). So HP-POP keeps the Harris-Michael
+    // fallback, like HP and the interval schemes (full derivation in
+    // DESIGN.md, "Why the HP family keeps the Harris-Michael fallback").
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
-        let core = ReclaimCore::combining(config);
+        let core = ReclaimCore::new(config);
         let config = core.config();
         Self {
             ping: PingChannel::new(config.max_threads, config.signal_cost_ns),
@@ -289,9 +276,7 @@ impl Smr for HpPop {
         // at least `empty_freq` retires must separate two scans.
         let paced = self.core.cadence_due(&mut ctx.local);
         if at_hi && paced {
-            if let Some(_turn) = self.core.scan_or_publish(&mut ctx.local, true) {
-                self.reclaim_with_pings(ctx);
-            }
+            self.reclaim_with_pings(ctx);
         }
     }
 

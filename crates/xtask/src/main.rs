@@ -23,10 +23,9 @@
 //!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
 //!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the
 //!      limbo bag (`LimboBag`, or a `Vec<Retired>` of its own), the orphan
-//!      pool, the scan combiner, or one of the scan / adoption /
-//!      combining / watermark trace events. A scheme that
-//!      needs one of those is growing its own copy of the pipeline back;
-//!      it should call `ReclaimCore` instead; or
+//!      pool, or one of the scan / adoption / watermark trace events. A
+//!      scheme that needs one of those is growing its own copy of the
+//!      pipeline back; it should call `ReclaimCore` instead; or
 //!   4. a scheme file, outside `#[cfg(test)]`, declares a boxed atomic
 //!      slice (`Box<[Atomic…`): per-thread protection slots go through
 //!      `smr_common::SlotBlock`, the one line-aligned layout; or
@@ -95,16 +94,13 @@ fn lint() -> ExitCode {
 
 /// Names only `smr_common::reclaim` may use ("pipeline written once"): a
 /// scheme file mentioning one is re-implementing what `ReclaimCore` owns.
-/// `TraceKind::Scan` and `TraceKind::Combine` are prefixes (`ScanBegin`,
-/// `ScanEnd`, `CombinePublish`, `CombineAdopt`).
-const PIPELINE_ONLY: [&str; 8] = [
+/// `TraceKind::Scan` is a prefix (`ScanBegin`, `ScanEnd`).
+const PIPELINE_ONLY: [&str; 6] = [
     "LimboBag",
     "Vec<Retired>",
     "OrphanPool",
-    "ScanCombiner",
     "TraceKind::Scan",
     "TraceKind::OrphanAdopt",
-    "TraceKind::Combine",
     "TraceKind::LimboHigh",
 ];
 
@@ -559,16 +555,15 @@ mod tests {
 
     #[test]
     fn flags_pipeline_pieces_in_scheme_files() {
-        let src = "use smr_common::{OrphanPool, ScanCombiner};\n\
+        let src = "use smr_common::OrphanPool;\n\
                    struct Ctx {\n    bag: LimboBag,\n    epoch_bags: [Vec<Retired>; 3],\n}\n\
                    fn f() {\n    \
                    trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    \
-                   trace::emit(0, TraceKind::CombineAdopt, 0, 0);\n    \
                    trace::emit(0, TraceKind::LimboHigh, 0, 0);\n    \
                    trace::emit(0, TraceKind::OrphanAdopt, 0, 0);\n}\n";
         for dir in ["core", "smr-baselines", "smr-pop"] {
             let f = run_in(&format!("crates/{dir}/src/x.rs"), src);
-            assert_eq!(f.len(), 8, "{dir}: {f:?}");
+            assert_eq!(f.len(), 6, "{dir}: {f:?}");
             assert!(f.iter().all(|m| m.contains("reclaim pipeline")));
         }
         // The pipeline's own crate, the harness and the structures may.

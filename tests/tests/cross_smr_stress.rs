@@ -107,10 +107,10 @@ fn contended_harris_list_he() {
 // ---------------------------------------------------------------------------
 // Marked-chain regression at high oversubscription: the scheduling that
 // originally surfaced the interval-reclaimer traversal race (8 threads on a
-// 2-core CI box) hammering the Harris batch-unlink path now that IBR and HE
-// run it (`CAN_TRAVERSE_UNLINKED = true`). The deterministic root-cause
-// reproducer lives in `marked_chain_race.rs`; these are the probabilistic
-// canaries on top of it.
+// 2-core CI box) hammering the Harris list under IBR and HE, which take the
+// Harris-Michael fallback (`CAN_TRAVERSE_UNLINKED = false`). The
+// deterministic reproducers live in `marked_chain_race.rs`; these are the
+// probabilistic canaries on top of them.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -205,8 +205,7 @@ fn staged_retires_survive_departure_and_are_freed_exactly_once() {
         smr.flush(&mut survivor);
         smr.unregister(&mut survivor);
         // Whatever neither the departing thread's last scan nor the
-        // survivor could free sits in the orphan pool (or a combiner slot)
-        // and is reclaimed when the domain owner drops.
+        // survivor could free sits in the orphan pool and is reclaimed when the domain owner drops.
         drop(smr);
         assert_eq!(
             DROPS.load(Ordering::SeqCst) - before,

@@ -1,6 +1,6 @@
-//! Deterministic forced-interleaving reproducer for the marked-chain
-//! traversal race that kept `CAN_TRAVERSE_UNLINKED = false` on the interval
-//! reclaimers (ROADMAP, "IBR chain-traversal race").
+//! Deterministic forced-interleaving reproducers for the marked-chain
+//! traversal races of the interval reclaimers (DESIGN.md, "Traversals
+//! through unlinked records under the interval reclaimers").
 //!
 //! The interleaving below is the Harris-list scenario distilled to its four
 //! checkpoints, driven from **one** test thread through two registered
@@ -23,18 +23,21 @@
 //!
 //! B's lifetime `[b, r]` lies **strictly between** R's two announced eras:
 //! `e1 < b ≤ r < e2`. A reclaimer that checks announced eras as *points*
-//! (pre-fix hazard eras) covers B with neither era and frees it while R
-//! holds a validated pointer — with the PR-4 recycling pool the block is
-//! immediately re-issued, so the stale deref reads another record's bytes.
-//! A reclaimer that pins the *contiguous interval* between its announced
-//! bounds (IBR; post-fix HE via the per-thread era hull) keeps B: the hull
-//! `[e1, e2] ⊇ [b, r]`. See DESIGN.md, "Traversals through unlinked records
-//! under the interval reclaimers".
+//! (the original hazard-eras sweep) covers B with neither era and frees it
+//! while R holds a validated pointer. A reclaimer that pins the *contiguous
+//! interval* between its announced bounds (IBR; HE via the per-thread era
+//! hull) keeps B: the hull `[e1, e2] ⊇ [b, r]`. The `…_pins_the_unlinked_chain`
+//! tests run this order, 1 000 seeded era paddings each.
+//!
+//! Moving W's scan to just *before* R's hop breaks every interval rule: R's
+//! interval is still `[e1, e1]` when the scan reads it, B is freed, and the
+//! validated hop through A's frozen `next` still returns B's address. The
+//! `…_scan_before_hop_frees_the_frozen_successor` tests assert exactly that
+//! (never dereferencing B); it is why IBR, HE and WFE keep
+//! `CAN_TRAVERSE_UNLINKED = false`.
 //!
 //! The writer-side steps use only public `Smr` API calls, and the traverser
-//! side issues the exact `protect` sequence the Harris list's `search` emits,
-//! so the reproducer is red on the pre-fix scan and is kept as a regression
-//! test (1 000 seeded variations of the era paddings) now that it is green.
+//! side issues the exact `protect` sequence the Harris list's `search` emits.
 
 use smr_baselines::{HazardEras, Ibr};
 use smr_common::{Atomic, NodeHeader, Smr, SmrConfig};
@@ -81,7 +84,13 @@ fn quiet_config() -> SmrConfig {
 /// checkpoints (seeded by the caller); the gap shape `e1 < birth ≤ retire
 /// < e2` holds for every positive padding, so each iteration is the same
 /// race with differently spaced eras.
-fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3]) {
+///
+/// `scan_before_hop` moves W's scan to just *before* R's hop through A:
+/// R's interval then still ends at e1 < birth(B), so the scan frees B, and
+/// the hop that follows still returns B's address because A's `next` is
+/// frozen. Nothing R can announce after loading a pointer protects a
+/// record freed before the load; B is never dereferenced in that variant.
+fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3], scan_before_hop: bool) {
     let mut w = smr.register(0);
     let mut r = smr.register(1);
 
@@ -122,26 +131,35 @@ fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3]) {
     // W: era keeps moving, so B's whole lifetime is now in the past.
     advance_era(smr, &mut w, pad[2]);
 
-    // R: the traversal hops through the *unlinked* A. A's next is frozen by
-    // the mark, so the validated protect returns B — at an era strictly
-    // greater than B's retire era.
-    let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
-    assert_eq!(rb.untagged_usize(), b.untagged_usize());
+    if scan_before_hop {
+        // W: the scan runs while R's interval still ends at e1 < birth(B).
+        smr.flush(&mut w);
+        assert_eq!(smr.limbo_len(&w), 1, "B freed, A kept by R's interval");
+        // R: the validated hop through A's frozen `next` still yields B.
+        let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
+        assert_eq!(rb.untagged_usize(), b.untagged_usize());
+    } else {
+        // R: the traversal hops through the *unlinked* A. A's next is frozen
+        // by the mark, so the validated protect returns B — at an era
+        // strictly greater than B's retire era.
+        let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
+        assert_eq!(rb.untagged_usize(), b.untagged_usize());
 
-    // W: reclamation scan. R's announced eras are e1 (covering A) and
-    // e2 > retire(B); only the contiguous hull [e1, e2] covers B.
-    smr.flush(&mut w);
+        // W: reclamation scan. R's announced eras are e1 (covering A) and
+        // e2 > retire(B); only the contiguous hull [e1, e2] covers B.
+        smr.flush(&mut w);
 
-    assert_eq!(
-        smr.limbo_len(&w),
-        2,
-        "both chain records must survive the scan while the traverser's \
-         announced interval spans their lifetimes"
-    );
-    // The deref the Harris list would do next. If B had been freed, the
-    // recycling magazine re-issues its block to the next allocation (LIFO),
-    // so a stale key here is the use-after-free made visible.
-    assert_eq!(unsafe { rb.with_tag(0).deref().key }, 20);
+        assert_eq!(
+            smr.limbo_len(&w),
+            2,
+            "both chain records must survive the scan while the traverser's \
+             announced interval spans their lifetimes"
+        );
+        // The deref the Harris list would do next. If B had been freed, the
+        // recycling magazine re-issues its block to the next allocation
+        // (LIFO), so a stale key here is the use-after-free made visible.
+        assert_eq!(unsafe { rb.with_tag(0).deref().key }, 20);
+    }
 
     // Wind down: once R lets go, the chain must be reclaimable.
     smr.clear_protections(&mut r);
@@ -176,7 +194,7 @@ fn seeded_paddings(iterations: u64) -> impl Iterator<Item = [u64; 3]> {
 fn hazard_eras_marked_chain_traversal_pins_the_unlinked_chain() {
     for pad in seeded_paddings(1_000) {
         let smr = HazardEras::new(quiet_config());
-        run_interleaving(&smr, pad);
+        run_interleaving(&smr, pad, false);
     }
 }
 
@@ -188,6 +206,28 @@ fn hazard_eras_marked_chain_traversal_pins_the_unlinked_chain() {
 fn ibr_marked_chain_traversal_pins_the_unlinked_chain() {
     for pad in seeded_paddings(1_000) {
         let smr = Ibr::new(quiet_config());
-        run_interleaving(&smr, pad);
+        run_interleaving(&smr, pad, false);
+    }
+}
+
+/// The scan-before-hop variant under hazard eras: the validated protect
+/// returns B's address after B was freed. This is why the interval schemes
+/// keep `CAN_TRAVERSE_UNLINKED = false` and the Harris list restarts
+/// instead of walking a marked chain under them.
+#[test]
+fn hazard_eras_scan_before_hop_frees_the_frozen_successor() {
+    for pad in seeded_paddings(100) {
+        let smr = HazardEras::new(quiet_config());
+        run_interleaving(&smr, pad, true);
+    }
+}
+
+/// The same scan-before-hop variant under IBR: the contiguous interval
+/// `[e1, e1]` announced before the hop does not reach B's birth.
+#[test]
+fn ibr_scan_before_hop_frees_the_frozen_successor() {
+    for pad in seeded_paddings(100) {
+        let smr = Ibr::new(quiet_config());
+        run_interleaving(&smr, pad, true);
     }
 }

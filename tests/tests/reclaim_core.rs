@@ -10,16 +10,12 @@
 //!   bag was fully protected. A conceded ping round counts one
 //!   `ping_concessions`, a completed one none, and only the four schemes
 //!   that ping count any.
-//! * `handoff_restarts_the_heartbeat_<scheme>` — a successful combiner
-//!   publish restarts the publisher's heartbeat window, for the schemes
-//!   built on `ReclaimCore::combining` (NBR's half is held back, and
-//!   asserted as such).
 //!
 //! The leaky scheme never scans; its rows assert exactly that.
 
 use nbr::{Nbr, NbrPlus};
-use smr_baselines::{Leaky, Wfe};
-use smr_common::{Atomic, NodeHeader, ReclaimCore, ReclaimLocal, Shared, Smr, SmrConfig};
+use smr_baselines::Leaky;
+use smr_common::{Atomic, NodeHeader, Shared, Smr, SmrConfig};
 use smr_pop::{EpochPop, HpPop};
 use std::sync::atomic::Ordering;
 
@@ -164,141 +160,6 @@ fn skip_means_nothing_freed<S: Smr>() {
         );
     }
     smr.unregister(&mut worker);
-}
-
-/// How a test reaches the pipeline of a scheme built on
-/// `ReclaimCore::combining`.
-trait Combining: Smr {
-    fn pipeline(&self) -> &ReclaimCore;
-}
-impl Combining for Nbr {
-    fn pipeline(&self) -> &ReclaimCore {
-        self.neutralization().reclaim()
-    }
-}
-impl Combining for NbrPlus {
-    fn pipeline(&self) -> &ReclaimCore {
-        self.neutralization().reclaim()
-    }
-}
-impl Combining for Wfe {
-    fn pipeline(&self) -> &ReclaimCore {
-        self.reclaim()
-    }
-}
-impl Combining for EpochPop {
-    fn pipeline(&self) -> &ReclaimCore {
-        self.reclaim()
-    }
-}
-impl Combining for HpPop {
-    fn pipeline(&self) -> &ReclaimCore {
-        self.reclaim()
-    }
-}
-
-const HEARTBEAT: usize = 16;
-
-/// A thread whose heartbeat window elapsed long ago crosses its HiWatermark
-/// while a peer holds the domain's scan turn, so its bag is handed over.
-/// Returns how many of its operation exits, with garbage pending, pass
-/// before the heartbeat fires: a restarted window lasts [`HEARTBEAT`] of
-/// them, an untouched one fires on the first.
-fn op_exits_until_heartbeat_after_handoff<S: Combining>() -> usize {
-    const HI: usize = 64;
-    // lo == hi keeps NBR+'s LoWatermark ride/defer checks out of the way,
-    // so its trigger goes straight to the combiner like everyone else's;
-    // empty_freq == hi keeps the per-retire cadence from scanning (WFE) or
-    // from pacing the trigger away (the POP pair) before the bag reaches
-    // the watermark.
-    let config = SmrConfig::for_tests()
-        .with_max_threads(2)
-        .with_watermarks(HI, HI)
-        .with_epoch_freqs(4, HI)
-        .with_scan_heartbeat_ops(HEARTBEAT);
-    let smr = S::new(config);
-    let mut ctx = smr.register(0);
-    for _ in 0..2 * HEARTBEAT {
-        smr.begin_op(&mut ctx);
-        smr.end_op(&mut ctx);
-    }
-    let retire_one = |ctx: &mut S::ThreadCtx| {
-        let p = smr.alloc(ctx, node(0));
-        // SAFETY: never published, retired exactly once.
-        unsafe { smr.retire(ctx, p) };
-    };
-
-    // A peer's scan is mid-flight: a bare pipeline thread holds the turn.
-    let mut peer: ReclaimLocal = smr.pipeline().register(1);
-    let turn = smr.pipeline().scan_or_publish(&mut peer, true);
-    assert!(
-        turn.is_some(),
-        "{}: an idle domain hands out the turn",
-        S::NAME
-    );
-    for _ in 0..HI {
-        retire_one(&mut ctx);
-    }
-    let handed = smr.thread_stats(&ctx);
-    assert_eq!(handed.combine_publishes, 1, "{}: no hand-off", S::NAME);
-    assert_eq!(
-        handed.reclaim_scans,
-        0,
-        "{}: scanned beside a peer",
-        S::NAME
-    );
-    assert_eq!(smr.limbo_len(&ctx), 0, "{}: bag handed over", S::NAME);
-    smr.pipeline().unregister(&mut peer);
-    drop(turn);
-
-    retire_one(&mut ctx);
-    let mut exits = 0;
-    while smr.thread_stats(&ctx).heartbeat_scans == 0 {
-        assert!(exits < 4 * HEARTBEAT, "{}: heartbeat never fired", S::NAME);
-        smr.begin_op(&mut ctx);
-        smr.end_op(&mut ctx);
-        exits += 1;
-    }
-    // The heartbeat's scan adopted the published bag back: nothing is lost.
-    smr.flush(&mut ctx);
-    assert_eq!(smr.thread_stats(&ctx).frees, HI as u64 + 1, "{}", S::NAME);
-    smr.unregister(&mut ctx);
-    exits
-}
-
-#[test]
-fn handoff_restarts_the_heartbeat_nbr_plus() {
-    assert_eq!(
-        op_exits_until_heartbeat_after_handoff::<NbrPlus>(),
-        HEARTBEAT
-    );
-}
-
-#[test]
-fn handoff_restarts_the_heartbeat_wfe() {
-    assert_eq!(op_exits_until_heartbeat_after_handoff::<Wfe>(), HEARTBEAT);
-}
-
-#[test]
-fn handoff_restarts_the_heartbeat_epoch_pop() {
-    assert_eq!(
-        op_exits_until_heartbeat_after_handoff::<EpochPop>(),
-        HEARTBEAT
-    );
-}
-
-#[test]
-fn handoff_restarts_the_heartbeat_hp_pop() {
-    assert_eq!(op_exits_until_heartbeat_after_handoff::<HpPop>(), HEARTBEAT);
-}
-
-/// NBR's half of the rule is held back (`nbr.rs`, `Smr::retire`; ROADMAP,
-/// "NBR's hand-off pacing"): its window is not restarted, so the first
-/// operation exit with garbage broadcasts. When that is signed off this
-/// becomes `HEARTBEAT` like the other four.
-#[test]
-fn handoff_does_not_yet_restart_the_heartbeat_nbr() {
-    assert_eq!(op_exits_until_heartbeat_after_handoff::<Nbr>(), 1);
 }
 
 macro_rules! rules {

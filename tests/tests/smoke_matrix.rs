@@ -34,9 +34,10 @@ const KEY_RANGE: u64 = 64;
 // chains in the Harris list, which the single-threaded model checks never
 // do. One case per reclaimer, oversubscribed past CI's core count, so every
 // scheme executes either the batch-unlink fast path
-// (`CAN_TRAVERSE_UNLINKED`, incl. IBR and HE since the era-hull fix) or the
-// Harris-Michael fallback (the HP family) under the scheduling that exposed
-// the original marked-chain race.
+// (`CAN_TRAVERSE_UNLINKED`: the epoch family and NBR/NBR+) or the
+// Harris-Michael fallback (the HP family and the interval schemes IBR, HE
+// and WFE) under the scheduling that exposed the original marked-chain
+// race.
 macro_rules! smoke_rows {
     ($({ $variant:ident, $snake:ident, $smr:ty, $($flags:tt)* })*) => {
         paste::paste! {
