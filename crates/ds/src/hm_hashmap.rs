@@ -3,11 +3,11 @@
 //!
 //! The map is an array of `HmCore` buckets (the engine behind
 //! [`HmList`](crate::HmList)) sharing **one** reclaimer instance. A bucket is
-//! a bare inline head node (24 bytes) whose chain ends in null, as in
-//! Michael's hash table: building a map makes one allocation, for the
+//! a bare 8-byte head link with no head node, whose chain ends in null, as
+//! in Michael's hash table: building a map makes one allocation, for the
 //! bucket array, whatever its size. A key is hashed (SplitMix64 finalizer)
 //! to pick its bucket and the operation proceeds exactly as on the flat
-//! list, with the bucket's head as the operation's root. Since every bucket
+//! list, with the bucket's link as the operation's root. Since every bucket
 //! list restarts from its own head (the `FromRoot` policy), the NBR phase
 //! discipline is preserved — a neutralized operation restarts its read phase
 //! from the root it started at — so the map runs under every reclaimer in
@@ -114,7 +114,7 @@ mod tests {
     use crate::hm_list::tests::chain_end_paths;
     use crate::test_support::{disjoint_key_stress, model_check};
     use nbr::NbrPlus;
-    use smr_baselines::{Debra, HazardPointers};
+    use smr_baselines::{Debra, HazardPointers, Ibr};
     use std::sync::Arc;
 
     #[test]
@@ -157,6 +157,7 @@ mod tests {
         run::<NbrPlus>();
         run::<Debra>();
         run::<HazardPointers>();
+        run::<Ibr>();
     }
 
     #[test]

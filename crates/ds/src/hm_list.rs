@@ -14,19 +14,21 @@
 //! [`RestartPolicy`] knob so the exact same comparison can be reproduced.
 //!
 //! The list logic itself lives in the crate-internal `HmCore`, which is
-//! nothing but the head node: chains end in null (Michael's layout, with no
-//! tail sentinel), and the reclaimer, the restart policy and the memo
-//! identity all belong to the owner and are passed into every call. One
-//! core is therefore one 24-byte bucket, and an array of them sharing one
-//! `S` is the fixed-size hash map of HM-list buckets
-//! ([`HmHashMap`](crate::HmHashMap), the related repos' HMLHT structure).
+//! nothing but the head link: there is no head node, chains end in null
+//! (Michael's layout, with no tail sentinel either), and `find` carries
+//! `prev`, the link it will CAS, instead of a node to CAS it in. The
+//! reclaimer, the restart policy and the memo identity all belong to the
+//! owner and are passed into every call. One core is therefore one 8-byte
+//! bucket, and an array of them sharing one `S` is the fixed-size hash map
+//! of HM-list buckets ([`HmHashMap`](crate::HmHashMap), the related repos'
+//! HMLHT structure).
 //!
 //! **Safety note:** the `ContinueFromPred` policy must only be paired with
 //! reclaimers that do not rely on the NBR phase protocol (it is a documented
 //! phase-rule violation for NBR/NBR+, exactly as the paper describes); the
 //! tests only use it with DEBRA and the leaky reclaimer.
 
-use crate::{check_key, memo, ConcurrentSet, KEY_MIN};
+use crate::{check_key, memo, ConcurrentSet};
 use smr_common::{recycle, Atomic, NodeHeader, Shared, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
 
@@ -61,7 +63,16 @@ impl Node {
     }
 }
 
+/// Where `find` stopped: `curr` is the first node whose key is not below
+/// the searched key (null at the chain's end), read from the link `prev`.
+///
+/// `prev` is `&core.head` while `pred` is null, and `&pred.next` once the
+/// traversal has passed a node. It is therefore valid exactly as long as
+/// `pred` is: the head lives as long as the core, and `pred.next` lies inside
+/// `pred`, which the current read phase covers (its hazard slot, or the
+/// reservation `end_read_phase` publishes).
 struct FindResult {
+    prev: *const Atomic<Node>,
     pred: Shared<Node>,
     curr: Shared<Node>,
 }
@@ -75,39 +86,35 @@ impl FindResult {
     }
 }
 
-/// One Harris-Michael list: its head node and the traversal/update logic.
-/// A core is exactly one [`Node`] (asserted below), so an
-/// [`HmHashMap`](crate::HmHashMap) bucket is a bare inline head. The owning
-/// structure supplies the reclaimer, the restart policy and the core's memo
-/// identity to every call; operations bracket themselves with
-/// `begin_op`/`end_op` and follow the NBR phase discipline, with the head
-/// acting as the operation's root.
+/// One Harris-Michael list: its head link and the traversal/update logic.
+/// A core is exactly one [`Atomic`] link (asserted below), so an
+/// [`HmHashMap`](crate::HmHashMap) bucket is 8 bytes and no `Node` is ever
+/// formed over it. The owning structure supplies the reclaimer, the restart
+/// policy and the core's memo identity to every call; operations bracket
+/// themselves with `begin_op`/`end_op` and follow the NBR phase discipline,
+/// with the head link acting as the operation's root.
 ///
 /// No node ever points at the head and every operation recomputes its
 /// address from `&self`, so a core may be moved while no operation runs.
 pub(crate) struct HmCore {
-    head: Node,
+    head: Atomic<Node>,
 }
 
-const _: () = assert!(std::mem::size_of::<HmCore>() == std::mem::size_of::<Node>());
+const _: () = assert!(std::mem::size_of::<HmCore>() == 8);
 
 impl HmCore {
     pub(crate) fn new() -> Self {
         Self {
-            head: Node::new(KEY_MIN),
+            head: Atomic::null(),
         }
     }
 
-    #[inline]
-    fn head_shared(&self) -> Shared<Node> {
-        Shared::from_raw(&self.head as *const Node as *mut Node)
-    }
-
-    /// Michael's `find`: returns `(pred, curr)` with `pred.key < key <=
-    /// curr.key` (`curr` null when every key is smaller), both reachable and
-    /// unmarked at the linearization point, and unlinks any marked node it
-    /// encounters along the way. On return the thread is still inside a read
-    /// phase with `pred`/`curr` protected.
+    /// Michael's `find`: returns `(prev, pred, curr)` with `pred.key < key
+    /// <= curr.key` (`pred` null when `curr` hangs off the head, `curr` null
+    /// when every key is smaller), both reachable and unmarked at the
+    /// linearization point, and unlinks any marked node it encounters along
+    /// the way. On return the thread is still inside a read phase with
+    /// `pred`/`curr` protected.
     fn find<S: Smr>(
         &self,
         smr: &S,
@@ -117,24 +124,26 @@ impl HmCore {
     ) -> FindResult {
         'from_root: loop {
             smr.begin_read_phase(ctx);
-            let mut pred = self.head_shared();
+            let mut prev: *const Atomic<Node> = &self.head;
+            let mut pred = Shared::null();
             // Rotating hazard slots: pred, curr, next.
             let mut pred_slot = 2usize;
             let mut curr_slot = 0usize;
-            let mut curr = smr.protect(ctx, curr_slot, &self.head.next);
+            let mut curr = smr.protect(ctx, curr_slot, &self.head);
             if smr.checkpoint(ctx) {
                 continue 'from_root;
             }
             loop {
                 debug_assert_eq!(curr.tag(), 0);
                 if curr.is_null() {
-                    return FindResult { pred, curr };
+                    return FindResult { prev, pred, curr };
                 }
                 // The remaining slot of {0, 1, 2}.
                 let next_slot = 3 - pred_slot - curr_slot;
                 // SAFETY: `curr` is covered by `curr_slot` (the `protect`
                 // that returned it).
-                let next = smr.protect(ctx, next_slot, unsafe { &curr.deref().next });
+                let curr_next = unsafe { &curr.deref().next };
+                let next = smr.protect(ctx, next_slot, curr_next);
                 if smr.checkpoint(ctx) {
                     continue 'from_root;
                 }
@@ -143,10 +152,10 @@ impl HmCore {
                     // on the reserved pred/curr pair), then resume according to
                     // the policy.
                     smr.end_read_phase(ctx, &[pred.untagged_usize(), curr.untagged_usize()]);
-                    // SAFETY: `pred` was just reserved by `end_read_phase`.
-                    let pred_ref = unsafe { pred.deref() };
-                    let unlinked = pred_ref
-                        .next
+                    // SAFETY: `prev` is the head or lies inside `pred`, which
+                    // `end_read_phase` just reserved (a null `pred` is the
+                    // head's case, and the head lives as long as `self`).
+                    let unlinked = unsafe { &*prev }
                         .compare_exchange(
                             curr,
                             next.with_tag(0),
@@ -169,7 +178,7 @@ impl HmCore {
                             // (this path is never used with NBR).
                             smr.begin_read_phase(ctx);
                             curr = next.with_tag(0);
-                            // pred keeps its slot; curr takes over next's slot.
+                            // pred and prev stay; curr takes over next's slot.
                             curr_slot = next_slot;
                             continue;
                         }
@@ -178,8 +187,9 @@ impl HmCore {
                 // SAFETY: `curr` is covered by `curr_slot`.
                 let curr_key = unsafe { curr.deref().key };
                 if curr_key >= key {
-                    return FindResult { pred, curr };
+                    return FindResult { prev, pred, curr };
                 }
+                prev = curr_next;
                 pred = curr;
                 pred_slot = curr_slot;
                 curr = next;
@@ -260,10 +270,9 @@ impl HmCore {
             let mut node = Node::new(key);
             node.next = Atomic::new(r.curr);
             let node = smr.alloc(ctx, node);
-            // SAFETY: `r.pred` was reserved by `end_read_phase` above.
-            let pred_ref = unsafe { r.pred.deref() };
-            if pred_ref
-                .next
+            // SAFETY: `r.prev` is the head or lies inside `r.pred`, which
+            // `end_read_phase` reserved above.
+            if unsafe { &*r.prev }
                 .compare_exchange(r.curr, node, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
@@ -321,10 +330,9 @@ impl HmCore {
             memo::invalidate(memo_id, key);
             // Physical delete: if our unlink fails, some traversal will do it
             // (and retire the node).
-            // SAFETY: `r.pred` was reserved by `end_read_phase` above.
-            let pred_ref = unsafe { r.pred.deref() };
-            if pred_ref
-                .next
+            // SAFETY: `r.prev` is the head or lies inside `r.pred`, which
+            // `end_read_phase` reserved above.
+            if unsafe { &*r.prev }
                 .compare_exchange(
                     r.curr,
                     next.with_tag(0),
@@ -352,7 +360,7 @@ impl HmCore {
         smr.begin_op(ctx);
         smr.begin_read_phase(ctx);
         let mut count = 0usize;
-        let mut curr = self.head.next.load(Ordering::Acquire).with_tag(0);
+        let mut curr = self.head.load(Ordering::Acquire).with_tag(0);
         while !curr.is_null() {
             // SAFETY: `count` runs inside a read phase; see its doc — only
             // meaningful while no other thread mutates the core.
@@ -370,7 +378,7 @@ impl HmCore {
 
 impl Drop for HmCore {
     fn drop(&mut self) {
-        let mut curr = self.head.next.load(Ordering::Relaxed).with_tag(0);
+        let mut curr = self.head.load(Ordering::Relaxed).with_tag(0);
         while !curr.is_null() {
             // SAFETY: `&mut self` — no concurrent access remains; every
             // node is exclusively ours and freed exactly once.
@@ -457,53 +465,76 @@ pub(crate) mod tests {
     use crate::test_support::{disjoint_key_stress, model_check};
     use crate::KEY_MAX;
     use nbr::NbrPlus;
-    use smr_baselines::{Debra, HazardPointers, Leaky};
+    use smr_baselines::{Debra, HazardPointers, Ibr, Leaky};
     use std::sync::Arc;
 
-    /// Marks the last node of `core`'s chain the way a remover does before
-    /// its unlink, leaving `next == null|MARK` for a traversal to clean up.
-    fn mark_last(core: &HmCore) {
-        let mut last = core.head.next.load(Ordering::Acquire);
-        loop {
-            // SAFETY: single-threaded test; every node is still linked.
-            let next = unsafe { last.deref() }.next.load(Ordering::Acquire);
-            if next.is_null() {
-                break;
+    /// Marks the node holding `key` the way a remover does before its
+    /// unlink, leaving it linked for a traversal to clean up.
+    fn mark(core: &HmCore, key: u64) {
+        let mut node = core.head.load(Ordering::Acquire);
+        let next = loop {
+            // SAFETY: single-threaded test; every node on the chain is
+            // still linked, and `key` is on it.
+            let n = unsafe { node.deref() };
+            if n.key == key {
+                break &n.next;
             }
-            last = next;
-        }
-        // SAFETY: as above.
-        let next = &unsafe { last.deref() }.next;
+            node = n.next.load(Ordering::Acquire);
+        };
+        let succ = next.load(Ordering::Acquire);
         assert!(next
             .compare_exchange(
-                Shared::null(),
-                Shared::null().with_tag(MARK),
+                succ,
+                succ.with_tag(MARK),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             )
             .is_ok());
     }
 
-    /// Drives the ends of a null-terminated chain through `set`, all of
-    /// whose keys live in `core`: keys above every key in the chain, a
+    /// The key of the node the bucket link points at, read from the link
+    /// itself (`None` when the bucket is empty).
+    fn first_key(core: &HmCore) -> Option<u64> {
+        let first = core.head.load(Ordering::Acquire);
+        // SAFETY: single-threaded test; a node the head points at is live.
+        (!first.is_null()).then(|| unsafe { first.deref() }.key)
+    }
+
+    /// Drives both ends of a null-terminated chain through `set`, all of
+    /// whose keys live in `core`. At the head link: an insert into the empty
+    /// bucket, removing the only node and reinserting it, removing the first
+    /// node, and a marked first node that `find` unlinks with a CAS on the
+    /// head link itself. At the tail: keys above every key in the chain, a
     /// removed last node (its `next` becomes `null|MARK`), and a marked last
     /// node nobody unlinked, each followed by an insert past it.
     pub(crate) fn chain_end_paths<S: Smr>(set: &impl ConcurrentSet<S>, core: &HmCore) {
         let mut ctx = set.smr().register(0);
         assert!(!set.contains(&mut ctx, 5), "empty chain");
         assert!(!set.remove(&mut ctx, 5), "empty chain");
-        for k in [10, 20, 30] {
+        assert!(set.insert(&mut ctx, 20), "into an empty bucket");
+        assert_eq!(first_key(core), Some(20));
+        assert!(set.remove(&mut ctx, 20), "the only node");
+        assert_eq!(first_key(core), None, "the head link is null again");
+        assert!(set.insert(&mut ctx, 20), "reinsert after the only node");
+        for k in [10, 30] {
             assert!(set.insert(&mut ctx, k));
         }
+        assert_eq!(first_key(core), Some(10), "linked at the head");
+        assert!(set.remove(&mut ctx, 10), "the first node");
+        assert_eq!(first_key(core), Some(20), "unlinked from the head link");
+        assert!(set.insert(&mut ctx, 10));
+        mark(core, 10);
+        assert!(!set.contains(&mut ctx, 10), "the marked first node is gone");
+        assert_eq!(first_key(core), Some(20), "find unlinked it at the head");
         assert!(!set.contains(&mut ctx, 40), "above every key");
         assert!(!set.remove(&mut ctx, 40), "above every key");
         assert!(set.remove(&mut ctx, 30), "last node");
         assert!(set.insert(&mut ctx, 35), "past the removed last node");
-        mark_last(core);
+        mark(core, 35);
         assert!(set.insert(&mut ctx, KEY_MAX - 1), "past a marked last node");
         assert!(!set.contains(&mut ctx, 35), "the marked node is gone");
         assert!(set.contains(&mut ctx, KEY_MAX - 1));
-        assert_eq!(set.size(&mut ctx), 3);
+        assert_eq!(set.size(&mut ctx), 2);
         set.smr().unregister(&mut ctx);
     }
 
@@ -528,8 +559,13 @@ pub(crate) mod tests {
         chain_ends::<HazardPointers>(RestartPolicy::FromRoot);
     }
 
+    #[test]
+    fn chain_ends_under_ibr() {
+        chain_ends::<Ibr>(RestartPolicy::FromRoot);
+    }
+
     /// A list holding keys is moved into a `Box` between operations and
-    /// keeps working: nothing points at the inline head.
+    /// keeps working: nothing points at the inline head link.
     fn survives_a_move<S: Smr>() {
         let list = HmList::<S>::new(SmrConfig::for_tests());
         let mut ctx = list.smr().register(0);

@@ -86,7 +86,7 @@ pub use ping::{PingChannel, PingOutcome};
 pub use policy::{ScanPolicy, ScanState};
 pub use reclaim::{ReclaimCore, ReclaimLocal};
 pub use recycle::{BlockPool, Magazine};
-pub use registry::{Registry, ThreadSlot};
+pub use registry::Registry;
 pub use retired::Retired;
 pub use slots::{SlotBlock, SLOTS_PER_THREAD};
 pub use smr::{Smr, SmrConfig};

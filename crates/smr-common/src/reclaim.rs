@@ -300,8 +300,8 @@ impl ReclaimCore {
     }
 
     /// Folds departed threads' orphans into this thread's bag. Every adopted
-    /// record keeps its own retire stamp. Non-blocking: a contended pool
-    /// yields nothing this round.
+    /// record keeps its own retire stamp. Non-blocking: an empty pool is
+    /// not locked, and a contended one yields nothing this round.
     fn adopt(&self, local: &mut ReclaimLocal) {
         let orphaned = self.orphans.take_all();
         if !orphaned.is_empty() {

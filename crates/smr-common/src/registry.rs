@@ -7,35 +7,23 @@
 //! threads and tracks which slots are active so scans and `signalAll` know whom
 //! to visit.
 
-use crate::pad::CachePadded;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-/// One registration slot. Padded so that registration churn on one slot does
-/// not invalidate its neighbours' cache lines.
-#[derive(Debug)]
-pub struct ThreadSlot {
-    in_use: AtomicBool,
-}
-
-impl ThreadSlot {
-    fn new() -> Self {
-        Self {
-            in_use: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether a thread currently owns this slot.
-    #[inline]
-    pub fn is_active(&self, order: Ordering) -> bool {
-        self.in_use.load(order)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed-capacity registry assigning slot indices to participating threads.
+///
+/// Membership is one bit per slot, 64 slots to an `AtomicU64` word, so
+/// visiting the active set reads `⌈capacity/64⌉` words however few threads
+/// are registered.
 #[derive(Debug)]
 pub struct Registry {
-    slots: Vec<CachePadded<ThreadSlot>>,
-    registered: AtomicUsize,
+    words: Box<[AtomicU64]>,
+    capacity: usize,
+}
+
+/// The word holding `tid`'s bit, and the bit.
+#[inline]
+fn bit_of(tid: usize) -> (usize, u64) {
+    (tid / 64, 1 << (tid % 64))
 }
 
 impl Registry {
@@ -43,23 +31,26 @@ impl Registry {
     pub fn new(max_threads: usize) -> Self {
         assert!(max_threads > 0, "registry needs at least one slot");
         Self {
-            slots: (0..max_threads)
-                .map(|_| CachePadded::new(ThreadSlot::new()))
+            words: (0..max_threads.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
                 .collect(),
-            registered: AtomicUsize::new(0),
+            capacity: max_threads,
         }
     }
 
     /// Maximum number of concurrently registered threads.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of currently registered threads.
     #[inline]
     pub fn registered(&self) -> usize {
-        self.registered.load(Ordering::Acquire)
+        self.words
+            .iter()
+            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .sum()
     }
 
     /// Claims a specific slot index. Panics if the slot is out of range and
@@ -67,49 +58,53 @@ impl Registry {
     /// error — the harness assigns distinct tids).
     pub fn register_tid(&self, tid: usize) -> bool {
         assert!(
-            tid < self.slots.len(),
+            tid < self.capacity,
             "tid {tid} out of range (max_threads = {})",
-            self.slots.len()
+            self.capacity
         );
-        let won = self.slots[tid]
-            .in_use
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        if won {
-            self.registered.fetch_add(1, Ordering::AcqRel);
-        }
-        won
+        let (word, bit) = bit_of(tid);
+        self.words[word].fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
     /// Claims the first free slot, returning its index.
     pub fn register_any(&self) -> Option<usize> {
-        (0..self.slots.len()).find(|&tid| self.register_tid(tid))
+        (0..self.capacity).find(|&tid| self.register_tid(tid))
     }
 
     /// Releases a slot previously claimed with [`Registry::register_tid`] /
     /// [`Registry::register_any`].
     pub fn deregister(&self, tid: usize) {
-        assert!(tid < self.slots.len());
-        let was = self.slots[tid].in_use.swap(false, Ordering::AcqRel);
-        if was {
-            self.registered.fetch_sub(1, Ordering::AcqRel);
-        }
+        assert!(tid < self.capacity);
+        let (word, bit) = bit_of(tid);
+        self.words[word].fetch_and(!bit, Ordering::AcqRel);
     }
 
     /// Whether a slot is currently owned.
     #[inline]
     pub fn is_active(&self, tid: usize) -> bool {
-        self.slots[tid].is_active(Ordering::Acquire)
+        let (word, bit) = bit_of(tid);
+        self.words[word].load(Ordering::Acquire) & bit != 0
     }
 
-    /// Iterates over the indices of all currently active slots.
+    /// Iterates over the indices of all currently active slots, in ascending
+    /// order, from one `Acquire` snapshot of each word.
     ///
     /// Note: membership can change concurrently; SMR scans are written so that
     /// seeing a *stale* active slot is safe (it only makes reclamation more
-    /// conservative), and a slot that deregisters concurrently holds no
-    /// references by contract.
+    /// conservative), a slot that deregisters concurrently holds no
+    /// references by contract, and one that registers after its word was read
+    /// cannot reach a record retired before the scan began.
     pub fn active_tids(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.slots.len()).filter(move |&t| self.is_active(t))
+        self.words.iter().enumerate().flat_map(|(i, word)| {
+            let mut bits = word.load(Ordering::Acquire);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let tid = i * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    tid
+                })
+            })
+        })
     }
 }
 
@@ -152,6 +147,37 @@ mod tests {
         r.register_tid(5);
         let active: Vec<usize> = r.active_tids().collect();
         assert_eq!(active, vec![1, 5]);
+    }
+
+    #[test]
+    fn slots_span_words() {
+        let r = Registry::new(130);
+        assert_eq!(r.capacity(), 130);
+        for tid in [0, 63, 64, 129] {
+            assert!(r.register_tid(tid));
+            assert!(!r.register_tid(tid), "double registration must fail");
+        }
+        assert_eq!(r.registered(), 4);
+        assert_eq!(r.active_tids().collect::<Vec<_>>(), vec![0, 63, 64, 129]);
+        r.deregister(63);
+        r.deregister(129);
+        assert!(r.is_active(0) && r.is_active(64));
+        assert!(!r.is_active(63) && !r.is_active(129));
+        assert_eq!(r.active_tids().collect::<Vec<_>>(), vec![0, 64]);
+        r.deregister(0);
+        r.deregister(64);
+        assert_eq!(r.registered(), 0);
+        assert_eq!(r.active_tids().next(), None);
+    }
+
+    #[test]
+    fn active_tids_ascend_whatever_the_registration_order() {
+        let r = Registry::new(200);
+        for tid in [199, 5, 128, 64, 0, 127, 63] {
+            assert!(r.register_tid(tid));
+        }
+        let active: Vec<usize> = r.active_tids().collect();
+        assert_eq!(active, vec![0, 5, 63, 64, 127, 128, 199]);
     }
 
     #[test]

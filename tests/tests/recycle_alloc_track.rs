@@ -113,7 +113,7 @@ fn hash_map_buckets_cost_no_allocation_each() {
     let _serial = SERIAL.lock().unwrap();
     assert!(alloc_track::is_installed());
 
-    // A bucket is an inline head in the one bucket array, so 4096 buckets
+    // A bucket is an inline head link in the one bucket array, so 4096 buckets
     // cost what one does; a per-bucket head or tail allocation would add
     // 4096 each. The slack absorbs the test harness's own allocations
     // (progress output) racing the window.
