@@ -14,26 +14,33 @@
 //!   spliced-out parent with [`SeqLock::mark_dead`] while holding that
 //!   parent's lock. Only parents and grandparents are ever checked, so the
 //!   retired leaf is not marked.
-//! * A node is `[key, left, right, lock, header]`, 40 bytes, with the three
-//!   fields a search hop reads in its first 24.
+//! * An internal [`Node`] is `[key, left, right, lock, header]`, 40 bytes,
+//!   with the three fields a search hop reads in its first 24. A [`Leaf`] is
+//!   its own `[key, header]` record, 16 bytes: it has no children and is never
+//!   locked. A child link to a leaf carries the `LEAF` tag, and the search
+//!   stops on that tag before dereferencing anything.
 //!
 //! This is the structure the paper singles out as supported by NBR but **not**
 //! by HP-style schemes (Table 1: "no marks, cannot validate HP"): there is no
-//! marked bit a hazard-pointer validation could test. We still allow
-//! instantiation with HP (the protect hook validates by re-reading the source
-//! field, the IBR-benchmark convention) so Figure 3a's HP curve can be
-//! reproduced, but correctness under NBR relies only on the phase protocol.
+//! marked bit a hazard-pointer validation could test. The tree still runs
+//! under HP, whose protect re-reads the source field, so Figure 3a's HP curve
+//! can be reproduced; but HP on this tree is a Table 1 "no" pair, and the
+//! schedule explorer finds a use-after-free for it with
+//! `run_matrix_one(Scheme::Hp, Structure::DgtTree, Strategy::Random {
+//! switch_one_in: 1 }, 0xe33701cc92fbd3fd, &Params::default())`. Correctness
+//! under NBR relies only on the phase protocol.
 //!
 //! NBR integration: the search is the Φ_read; `insert` reserves
 //! `[parent, leaf]` and `remove` reserves `[gparent, parent, leaf]` (at most 3
 //! reservations, as stated in Section 4.4).
 
 use crate::{check_key, ConcurrentSet, KEY_MAX, KEY_MIN};
+use smr_common::atomic::{MARK, TAG_MASK};
 use smr_common::{recycle, Atomic, NodeHeader, SeqLock, Shared, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
 
-/// A node of the external BST. Leaves have both children null. The fields a
-/// search hop reads come first.
+/// An internal node of the external BST: it routes, and is locked as a
+/// parent or grandparent. The fields a search hop reads come first.
 #[repr(C)]
 pub struct Node {
     key: u64,
@@ -47,18 +54,58 @@ smr_common::impl_smr_node!(Node);
 
 const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
-impl Node {
-    fn leaf(key: u64) -> Self {
+/// A leaf of the external BST: one key of the set. It has no children and is
+/// never locked, so it carries neither links nor a lock.
+#[repr(C)]
+pub struct Leaf {
+    key: u64,
+    header: NodeHeader,
+}
+smr_common::impl_smr_node!(Leaf);
+
+const _: () = assert!(std::mem::size_of::<Leaf>() == 16);
+
+impl Leaf {
+    fn new(key: u64) -> Self {
         Self {
             key,
-            left: Atomic::null(),
-            right: Atomic::null(),
-            lock: SeqLock::new(),
             header: NodeHeader::new(),
         }
     }
+}
 
-    fn internal(key: u64, left: Shared<Node>, right: Shared<Node>) -> Self {
+/// The tag of a child link that points to a [`Leaf`]; a link to an internal
+/// [`Node`] carries tag 0. Bit 1, so bit 0 stays free for [`MARK`], the bit
+/// HP-POP's oracle mirror reads as "logically deleted".
+///
+/// The rule the three helpers below keep: a `LEAF`-tagged `Shared<Node>` is
+/// never dereferenced as a `Node`. Test it with [`is_leaf`] and recover the
+/// leaf with [`as_leaf`].
+const LEAF: usize = 2;
+
+const _: () = assert!(LEAF & MARK == 0 && LEAF & TAG_MASK == LEAF);
+
+/// The child link to `leaf`: its address under the [`LEAF`] tag.
+#[inline]
+fn leaf_link(leaf: Shared<Leaf>) -> Shared<Node> {
+    Shared::from_usize(leaf.untagged_usize() | LEAF)
+}
+
+/// True when `link` points to a [`Leaf`] (it carries the [`LEAF`] tag).
+#[inline]
+fn is_leaf(link: Shared<Node>) -> bool {
+    link.tag() & LEAF != 0
+}
+
+/// The leaf a [`LEAF`]-tagged `link` points to.
+#[inline]
+fn as_leaf(link: Shared<Node>) -> Shared<Leaf> {
+    debug_assert!(is_leaf(link));
+    Shared::from_usize(link.untagged_usize())
+}
+
+impl Node {
+    fn new(key: u64, left: Shared<Node>, right: Shared<Node>) -> Self {
         Self {
             key,
             left: Atomic::new(left),
@@ -66,11 +113,6 @@ impl Node {
             lock: SeqLock::new(),
             header: NodeHeader::new(),
         }
-    }
-
-    #[inline]
-    fn is_leaf(&self) -> bool {
-        self.left.load(Ordering::Acquire).is_null()
     }
 
     #[inline]
@@ -92,6 +134,7 @@ impl Node {
 struct SearchResult {
     gparent: Shared<Node>,
     parent: Shared<Node>,
+    /// The [`LEAF`]-tagged link the search ended on, as read from `parent`.
     leaf: Shared<Node>,
 }
 
@@ -117,11 +160,10 @@ impl<S: Smr> DgtTree<S> {
 
     /// Creates an empty tree around an existing reclaimer instance.
     pub fn with_smr(smr: S) -> Self {
-        let min_leaf = Shared::from_raw(recycle::alloc_node_raw(Node::leaf(KEY_MIN)));
-        let max_leaf = Shared::from_raw(recycle::alloc_node_raw(Node::leaf(KEY_MAX)));
+        let sentinel = |key| leaf_link(Shared::from_raw(recycle::alloc_node_raw(Leaf::new(key))));
         // lint:allow-box-node — root sentinel: owned by the structure,
         // never published for retirement, freed by Box's own drop.
-        let root = Box::new(Node::internal(KEY_MAX, min_leaf, max_leaf));
+        let root = Box::new(Node::new(KEY_MAX, sentinel(KEY_MIN), sentinel(KEY_MAX)));
         Self { smr, root }
     }
 
@@ -133,6 +175,8 @@ impl<S: Smr> DgtTree<S> {
     /// Synchronization-free search (Φ_read): walk from the root to the leaf
     /// responsible for `key`, remembering the parent and grandparent. Hazard
     /// slots rotate over {0, 1, 2} so the last three nodes stay protected.
+    /// The walk stops on the [`LEAF`] tag of the link it loaded, before any
+    /// dereference.
     fn traverse(&self, ctx: &mut S::ThreadCtx, key: u64) -> Option<SearchResult> {
         let mut gparent = Shared::null();
         let mut parent = self.root_shared();
@@ -144,16 +188,10 @@ impl<S: Smr> DgtTree<S> {
         if self.smr.checkpoint(ctx) {
             return None;
         }
-        loop {
-            // SAFETY: `curr` is covered by `slot` (the `protect` above).
+        while !is_leaf(curr) {
+            // SAFETY: `curr` is covered by `slot` (the `protect` above), and
+            // an untagged link points to an internal `Node`.
             let curr_ref = unsafe { curr.deref() };
-            if curr_ref.is_leaf() {
-                return Some(SearchResult {
-                    gparent,
-                    parent,
-                    leaf: curr,
-                });
-            }
             gparent = parent;
             parent = curr;
             slot = (slot + 1) % 3;
@@ -162,6 +200,11 @@ impl<S: Smr> DgtTree<S> {
                 return None;
             }
         }
+        Some(SearchResult {
+            gparent,
+            parent,
+            leaf: curr,
+        })
     }
 }
 
@@ -179,7 +222,7 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
                 continue;
             };
             // SAFETY: `r.leaf` is still protected by its traversal slot.
-            let found = unsafe { r.leaf.deref() }.key == key;
+            let found = unsafe { as_leaf(r.leaf).deref() }.key == key;
             self.smr.end_read_phase(ctx, &[]);
             break found;
         };
@@ -197,14 +240,14 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
                 continue;
             };
             // SAFETY: `r.leaf` is still protected by its traversal slot.
-            let leaf_ref = unsafe { r.leaf.deref() };
-            if leaf_ref.key == key {
+            let leaf_key = unsafe { as_leaf(r.leaf).deref() }.key;
+            if leaf_key == key {
                 self.smr.end_read_phase(ctx, &[]);
                 break false;
             }
 
-            // Φ_write touches the parent (lock + child swing) and reads the
-            // leaf's key again: reserve both.
+            // Φ_write touches the parent (lock + child swing): reserve it,
+            // and the leaf the new internal node adopts.
             self.smr
                 .end_read_phase(ctx, &[r.parent.untagged_usize(), r.leaf.untagged_usize()]);
 
@@ -220,13 +263,13 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
             }
             // Build the replacement subtree: a new internal node routing
             // between the existing leaf and a new leaf holding `key`.
-            let new_leaf = self.smr.alloc(ctx, Node::leaf(key));
-            let (left, right, routing) = if key < leaf_ref.key {
-                (new_leaf, r.leaf, leaf_ref.key)
+            let new_leaf = leaf_link(self.smr.alloc(ctx, Leaf::new(key)));
+            let (left, right, routing) = if key < leaf_key {
+                (new_leaf, r.leaf, leaf_key)
             } else {
                 (r.leaf, new_leaf, key)
             };
-            let new_internal = self.smr.alloc(ctx, Node::internal(routing, left, right));
+            let new_internal = self.smr.alloc(ctx, Node::new(routing, left, right));
             child_slot.store(new_internal, Ordering::Release);
             parent_ref.lock.unlock();
             break true;
@@ -245,8 +288,7 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
                 continue;
             };
             // SAFETY: `r.leaf` is still protected by its traversal slot.
-            let leaf_ref = unsafe { r.leaf.deref() };
-            if leaf_ref.key != key {
+            if unsafe { as_leaf(r.leaf).deref() }.key != key {
                 self.smr.end_read_phase(ctx, &[]);
                 break false;
             }
@@ -292,10 +334,10 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
             parent_ref.lock.unlock();
             gparent_ref.lock.unlock();
             // SAFETY: both records were just unlinked by this thread (it held
-            // the locks), so each is retired exactly once.
+            // the locks), so each is retired exactly once, under its own type.
             unsafe {
                 self.smr.retire(ctx, r.parent);
-                self.smr.retire(ctx, r.leaf);
+                self.smr.retire(ctx, as_leaf(r.leaf));
             }
             break true;
         };
@@ -310,16 +352,19 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
         // Iterative DFS over the (quiescent) tree, counting non-sentinel leaves.
         let mut stack = vec![self.root_shared()];
         let mut count = 0usize;
-        while let Some(node) = stack.pop() {
-            // SAFETY: `size` runs inside a read phase; under the reclaimers
-            // this structure is used with, every node reachable from the
-            // root stays dereferenceable for the announced phase.
-            let node_ref = unsafe { node.deref() };
-            if node_ref.is_leaf() {
-                if node_ref.key != KEY_MIN && node_ref.key != KEY_MAX {
+        while let Some(link) = stack.pop() {
+            if is_leaf(link) {
+                // SAFETY: `size` runs inside a read phase; under the
+                // reclaimers this structure is used with, every record
+                // reachable from the root stays dereferenceable for the
+                // announced phase.
+                let key = unsafe { as_leaf(link).deref() }.key;
+                if key != KEY_MIN && key != KEY_MAX {
                     count += 1;
                 }
             } else {
+                // SAFETY: as above; an untagged link is an internal `Node`.
+                let node_ref = unsafe { link.deref() };
                 stack.push(node_ref.left.load(Ordering::Acquire));
                 stack.push(node_ref.right.load(Ordering::Acquire));
             }
@@ -336,23 +381,26 @@ impl<S: Smr> ConcurrentSet<S> for DgtTree<S> {
 
 impl<S: Smr> Drop for DgtTree<S> {
     fn drop(&mut self) {
-        // Free every node still reachable (unlinked nodes are owned by the
-        // reclaimer's limbo bags / orphan pool).
+        // Free every record still reachable (unlinked records are owned by
+        // the reclaimer's limbo bags / orphan pool), each with its own
+        // type's layout.
         let mut stack = vec![
             self.root.left.load(Ordering::Relaxed),
             self.root.right.load(Ordering::Relaxed),
         ];
-        while let Some(node) = stack.pop() {
-            if node.is_null() {
+        while let Some(link) = stack.pop() {
+            if is_leaf(link) {
+                // SAFETY: `&mut self` — no concurrent access remains; every
+                // reachable record is exclusively ours and freed exactly once.
+                unsafe { recycle::free_node_raw(as_leaf(link).as_raw()) };
                 continue;
             }
-            // SAFETY: `&mut self` — no concurrent access remains; every
-            // reachable node is exclusively ours and freed exactly once.
-            let node_ref = unsafe { node.deref() };
+            // SAFETY: as above; an untagged link is an internal `Node`.
+            let node_ref = unsafe { link.deref() };
             stack.push(node_ref.left.load(Ordering::Relaxed));
             stack.push(node_ref.right.load(Ordering::Relaxed));
             // SAFETY: as above.
-            unsafe { recycle::free_node_raw(node.as_raw()) };
+            unsafe { recycle::free_node_raw(link.as_raw()) };
         }
     }
 }
@@ -412,6 +460,118 @@ mod tests {
         assert_eq!(offset_of!(Node, right), 16);
         assert_eq!(offset_of!(Node, lock), 24);
         assert_eq!(offset_of!(Node, header), 32);
+    }
+
+    #[test]
+    fn a_leaf_is_a_16_byte_key_and_header() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(size_of::<Leaf>(), 16);
+        assert_eq!(offset_of!(Leaf, key), 0);
+        assert_eq!(offset_of!(Leaf, header), 8);
+    }
+
+    /// Walks the quiescent tree and checks the link tags: every link is
+    /// either `LEAF` (to a leaf) or 0 (to an internal node), the leaves read
+    /// in order are `KEY_MIN`, the set's keys ascending, then `KEY_MAX`, and
+    /// every internal node routes its subtrees (left below its key, right at
+    /// or above it). A link to a leaf carrying 0 would be read as a 40-byte
+    /// `Node` and break the routing check; a link to an internal node
+    /// carrying `LEAF` would cut off its subtree's keys. Returns the keys.
+    fn walk_checking_tags<S: Smr>(tree: &DgtTree<S>) -> Vec<u64> {
+        let max = tree.root.right.load(Ordering::Relaxed);
+        assert_eq!(max.tag(), LEAF, "the KEY_MAX sentinel is a leaf");
+        // SAFETY: the tree is quiescent and owned by the caller.
+        assert_eq!(unsafe { as_leaf(max).deref() }.key, KEY_MAX);
+        let mut leaves = Vec::new();
+        // (link, keys in its subtree lie in [lo, hi))
+        let mut stack = vec![(tree.root.left.load(Ordering::Relaxed), KEY_MIN, KEY_MAX)];
+        let mut internal = 0usize;
+        while let Some((link, lo, hi)) = stack.pop() {
+            assert!(link.tag() == LEAF || link.tag() == 0, "stray tag {link:?}");
+            assert!(!link.is_null());
+            if is_leaf(link) {
+                // SAFETY: the tree is quiescent and owned by the caller.
+                let key = unsafe { as_leaf(link).deref() }.key;
+                assert!(lo <= key && key < hi, "leaf {key} outside [{lo}, {hi})");
+                leaves.push(key);
+            } else {
+                // SAFETY: as above; an untagged link is an internal node.
+                let node = unsafe { link.deref() };
+                let key = node.key;
+                assert!(lo < key && key < hi, "router {key} outside ({lo}, {hi})");
+                assert!(!node.is_removed(), "a reachable node is marked removed");
+                internal += 1;
+                // Right first, so leaves pop in ascending order.
+                stack.push((node.right.load(Ordering::Relaxed), key, hi));
+                stack.push((node.left.load(Ordering::Relaxed), lo, key));
+            }
+        }
+        // An external tree: every internal node has two children, so the
+        // root's left subtree has one more leaf than internal nodes.
+        assert_eq!(leaves.len(), internal + 1);
+        assert_eq!(
+            leaves.first(),
+            Some(&KEY_MIN),
+            "the KEY_MIN sentinel is a leaf"
+        );
+        assert!(leaves.windows(2).all(|w| w[0] < w[1]));
+        leaves.remove(0);
+        leaves
+    }
+
+    /// `threads` threads churn overlapping keys, then the walk checks every
+    /// tag and that the leaves hold exactly the keys `contains` reports.
+    fn tags_survive_churn<S: Smr + 'static>(threads: usize, seed: u64) {
+        use crate::test_support::SplitMix;
+        const KEYS: u64 = 64;
+        let tree = Arc::new(DgtTree::<S>::new(SmrConfig::for_tests()));
+        let workers: Vec<_> = (0..threads)
+            .map(|tid| {
+                let tree = Arc::clone(&tree);
+                std::thread::spawn(move || {
+                    let mut ctx = tree.smr().register(tid);
+                    let mut rng = SplitMix(seed + tid as u64);
+                    for _ in 0..4_000 {
+                        let key = 1 + rng.next() % KEYS;
+                        if rng.next() % 2 == 0 {
+                            tree.insert(&mut ctx, key);
+                        } else {
+                            tree.remove(&mut ctx, key);
+                        }
+                    }
+                    tree.smr().unregister(&mut ctx);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let keys = walk_checking_tags(&tree);
+        let mut ctx = tree.smr().register(0);
+        let present: Vec<u64> = (1..=KEYS).filter(|&k| tree.contains(&mut ctx, k)).collect();
+        assert_eq!(keys, present);
+        assert_eq!(tree.size(&mut ctx), keys.len());
+        tree.smr().unregister(&mut ctx);
+    }
+
+    #[test]
+    fn leaf_tags_hold_after_churn_under_nbr_plus() {
+        tags_survive_churn::<NbrPlus>(2, 31);
+    }
+
+    // HP and IBR churn from one thread. On this tree both are Table 1 "no"
+    // pairs, which the schedule explorer turns into a use-after-free; with two
+    // threads the same race misplaces keys in about 1-3 % of runs, with or
+    // without the leaf tag. One thread still drives their alloc, retire and
+    // recycle paths.
+    #[test]
+    fn leaf_tags_hold_after_churn_under_hp() {
+        tags_survive_churn::<HazardPointers>(1, 32);
+    }
+
+    #[test]
+    fn leaf_tags_hold_after_churn_under_ibr() {
+        tags_survive_churn::<Ibr>(1, 33);
     }
 
     #[test]

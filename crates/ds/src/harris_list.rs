@@ -16,11 +16,9 @@
 //! to retire them cannot race with their reclamation.
 
 use crate::{check_key, memo, ConcurrentSet, KEY_MAX, KEY_MIN};
+use smr_common::atomic::MARK;
 use smr_common::{recycle, Atomic, NodeHeader, Shared, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
-
-/// Mark bit: set on `node.next` when `node` is logically deleted.
-const MARK: usize = 1;
 
 /// Hazard-slot layout used during traversals.
 const SLOT_LEFT: usize = 0;

@@ -29,10 +29,9 @@
 //! tests only use it with DEBRA and the leaky reclaimer.
 
 use crate::{check_key, memo, ConcurrentSet};
+use smr_common::atomic::MARK;
 use smr_common::{recycle, Atomic, NodeHeader, Shared, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
-
-const MARK: usize = 1;
 
 /// What a traversal does after performing an auxiliary unlink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

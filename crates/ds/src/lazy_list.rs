@@ -20,8 +20,11 @@
 //!
 //! Note that HP cannot protect this list without losing the wait-freedom of
 //! `contains` (Table 1 row LL05); like the paper's artifact we still *run* HP
-//! on it using the IBR-benchmark-style validation (re-read of the source
-//! field), which is what produces HP's large slowdown in Figure 3b.
+//! on it, validating by a re-read of the source field, which is what produces
+//! HP's large slowdown in Figure 3b. HP on this list is a Table 1 "no" pair,
+//! and the schedule explorer finds a use-after-free for it with
+//! `run_matrix_one(Scheme::Hp, Structure::LazyList, Strategy::Pct { depth: 3
+//! }, 0x608a64ef8139a1ef, &Params::default())`.
 
 use crate::{check_key, ConcurrentSet, KEY_MAX, KEY_MIN};
 use smr_common::{recycle, Atomic, NodeHeader, SeqLock, Shared, Smr, SmrConfig};

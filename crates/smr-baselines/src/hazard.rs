@@ -11,12 +11,15 @@
 //! (DESIGN.md, "Asymmetric fences for hazard pointers"); where the kernel
 //! refuses, both are `fence(SeqCst)`.
 //!
-//! Validation here follows the IBR-benchmark convention the paper's artifact
-//! uses for structures without a dedicated validation bit: a protection is
-//! considered successful once the source field re-reads equal to the announced
-//! value. Retired records are scanned against every announced hazard and freed
-//! only when unprotected, which bounds garbage by `HiWatermark + K·N`. The
-//! `K` hazards of each thread are its row of the shared [`SlotBlock`].
+//! Validation re-reads the source field until it equals the announced value.
+//! That is sound only where a record's unlinking shows in the field it was
+//! loaded from (a mark, or a restart on one). On the lazy list and the DGT
+//! tree it does not: HP on either is a Table 1 "no" pair, which the schedule
+//! explorer turns into a use-after-free (the replay calls are in
+//! `lazy_list.rs` and `dgt_tree.rs`). Retired records are scanned against
+//! every announced hazard and freed only when unprotected, which bounds
+//! garbage by `HiWatermark + K·N`. The `K` hazards of each thread are its row
+//! of the shared [`SlotBlock`].
 
 use smr_common::{
     barrier, Atomic, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock, Smr,

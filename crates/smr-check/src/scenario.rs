@@ -20,9 +20,10 @@ pub use smr_harness::SmrKind as Scheme;
 /// Data structures covered by the exploration matrix.
 ///
 /// The two lock-based structures, [`Structure::LazyList`] and
-/// [`Structure::DgtTree`], are swept under NBR, NBR+ and DEBRA only: the
-/// paper marks HP, IBR and HE inapplicable to both (Table 1, as printed by
-/// the `applicability` bin).
+/// [`Structure::DgtTree`], are swept under NBR, NBR+, DEBRA, QSBR, RCU,
+/// EpochPOP and the leaky baseline: the paper marks HP, IBR and HE (and so
+/// WFE and HP-POP) inapplicable to both (Table 1, as printed by the
+/// `applicability` bin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Structure {
     List,

@@ -1,12 +1,13 @@
 //! The seeded exploration sweep: every scheme on the Harris list and the
-//! hash map, and NBR, NBR+ and DEBRA on the lazy list and the DGT tree. Each
+//! hash map, and NBR, NBR+, DEBRA, QSBR, RCU, EpochPOP and the leaky
+//! baseline on the lazy list and the DGT tree. Each
 //! cell runs a batch of deterministic schedules (a mix of random-switch and
 //! PCT strategies) and must come out oracle-clean.
 //!
 //! Knobs (environment):
 //!
-//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 30-cell
-//!   matrix then runs 3000 schedules).
+//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 38-cell
+//!   matrix then runs 3800 schedules).
 //! * `SMR_CHECK_SEED` — base seed (default `0x5EED_CAFE`; accepts `0x...`).
 //!   Each schedule's seed is derived from it per cell, so a reported
 //!   failure is not replayed through this knob: its banner prints the exact
@@ -108,8 +109,9 @@ macro_rules! sweep {
 }
 smr_harness::for_each_scheme!(sweep);
 
-// The lock-based structures: NBR, NBR+ and DEBRA only (the paper's Table 1
-// rules hazard-pointer-style schemes out for both).
+// The lock-based structures, under every scheme Table 1 allows on them: NBR,
+// NBR+ and the epoch/quiescence family (the paper's Table 1 rules the
+// hazard-pointer and interval schemes out for both).
 macro_rules! sweep_lock_based {
     ($($snake:ident: $variant:ident),*) => {
         paste::paste! {
@@ -127,4 +129,12 @@ macro_rules! sweep_lock_based {
         }
     };
 }
-sweep_lock_based!(nbr_plus: NbrPlus, nbr: Nbr, debra: Debra);
+sweep_lock_based!(
+    nbr_plus: NbrPlus,
+    nbr: Nbr,
+    debra: Debra,
+    qsbr: Qsbr,
+    rcu: Rcu,
+    epoch_pop: EpochPop,
+    leaky: Leaky
+);

@@ -18,10 +18,14 @@ use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of low bits available for tags. Nodes are heap allocated and at
 /// least 8-byte aligned in every data structure in this workspace, so two tag
-/// bits are always available; we only ever use bit 0 (the Harris mark).
+/// bits are always available: bit 0 is the Harris mark ([`MARK`]), bit 1 the
+/// DGT tree's leaf tag.
 pub const TAG_BITS: usize = 2;
 /// Mask selecting the tag bits of a packed word.
 pub const TAG_MASK: usize = (1 << TAG_BITS) - 1;
+/// The Harris mark: set on a node's link when the node is logically deleted.
+/// Reclaimers that read tags (HP-POP's oracle mirror) test this bit alone.
+pub const MARK: usize = 1;
 
 /// A pointer-with-tag snapshot, as loaded from an [`Atomic<T>`].
 ///

@@ -40,6 +40,7 @@
 //! reservations per thread. A stalled reader pins at most its `K` published
 //! slots, not an epoch's worth of garbage.
 
+use smr_common::atomic::MARK;
 use smr_common::{
     Atomic, Magazine, PingChannel, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock, Smr,
     SmrConfig, SmrNode, ThreadStats,
@@ -199,19 +200,24 @@ impl Smr for HpPop {
         debug_assert!(slot < ctx.private.len(), "hazard slot index out of range");
         let p = src.load(Ordering::Acquire);
         ctx.private[slot] = p.untagged_usize();
-        // Oracle mirror: an *unmarked* load is binding even before any
-        // publish — no record can be freed without a handshake, this
-        // thread's ack publishes every private slot first, and an unmarked
-        // pointer loaded after the ack comes from a reachable record
-        // (DESIGN.md), so a free of its claimed address means the protection
-        // contract broke. A *marked* load is not covered by that argument:
-        // it may read the frozen next field of an already-unlinked record
-        // and return pre-ping garbage a concurrent handshake is entitled to
-        // free. That is safe — `CAN_TRAVERSE_UNLINKED = false` structures
-        // never dereference a marked hop (they restart) — so mirror the slot
-        // as empty rather than claiming an address the scheme does not
-        // protect.
-        let claimed = if p.tag() == 0 { p.untagged_usize() } else { 0 };
+        // Oracle mirror: an *unmarked* load (`MARK` clear; other tag bits,
+        // such as the DGT tree's leaf tag, are not marks) is binding even
+        // before any publish — no record can be freed without a handshake,
+        // this thread's ack publishes every private slot first, and an
+        // unmarked pointer loaded after the ack comes from a reachable
+        // record (DESIGN.md), so a free of its claimed address means the
+        // protection contract broke. A *marked* load is not covered by that
+        // argument: it may read the frozen next field of an already-unlinked
+        // record and return pre-ping garbage a concurrent handshake is
+        // entitled to free. That is safe — `CAN_TRAVERSE_UNLINKED = false`
+        // structures never dereference a marked hop (they restart) — so
+        // mirror the slot as empty rather than claiming an address the
+        // scheme does not protect.
+        let claimed = if p.tag() & MARK == 0 {
+            p.untagged_usize()
+        } else {
+            0
+        };
         smr_common::check::claim_addr(ctx.local.tid(), slot, claimed);
         p
     }
