@@ -228,12 +228,11 @@ impl Smr for NbrPlus {
         // fallback, and the retire-path HiWatermark scan remains the
         // bounded-garbage backstop.
         if self.core.reclaim().heartbeat_due(&mut ctx.local) {
-            let policy = self.core.reclaim().policy();
             if self.piggyback_if_rgp_elapsed(ctx) > 0 {
                 // Rode a peer's completed RGP — no signals.
             } else if !ctx.heartbeat_deferred
                 && !ctx.first_lo_wm_entry
-                && policy.can_defer_broadcast(ctx.local.limbo.len())
+                && self.core.reclaim().can_defer_broadcast(&ctx.local)
                 && self
                     .core
                     .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
@@ -266,9 +265,8 @@ impl Smr for NbrPlus {
         // LoWatermark/piggyback path keeps running per retire so a
         // completed peer RGP is still ridden promptly.
         let retired = Retired::new(ptr.as_raw(), 0);
-        let at_hi = self.core.reclaim().retire(&mut ctx.local, retired);
-        let policy = self.core.reclaim().policy();
-        if at_hi {
+        let reclaim = self.core.reclaim();
+        if reclaim.retire(&mut ctx.local, retired) {
             // Broadcast-stacking defence. When every thread retires at the
             // same rate (a timed trial starts all bags empty on one
             // barrier), the whole group crosses HiWatermark within a few
@@ -282,12 +280,10 @@ impl Smr for NbrPlus {
             // peer's RGP has *begun* but not yet completed, defer our own
             // broadcast for a bounded bag overshoot (`hi + lo`) — our ack
             // at the next checkpoint is part of what completes it.
-            if self.piggyback_if_rgp_elapsed(ctx) > 0
-                && !policy.scan_on_retire(ctx.local.limbo.len())
-            {
+            if self.piggyback_if_rgp_elapsed(ctx) > 0 && !reclaim.at_hi_watermark(&ctx.local) {
                 // Rode a peer's completed RGP back below the mark.
             } else if !ctx.first_lo_wm_entry
-                && policy.can_defer_broadcast(ctx.local.limbo.len())
+                && reclaim.can_defer_broadcast(&ctx.local)
                 && self
                     .core
                     .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
@@ -297,7 +293,7 @@ impl Smr for NbrPlus {
             } else {
                 self.reclaim_at_hi_watermark(ctx);
             }
-        } else if policy.opportunistic_on_retire(ctx.local.limbo.len()) {
+        } else if reclaim.at_lo_watermark(&ctx.local) {
             self.try_reclaim_at_lo_watermark(ctx);
         }
     }

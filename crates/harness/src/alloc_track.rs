@@ -33,8 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if !p.is_null() {
             ENABLED.store(1, Ordering::Relaxed);
             TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            let now = CURRENT_BYTES.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+            grow(&CURRENT_BYTES, &PEAK_BYTES, layout.size());
         }
         p
     }
@@ -48,15 +47,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size >= layout.size() {
-                let now = CURRENT_BYTES.fetch_add(new_size - layout.size(), Ordering::Relaxed)
-                    + (new_size - layout.size());
-                PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+                grow(&CURRENT_BYTES, &PEAK_BYTES, new_size - layout.size());
             } else {
                 CURRENT_BYTES.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
         }
         p
     }
+}
+
+/// Adds `bytes` to `current` and raises `peak` to the new total, which it
+/// returns. Wrapping, like the `fetch_sub` of a free: a free that
+/// over-reports its layout wraps `current` below zero, and a checked add
+/// here would then panic inside the global allocator and abort the process.
+/// Wrapped, the footprint reads absurdly high instead, which the footprint
+/// assertions report.
+#[inline]
+fn grow(current: &AtomicUsize, peak: &AtomicUsize, bytes: usize) -> usize {
+    let now = current
+        .fetch_add(bytes, Ordering::Relaxed)
+        .wrapping_add(bytes);
+    peak.fetch_max(now, Ordering::Relaxed);
+    now
 }
 
 /// True when the counting allocator is installed in this process (at least one
@@ -104,11 +116,25 @@ mod tests {
     fn manual_accounting_roundtrip() {
         // Simulate what alloc/dealloc do to the counters.
         let sz = 4096usize;
-        let now = CURRENT_BYTES.fetch_add(sz, Ordering::Relaxed) + sz;
-        PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
+        let now = grow(&CURRENT_BYTES, &PEAK_BYTES, sz);
         assert!(peak_bytes() >= sz);
         CURRENT_BYTES.fetch_sub(sz, Ordering::Relaxed);
         reset_peak();
         assert!(peak_bytes() <= now);
+    }
+
+    #[test]
+    fn growth_after_an_over_reported_free_wraps_instead_of_panicking() {
+        let current = AtomicUsize::new(8);
+        let peak = AtomicUsize::new(8);
+        // A free that reports 8 bytes more than were allocated.
+        current.fetch_sub(16, Ordering::Relaxed);
+        assert_eq!(grow(&current, &peak, 4), usize::MAX - 3);
+        assert_eq!(
+            peak.load(Ordering::Relaxed),
+            usize::MAX - 3,
+            "the footprint reads absurdly high"
+        );
+        assert_eq!(grow(&current, &peak, 8), 4, "and wraps back past zero");
     }
 }

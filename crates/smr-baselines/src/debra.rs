@@ -161,7 +161,8 @@ impl Smr for Debra {
             self.try_advance(ctx);
             // The epoch-paced advance is DEBRA's regular scan: restart the
             // heartbeat window so the op-exit trigger only fires when this
-            // path has been starved (ScanState::tick_op's pacing contract).
+            // path has been starved (`ReclaimCore::heartbeat_due`'s pacing
+            // contract).
             ctx.local.note_scan();
         }
     }
@@ -327,7 +328,7 @@ mod tests {
 
     #[test]
     fn records_survive_until_two_epochs_pass() {
-        let smr = Debra::new(SmrConfig::for_tests().with_epoch_freqs(1, 1));
+        let smr = Debra::new(SmrConfig::for_tests().with_epoch_freq(1));
         let mut ctx = smr.register(0);
         smr.begin_op(&mut ctx);
         retire_one(&smr, &mut ctx, 1);

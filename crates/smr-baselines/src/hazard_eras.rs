@@ -261,12 +261,11 @@ impl Smr for HazardEras {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HeCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Era-stamped before staging. The `empty_freq` scan cadence stays
-        // per-retire; the watermark trigger is consulted once per batch of
-        // retires (bounded overshoot of RETIRE_BATCH_CAP - 1).
+        // Era-stamped before staging; the paced HiWatermark is consulted
+        // once per batch of retires (bounded overshoot of
+        // RETIRE_BATCH_CAP - 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
-        let at_hi = self.core.retire(&mut ctx.local, retired);
-        if self.core.cadence_due(&mut ctx.local) || at_hi {
+        if self.core.retire(&mut ctx.local, retired) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -323,7 +322,7 @@ mod tests {
 
     #[test]
     fn announced_era_protects_contemporary_records() {
-        let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freqs(1, 4));
+        let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freq(1));
         let mut owner = smr.register(0);
         let mut reader = smr.register(1);
 
@@ -368,7 +367,7 @@ mod tests {
 
     #[test]
     fn era_advances_with_allocations() {
-        let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freqs(2, 64));
+        let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freq(2));
         let mut ctx = smr.register(0);
         let before = smr.global_era();
         for i in 0..10 {

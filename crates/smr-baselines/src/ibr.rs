@@ -246,12 +246,11 @@ impl Smr for Ibr {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut IbrCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Era-stamped before staging. The `empty_freq` scan cadence stays
-        // per-retire; the watermark trigger is consulted once per batch of
-        // retires (bounded overshoot of RETIRE_BATCH_CAP - 1).
+        // Era-stamped before staging; the paced HiWatermark is consulted
+        // once per batch of retires (bounded overshoot of
+        // RETIRE_BATCH_CAP - 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
-        let at_hi = self.core.retire(&mut ctx.local, retired);
-        if self.core.cadence_due(&mut ctx.local) || at_hi {
+        if self.core.retire(&mut ctx.local, retired) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -341,7 +340,7 @@ mod tests {
 
     #[test]
     fn protect_refreshes_upper_bound() {
-        let smr = Ibr::new(SmrConfig::for_tests().with_epoch_freqs(1, 8));
+        let smr = Ibr::new(SmrConfig::for_tests().with_epoch_freq(1));
         let mut ctx = smr.register(0);
         smr.begin_op(&mut ctx);
         let lower_before = smr.slots[0].lower.load(Ordering::SeqCst);

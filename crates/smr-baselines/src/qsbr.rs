@@ -154,7 +154,8 @@ impl Smr for Qsbr {
             self.try_advance(ctx);
             // The epoch-paced advance is QSBR's regular scan: restart the
             // heartbeat window so the op-exit trigger only fires when this
-            // path has been starved (ScanState::tick_op's pacing contract).
+            // path has been starved (`ReclaimCore::heartbeat_due`'s pacing
+            // contract).
             ctx.local.note_scan();
         }
         if self.core.heartbeat_due(&mut ctx.local) {

@@ -157,15 +157,16 @@ impl Smr for Rcu {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut RcuCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Era-stamped before staging. The era-advance and scan cadences
-        // stay per-retire so the reclamation frontier advances at the
-        // configured rates; RCU has no watermark trigger.
+        // Era-stamped before staging. The era-advance cadence stays
+        // per-retire so the reclamation frontier advances at the configured
+        // rate; the paced HiWatermark is consulted once per batch of
+        // retires (bound slack: batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
-        self.core.retire(&mut ctx.local, retired);
+        let scan = self.core.retire(&mut ctx.local, retired);
         if self.core.epoch_tick(&mut ctx.local) {
             ctx.local.note_era_advance(self.era.advance());
         }
-        if self.core.cadence_due(&mut ctx.local) {
+        if scan {
             self.scan_and_reclaim(ctx);
         }
     }

@@ -320,13 +320,10 @@ impl Smr for Wfe {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut WfeCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // Era-stamped before staging. The `empty_freq` cadence stays
-        // per-retire so the reclamation frontier advances at the configured
-        // rate; only the watermark check is amortized to once per batch of
-        // retires (bound slack: batch cap − 1).
+        // Era-stamped before staging; the paced HiWatermark is consulted
+        // once per batch of retires (bound slack: batch cap − 1).
         let retired = Retired::new(ptr.as_raw(), self.era.now());
-        let at_hi = self.core.retire(&mut ctx.local, retired);
-        if self.core.cadence_due(&mut ctx.local) || at_hi {
+        if self.core.retire(&mut ctx.local, retired) {
             self.scan_and_reclaim(ctx);
         }
     }
@@ -384,7 +381,7 @@ mod tests {
 
     #[test]
     fn announced_era_protects_contemporary_records() {
-        let smr = Wfe::new(SmrConfig::for_tests().with_epoch_freqs(1, 4));
+        let smr = Wfe::new(SmrConfig::for_tests().with_epoch_freq(1));
         let mut owner = smr.register(0);
         let mut reader = smr.register(1);
 
@@ -429,7 +426,7 @@ mod tests {
         // Drive the help protocol directly: park a request on thread 1's
         // board (as protect_slow would), then have thread 0 advance the era;
         // the advance must fulfil the request under the lock.
-        let smr = Wfe::new(SmrConfig::for_tests().with_epoch_freqs(1, 64));
+        let smr = Wfe::new(SmrConfig::for_tests().with_epoch_freq(1));
         let mut owner = smr.register(0);
         let _reader = smr.register(1);
 

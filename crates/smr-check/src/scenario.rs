@@ -91,7 +91,7 @@ impl Default for Params {
 pub fn quiet_config(params: &Params) -> SmrConfig {
     let mut cfg = SmrConfig::for_tests()
         .with_max_threads(params.workers + 1)
-        .with_epoch_freqs(1, 1)
+        .with_epoch_freq(1)
         .with_watermarks(4, 2)
         .with_scan_heartbeat_ops(1)
         .with_signal_cost_ns(0)

@@ -65,7 +65,6 @@ pub mod header;
 pub mod limbo;
 pub mod pad;
 pub mod ping;
-pub mod policy;
 pub mod reclaim;
 pub mod recycle;
 pub mod registry;
@@ -83,7 +82,6 @@ pub use header::{NodeHeader, SmrNode};
 pub use limbo::{LimboBag, RETIRE_BATCH_CAP};
 pub use pad::CachePadded;
 pub use ping::{PingChannel, PingOutcome};
-pub use policy::{ScanPolicy, ScanState};
 pub use reclaim::{ReclaimCore, ReclaimLocal};
 pub use recycle::{BlockPool, Magazine};
 pub use registry::Registry;

@@ -2,9 +2,9 @@
 //!
 //! Each thread accumulates the records it has unlinked in a private
 //! [`LimboBag`]. When the bag grows past the reclaimer's scan trigger (see
-//! [`ScanPolicy`](crate::ScanPolicy)) the reclaimer runs its scan (signals +
-//! reservation scan for NBR, epoch scan for DEBRA, hazard scan for HP, …) and
-//! frees every record the scan proves safe.
+//! [`reclaim`](crate::reclaim), "Scan triggers") the reclaimer runs its
+//! scan (signals + reservation scan for NBR, epoch scan for DEBRA, hazard
+//! scan for HP, …) and frees every record the scan proves safe.
 //!
 //! The bag is one vector of [`Retired`] records in retire order, the same
 //! shape for all twelve schemes. A reclamation sweep compacts it in place,

@@ -2,10 +2,10 @@
 //!
 //! Every reclaimer in the workspace is the same machine around a different
 //! reservation rule: retired records stage into a per-thread limbo bag,
-//! triggers (watermark, per-retire cadence, operation-exit heartbeat) start
-//! a scan, the scan adopts what departed or busy peers left behind, sweeps
-//! the bag against the scheme's frontier, and accounts for what it did.
-//! This module owns that machine — setbench's *record manager* role — so a
+//! triggers (the paced HiWatermark, the operation-exit heartbeat) start a
+//! scan, the scan adopts what departed or busy peers left behind, sweeps the
+//! bag against the scheme's frontier, and accounts for what it did. This
+//! module owns that machine — setbench's *record manager* role — so a
 //! scheme file holds only the four things that make it that scheme:
 //!
 //! 1. how a reservation is **published and read** (hazard slots, era
@@ -16,18 +16,50 @@
 //!    [`ReclaimCore::scan`], optionally after a [`ReclaimCore::ping_round`]);
 //! 4. which [`LimboBag`] **sweep** frees against that frontier.
 //!
-//! [`ReclaimCore`] is the shared half (config, [`ScanPolicy`], [`Registry`],
-//! [`BlockPool`], [`OrphanPool`]); [`ReclaimLocal`] is the
-//! per-thread half (tid, limbo, pacing, [`Magazine`], [`ThreadStats`], sweep
-//! scratch). Entry points are `#[inline]` generics over closures: each
-//! scheme monomorphises to straight-line code, no `dyn` anywhere.
+//! [`ReclaimCore`] is the shared half (config, [`Registry`], [`BlockPool`],
+//! [`OrphanPool`]); [`ReclaimLocal`] is the per-thread half (tid, limbo,
+//! scan triggers, [`Magazine`], [`ThreadStats`], sweep scratch). Entry
+//! points are `#[inline]` generics over closures: each scheme monomorphises
+//! to straight-line code, no `dyn` anywhere.
+//!
+//! # Scan triggers
+//!
+//! * **Paced HiWatermark** (paper, Algorithm 1 line 20, with the pacing of
+//!   Michael's hazard pointers): [`ReclaimCore::retire`] cues a scan once
+//!   the bag reaches the thread's next scan point. Every scan that enters
+//!   its sweep re-arms that point at `max(hi_watermark, survivors +
+//!   lo_watermark)`: a scan that empties the bag re-arms at the
+//!   HiWatermark, as Algorithm 1 does, while a conceded or fully pinned
+//!   scan waits for `lo_watermark` new retires, so each scan has
+//!   `Ω(lo_watermark)` fresh records to free and a bag pinned above the
+//!   HiWatermark (a stalled reader) cannot turn every retire into a scan.
+//!   This is the only retire-path trigger; every scheme scans exactly when
+//!   it returns `true`.
+//! * **LoWatermark**: NBR+'s opportunistic piggyback path engages once the
+//!   bag reaches `lo_watermark` ([`ReclaimCore::at_lo_watermark`]), and may
+//!   defer its own broadcast while the bag stays under `hi + lo`
+//!   ([`ReclaimCore::can_defer_broadcast`]).
+//! * **Operation heartbeat**: every `scan_heartbeat_ops` *completed
+//!   operations* (counted at operation exit — `Smr::end_op`, which the
+//!   `SmrHandle`/`ReadPhase` guard calls on every `run`), a thread holding
+//!   any garbage runs one scan ([`ReclaimCore::heartbeat_due`]). The
+//!   watermark alone has a failure mode: a thread that retires fewer than
+//!   `hi_watermark` records over its whole lifetime never scans, so short
+//!   trials and short-lived threads would return no memory until they
+//!   deregister. A fast-retiring thread is paced by the watermark and
+//!   almost never hits the heartbeat; a slow-retiring one frees its garbage
+//!   within a bounded number of its own operations. The heartbeat runs at
+//!   operation exit — never inside a read phase — so it composes with the
+//!   NBR phase rules (a scan may broadcast signals, which is write-phase
+//!   behaviour). Heartbeat scans are counted in
+//!   [`ThreadStats::heartbeat_scans`].
 //!
 //! # The pipeline's rules (one each, tested in `tests/tests/reclaim_core.rs`)
 //!
 //! * A scan over an **empty** bag is not a scan: nothing is counted or
 //!   pinged.
-//! * Every scan that enters its sweep counts one `reclaim_scans`, and
-//!   restarts the heartbeat window and the per-retire cadence.
+//! * Every scan that enters its sweep counts one `reclaim_scans`, restarts
+//!   the heartbeat window and re-arms the retire-path scan point.
 //! * A **skip** is a scan that freed nothing from a non-empty bag, whatever
 //!   the cause (conceded ping round, fully protected bag, blocked epoch).
 //! * Peer garbage is adopted **before** the sweep sees the bag length
@@ -39,7 +71,6 @@ use crate::atomic::Shared;
 use crate::header::SmrNode;
 use crate::limbo::LimboBag;
 use crate::ping::{PingChannel, PingOutcome};
-use crate::policy::{ScanPolicy, ScanState};
 use crate::recycle::{BlockPool, Magazine};
 use crate::registry::Registry;
 use crate::retired::Retired;
@@ -67,8 +98,10 @@ pub struct ReclaimLocal {
     pub lowers: Vec<u64>,
     /// Sweep scratch: announced interval upper bounds.
     pub uppers: Vec<u64>,
-    pace: ScanState,
-    retires_since_scan: usize,
+    /// Completed operations since the last scan (the heartbeat window).
+    ops_since_scan: usize,
+    /// Bag length at which the retire path next cues a scan.
+    next_scan_at: usize,
     epoch_ticks: usize,
 }
 
@@ -85,13 +118,13 @@ impl ReclaimLocal {
         self.mag.fold_stats(self.stats)
     }
 
-    /// Restarts the heartbeat window and the per-retire cadence. The
-    /// pipeline calls this for every scan; schemes call it for events that
-    /// stand in for one (DEBRA's epoch-paced advance, an NBR+ deferral).
+    /// Restarts the heartbeat window. The pipeline calls this for every
+    /// scan; schemes call it for events that stand in for one (DEBRA's
+    /// epoch-paced advance, an NBR+ deferral). The retire-path scan point
+    /// moves only with a sweep.
     #[inline]
     pub fn note_scan(&mut self) {
-        self.pace.note_scan();
-        self.retires_since_scan = 0;
+        self.ops_since_scan = 0;
     }
 
     /// Counts and traces one advance of the scheme's era/epoch clock.
@@ -169,7 +202,6 @@ impl ReclaimLocal {
 /// The shared half of the pipeline; one per reclaimer instance.
 pub struct ReclaimCore {
     config: SmrConfig,
-    policy: ScanPolicy,
     registry: Registry,
     pool: Arc<BlockPool>,
     orphans: OrphanPool,
@@ -180,7 +212,6 @@ impl ReclaimCore {
     pub fn new(config: SmrConfig) -> Self {
         config.validate();
         Self {
-            policy: ScanPolicy::from_config(&config),
             registry: Registry::new(config.max_threads),
             pool: BlockPool::from_config(&config),
             orphans: OrphanPool::new(),
@@ -192,12 +223,6 @@ impl ReclaimCore {
     #[inline]
     pub fn config(&self) -> &SmrConfig {
         &self.config
-    }
-
-    /// The scan-trigger thresholds.
-    #[inline]
-    pub fn policy(&self) -> &ScanPolicy {
-        &self.policy
     }
 
     /// The thread registry (frontier collection iterates its active tids).
@@ -223,8 +248,8 @@ impl ReclaimCore {
             addrs: Vec::new(),
             lowers: Vec::new(),
             uppers: Vec::new(),
-            pace: ScanState::new(),
-            retires_since_scan: 0,
+            ops_since_scan: 0,
+            next_scan_at: self.config.hi_watermark,
             epoch_ticks: 0,
         }
     }
@@ -242,10 +267,11 @@ impl ReclaimCore {
 
     /// The retire skeleton: stage, count, and — once every
     /// `RETIRE_BATCH_CAP` retires ([`LimboBag::stage`]) — record the bag's
-    /// high-water mark and consult the HiWatermark. `true` when that check
-    /// found the bag at or over the HiWatermark: the bounded-garbage
-    /// backstop, for the scheme to pick its trigger from (at most
-    /// `RETIRE_BATCH_CAP - 1` records are retired past a check).
+    /// high-water mark and consult the paced HiWatermark (module docs,
+    /// "Scan triggers"). `true` when that check found the bag at or over
+    /// the thread's next scan point: the scheme's one retire-path cue to
+    /// scan (at most `RETIRE_BATCH_CAP - 1` records are retired past a
+    /// check).
     #[inline]
     pub fn retire(&self, local: &mut ReclaimLocal, retired: Retired) -> bool {
         let check = local.limbo.stage(retired);
@@ -255,24 +281,41 @@ impl ReclaimCore {
         }
         let len = local.limbo.len();
         local.stats.observe_limbo(len);
-        if !self.policy.scan_on_retire(len) {
+        if len < local.next_scan_at {
             return false;
         }
         trace::emit(
             local.tid,
             TraceKind::LimboHigh,
             len as u64,
-            self.policy.hi_watermark as u64,
+            local.next_scan_at as u64,
         );
         true
     }
 
-    /// The per-retire scan cadence: counts this retire and reports whether
-    /// `empty_freq` retires have passed since the thread's last scan.
+    /// Whether the bag is at or over the HiWatermark itself, whatever the
+    /// scan point (NBR+'s "still at Hi after riding a peer's RGP" test).
     #[inline]
-    pub fn cadence_due(&self, local: &mut ReclaimLocal) -> bool {
-        local.retires_since_scan += 1;
-        local.retires_since_scan >= self.config.empty_freq
+    pub fn at_hi_watermark(&self, local: &ReclaimLocal) -> bool {
+        local.limbo.len() >= self.config.hi_watermark
+    }
+
+    /// Whether the bag has reached the LoWatermark, where NBR+'s
+    /// opportunistic piggyback path engages.
+    #[inline]
+    pub fn at_lo_watermark(&self, local: &ReclaimLocal) -> bool {
+        local.limbo.len() >= self.config.lo_watermark
+    }
+
+    /// Whether a thread at/over the HiWatermark may briefly *defer* its own
+    /// reclamation broadcast to ride a peer's in-flight grace period instead
+    /// (NBR+'s piggybacking). Bounded: once the bag reaches `hi + lo` the
+    /// thread stops deferring and induces its own scan at its next cue, so
+    /// the Lemma-10 garbage bound only gains a fixed slack of a few
+    /// `lo_watermark`s.
+    #[inline]
+    pub fn can_defer_broadcast(&self, local: &ReclaimLocal) -> bool {
+        local.limbo.len() < self.config.hi_watermark + self.config.lo_watermark
     }
 
     /// The era/epoch cadence: `true` on every `epoch_freq`-th call (the
@@ -289,10 +332,16 @@ impl ReclaimCore {
 
     /// The operation-exit heartbeat: `true` (and counted) once
     /// `scan_heartbeat_ops` operations completed since the last scan while
-    /// garbage is pending.
+    /// garbage is pending. A window of 0 disables it.
     #[inline]
     pub fn heartbeat_due(&self, local: &mut ReclaimLocal) -> bool {
-        let due = local.pace.tick_op(&self.policy, local.limbo.len());
+        let window = self.config.scan_heartbeat_ops;
+        if window == 0 {
+            return false;
+        }
+        // Saturating: an idle thread with an empty bag must not wrap around.
+        local.ops_since_scan = local.ops_since_scan.saturating_add(1);
+        let due = !local.limbo.is_empty() && local.ops_since_scan >= window;
         if due {
             local.stats.heartbeat_scans += 1;
         }
@@ -329,6 +378,10 @@ impl ReclaimCore {
         if freed == 0 {
             local.stats.reclaim_skips += 1;
         }
+        local.next_scan_at = self
+            .config
+            .hi_watermark
+            .max(local.limbo.len() + self.config.lo_watermark);
         trace::emit(local.tid, TraceKind::ScanEnd, freed as u64, 0);
         freed
     }
@@ -629,6 +682,64 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_fires_after_window_with_garbage() {
+        let toy = Toy::new(ReclaimCore::new(config()));
+        let mut local: ReclaimLocal = toy.core.register(0);
+        toy.retire(&mut local, 5);
+        for _ in 0..3 {
+            assert!(!toy.core.heartbeat_due(&mut local));
+        }
+        assert!(
+            toy.core.heartbeat_due(&mut local),
+            "4th op with garbage must fire"
+        );
+        // The scan frees nothing (frontier 0), yet the window restarts.
+        assert_eq!(toy.scan(&mut local), (0, 1));
+        assert!(
+            !toy.core.heartbeat_due(&mut local),
+            "window restarts after a scan"
+        );
+        assert_eq!(local.stats.heartbeat_scans, 1);
+        toy.core.unregister(&mut local);
+    }
+
+    #[test]
+    fn heartbeat_never_fires_on_empty_bag_or_when_disabled() {
+        let toy = Toy::new(ReclaimCore::new(config().with_scan_heartbeat_ops(0)));
+        let mut local: ReclaimLocal = toy.core.register(0);
+        for _ in 0..10 {
+            assert!(!toy.core.heartbeat_due(&mut local), "empty bag");
+        }
+        toy.retire(&mut local, 5);
+        for _ in 0..100 {
+            assert!(!toy.core.heartbeat_due(&mut local), "heartbeat disabled");
+        }
+        assert_eq!(local.stats.heartbeat_scans, 0);
+        toy.core.unregister(&mut local);
+    }
+
+    #[test]
+    fn watermark_thresholds_mirror_config() {
+        let toy = Toy::new(ReclaimCore::new(config()));
+        let (hi, lo) = (
+            toy.core.config().hi_watermark,
+            toy.core.config().lo_watermark,
+        );
+        let mut local: ReclaimLocal = toy.core.register(0);
+        for i in 1..=hi + lo {
+            toy.retire(&mut local, 1);
+            assert_eq!(toy.core.at_lo_watermark(&local), i >= lo, "lo at {i}");
+            assert_eq!(toy.core.at_hi_watermark(&local), i >= hi, "hi at {i}");
+            assert_eq!(
+                toy.core.can_defer_broadcast(&local),
+                i < hi + lo,
+                "defer at {i}"
+            );
+        }
+        toy.core.unregister(&mut local);
+    }
+
+    #[test]
     fn scan_bookkeeping_follows_the_pipeline_rules() {
         let toy = Toy::new(ReclaimCore::new(config()));
         let mut local: ReclaimLocal = toy.core.register(0);
@@ -653,19 +764,50 @@ mod tests {
             (2, 1)
         );
         assert_eq!(local.stats.frees, 1);
-        // The per-retire cadence restarts with every scan.
-        let freq = toy.core.config().empty_freq;
-        for i in 1..=freq {
-            assert_eq!(toy.core.cadence_due(&mut local), i == freq);
-        }
-        toy.scan(&mut local);
-        assert!(
-            toy.core.cadence_due(&mut local),
-            "empty bag: no scan, no restart"
+        toy.core.unregister(&mut local);
+    }
+
+    /// Retires records stamped `stamp` until the retire path cues a scan;
+    /// returns the bag length at the cue.
+    fn retire_until_cue(toy: &Toy, local: &mut ReclaimLocal, stamp: u64) -> usize {
+        while !toy.retire(local, stamp) {}
+        local.limbo.len()
+    }
+
+    #[test]
+    fn retire_cues_at_hi_and_waits_lo_after_a_zero_free_scan() {
+        let toy = Toy::new(ReclaimCore::new(config()));
+        let (hi, lo) = (
+            toy.core.config().hi_watermark,
+            toy.core.config().lo_watermark,
         );
-        toy.retire(&mut local, 1);
-        toy.scan(&mut local);
-        assert!(!toy.core.cadence_due(&mut local));
+        let cap = crate::RETIRE_BATCH_CAP;
+        let mut local: ReclaimLocal = toy.core.register(0);
+        // The first cue comes at Hi.
+        assert_eq!(retire_until_cue(&toy, &mut local, 1), hi);
+        // A full sweep re-arms at Hi.
+        toy.frontier.store(2, Ordering::SeqCst);
+        assert_eq!(toy.scan(&mut local), (hi, hi));
+        assert_eq!(retire_until_cue(&toy, &mut local, 5), hi);
+        // A zero-free scan of n ≥ Hi records waits for `lo` new ones: the
+        // next cue is the first batch check with len ≥ n + lo. Neither the
+        // checks in between nor a heartbeat-window restart move it.
+        for _ in 0..3 {
+            toy.retire(&mut local, 5);
+        }
+        let n = local.limbo.len();
+        assert_eq!(toy.scan(&mut local), (0, n));
+        local.note_scan();
+        assert_eq!(
+            retire_until_cue(&toy, &mut local, 5),
+            (n + lo).next_multiple_of(cap)
+        );
+        // A sweep that leaves fewer than `hi - lo` survivors re-arms at Hi.
+        toy.frontier.store(6, Ordering::SeqCst);
+        let tail = local.limbo.len();
+        toy.retire(&mut local, 9);
+        assert_eq!(toy.scan(&mut local), (tail, tail + 1));
+        assert_eq!(retire_until_cue(&toy, &mut local, 9), hi);
         toy.core.unregister(&mut local);
     }
 }

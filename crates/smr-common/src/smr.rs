@@ -39,13 +39,13 @@ pub struct SmrConfig {
     /// Limbo-bag HiWatermark (`S`): retire triggers a reclamation scan once the
     /// bag reaches this size. Paper: 32 768; scaled default: 1 024.
     pub hi_watermark: usize,
-    /// NBR+ LoWatermark: once the bag reaches this size the thread starts
-    /// watching for relaxed grace periods. Paper: half/quarter of Hi.
+    /// LoWatermark: once the bag reaches this size NBR+ starts watching for
+    /// relaxed grace periods, and a scan that frees too little to drop the
+    /// bag below `hi - lo` waits for this many new retires before the next
+    /// retire-path scan. Paper: half/quarter of Hi.
     pub lo_watermark: usize,
     /// EBR/IBR: operations between epoch-advance attempts.
     pub epoch_freq: usize,
-    /// EBR/IBR: retires between empty (reclaim) attempts.
-    pub empty_freq: usize,
     /// Cooperative neutralization: bounded number of spin iterations a
     /// reclaimer waits for acknowledgements before conceding the round
     /// (substitution S1 in DESIGN.md).
@@ -57,8 +57,9 @@ pub struct SmrConfig {
     /// Operation-exit heartbeat: a thread holding any unreclaimed garbage
     /// runs one reclamation scan every this many completed operations, so
     /// short-lived threads return memory even when they never reach the
-    /// HiWatermark (see [`ScanPolicy`](crate::ScanPolicy)). 0 disables the
-    /// heartbeat (restoring the paper's fixed-watermark behaviour).
+    /// HiWatermark (see [`reclaim`](crate::reclaim), "Scan triggers"). 0
+    /// disables the heartbeat (restoring the paper's fixed-watermark
+    /// behaviour).
     pub scan_heartbeat_ops: usize,
     /// Recycle reclaimed node blocks through the thread-local magazines +
     /// shared depot of [`recycle`](crate::recycle) instead of returning them
@@ -85,7 +86,6 @@ impl Default for SmrConfig {
             hi_watermark: 1024,
             lo_watermark: 256,
             epoch_freq: 32,
-            empty_freq: 64,
             ack_spin_limit: 4096,
             signal_cost_ns: 0,
             scan_heartbeat_ops: 1024,
@@ -106,7 +106,6 @@ impl SmrConfig {
             hi_watermark: 32,
             lo_watermark: 8,
             epoch_freq: 4,
-            empty_freq: 8,
             ack_spin_limit: 1 << 14,
             signal_cost_ns: 0,
             scan_heartbeat_ops: 64,
@@ -163,10 +162,9 @@ impl SmrConfig {
         self
     }
 
-    /// Builder-style setter for the EBR/IBR frequencies.
-    pub fn with_epoch_freqs(mut self, epoch_freq: usize, empty_freq: usize) -> Self {
+    /// Builder-style setter for [`SmrConfig::epoch_freq`].
+    pub fn with_epoch_freq(mut self, epoch_freq: usize) -> Self {
         self.epoch_freq = epoch_freq.max(1);
-        self.empty_freq = empty_freq.max(1);
         self
     }
 
@@ -507,14 +505,13 @@ mod tests {
             .with_watermarks(100, 10)
             .with_max_reservations(3)
             .with_signal_cost_ns(1500)
-            .with_epoch_freqs(16, 32);
+            .with_epoch_freq(16);
         assert_eq!(c.max_threads, 8);
         assert_eq!(c.hi_watermark, 100);
         assert_eq!(c.lo_watermark, 10);
         assert_eq!(c.max_reservations, 3);
         assert_eq!(c.signal_cost_ns, 1500);
         assert_eq!(c.epoch_freq, 16);
-        assert_eq!(c.empty_freq, 32);
     }
 
     #[test]

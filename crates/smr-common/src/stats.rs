@@ -32,7 +32,8 @@ pub struct ThreadStats {
     /// Reclamation scans that freed nothing (e.g. blocked by a straggler).
     pub reclaim_skips: u64,
     /// Reclamation scans triggered by the operation-exit heartbeat
-    /// ([`ScanPolicy`](crate::ScanPolicy)) rather than a watermark crossing.
+    /// ([`ReclaimCore::heartbeat_due`](crate::ReclaimCore::heartbeat_due))
+    /// rather than a watermark crossing.
     pub heartbeat_scans: u64,
     /// NBR+ LoWatermark reclaims piggybacked on an observed RGP.
     pub rgp_reclaims: u64,

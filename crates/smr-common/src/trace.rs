@@ -44,8 +44,9 @@ pub enum TraceKind {
     /// A read phase was neutralized (restart taken). `a` = sequence number
     /// acknowledged.
     Neutralized,
-    /// A retire pushed the limbo bag across the HiWatermark. `a` = bag
-    /// length, `b` = watermark.
+    /// A retire's batch check found the limbo bag at the thread's next
+    /// scan point (the paced HiWatermark). `a` = bag length, `b` = that
+    /// point.
     LimboHigh,
     /// Orphaned records were adopted from a departed thread. `a` = records
     /// adopted.

@@ -249,19 +249,16 @@ impl Smr for EpochPop {
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut EpochPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
         // Era-stamped before staging; the era-advance cadence stays
-        // per-retire, only the watermark check is amortized to once per
-        // batch of retires (bound slack: batch cap − 1).
+        // per-retire, only the paced HiWatermark is consulted once per
+        // batch of retires (bound slack: batch cap − 1). Its pacing keeps a
+        // bag pinned above the watermark (a stalled reader) from running a
+        // full ping handshake per batch.
         let retired = Retired::new(ptr.as_raw(), self.era.now());
-        let at_hi = self.core.retire(&mut ctx.local, retired);
+        let scan = self.core.retire(&mut ctx.local, retired);
         if self.core.epoch_tick(&mut ctx.local) {
             ctx.local.note_era_advance(self.era.advance());
         }
-        // Paces retire-path handshakes: once the bag sits above the
-        // watermark *and stays there* (e.g. a stalled reader pins
-        // everything), a full ping handshake per flush would be a scan
-        // storm; at least `empty_freq` retires must separate two scans.
-        let paced = self.core.cadence_due(&mut ctx.local);
-        if at_hi && paced {
+        if scan {
             self.reclaim_with_pings(ctx);
         }
     }

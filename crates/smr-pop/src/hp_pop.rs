@@ -273,15 +273,12 @@ impl Smr for HpPop {
 
     unsafe fn retire<T: SmrNode>(&self, ctx: &mut HpPopCtx, ptr: Shared<T>) {
         debug_assert!(!ptr.is_null());
-        // The watermark check runs once per batch of retires (bound slack:
-        // batch cap − 1).
+        // The paced HiWatermark is consulted once per batch of retires
+        // (bound slack: batch cap − 1). Its pacing keeps a bag above the
+        // watermark (every scan times out against a silent thread) from
+        // running a full ping handshake per batch.
         let retired = Retired::new(ptr.as_raw(), 0);
-        let at_hi = self.core.retire(&mut ctx.local, retired);
-        // Paces retire-path handshakes when the bag sits above the
-        // watermark (e.g. every scan times out against a silent thread):
-        // at least `empty_freq` retires must separate two scans.
-        let paced = self.core.cadence_due(&mut ctx.local);
-        if at_hi && paced {
+        if self.core.retire(&mut ctx.local, retired) {
             self.reclaim_with_pings(ctx);
         }
     }

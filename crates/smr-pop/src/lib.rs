@@ -19,11 +19,11 @@
 //! Both implement the workspace-wide [`Smr`](smr_common::Smr) trait, so every
 //! data structure in `conc-ds` runs under them unchanged, and both reuse the
 //! shared [`LimboBag`](smr_common::LimboBag) sort-then-sweep reclamation
-//! entry points and the adaptive [`ScanPolicy`](smr_common::ScanPolicy)
-//! triggers. The safety argument for publish-on-ping over the cooperative
-//! channel — why a ping-then-scan observes every reservation taken before
-//! the ping — is written out in DESIGN.md, "Publish-on-Ping on the
-//! cooperative channel".
+//! entry points and the scan triggers of
+//! [`ReclaimCore`](smr_common::ReclaimCore). The safety argument for
+//! publish-on-ping over the cooperative channel — why a ping-then-scan
+//! observes every reservation taken before the ping — is written out in
+//! DESIGN.md, "Publish-on-Ping on the cooperative channel".
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

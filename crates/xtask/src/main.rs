@@ -23,9 +23,12 @@
 //!      outside `#[cfg(test)]` — names a piece of the reclaim pipeline that
 //!      `smr_common::reclaim` owns exactly once ([`PIPELINE_ONLY`]): the
 //!      limbo bag (`LimboBag`, or a `Vec<Retired>` of its own), the orphan
-//!      pool, or one of the scan / adoption / watermark trace events. A
-//!      scheme that needs one of those is growing its own copy of the
-//!      pipeline back; it should call `ReclaimCore` instead; or
+//!      pool, one of the scan / adoption / watermark trace events, or a
+//!      scan trigger's threshold (`.hi_watermark`, `.lo_watermark`, or a
+//!      name of the deleted per-retire scan cadence). A scheme that needs
+//!      one of those is growing its own copy of the pipeline (or of its
+//!      one retire-path trigger) back; it should call `ReclaimCore`
+//!      instead; or
 //!   4. a scheme file, outside `#[cfg(test)]`, declares a boxed atomic
 //!      slice (`Box<[Atomic…`): per-thread protection slots go through
 //!      `smr_common::SlotBlock`, the one line-aligned layout; or
@@ -94,14 +97,21 @@ fn lint() -> ExitCode {
 
 /// Names only `smr_common::reclaim` may use ("pipeline written once"): a
 /// scheme file mentioning one is re-implementing what `ReclaimCore` owns.
-/// `TraceKind::Scan` is a prefix (`ScanBegin`, `ScanEnd`).
-const PIPELINE_ONLY: [&str; 6] = [
+/// `TraceKind::Scan` is a prefix (`ScanBegin`, `ScanEnd`). The watermarks
+/// are read only by `ReclaimCore`'s trigger methods; the last two are the
+/// deleted per-retire cadence's config field and method, spelled in pieces
+/// so that a search of the tree for them finds no live use.
+const PIPELINE_ONLY: [&str; 10] = [
     "LimboBag",
     "Vec<Retired>",
     "OrphanPool",
     "TraceKind::Scan",
     "TraceKind::OrphanAdopt",
     "TraceKind::LimboHigh",
+    ".hi_watermark",
+    ".lo_watermark",
+    concat!("empty", "_freq"),
+    concat!("cadence", "_due"),
 ];
 
 /// Whether `rel` is a reclaimer's source file (lint rules 3 and 4's scope).
@@ -560,10 +570,11 @@ mod tests {
                    fn f() {\n    \
                    trace::emit(0, TraceKind::ScanBegin, 0, 0);\n    \
                    trace::emit(0, TraceKind::LimboHigh, 0, 0);\n    \
-                   trace::emit(0, TraceKind::OrphanAdopt, 0, 0);\n}\n";
+                   trace::emit(0, TraceKind::OrphanAdopt, 0, 0);\n    \
+                   let at_hi = len >= self.config().hi_watermark;\n}\n";
         for dir in ["core", "smr-baselines", "smr-pop"] {
             let f = run_in(&format!("crates/{dir}/src/x.rs"), src);
-            assert_eq!(f.len(), 6, "{dir}: {f:?}");
+            assert_eq!(f.len(), 7, "{dir}: {f:?}");
             assert!(f.iter().all(|m| m.contains("reclaim pipeline")));
         }
         // The pipeline's own crate, the harness and the structures may.

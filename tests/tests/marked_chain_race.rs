@@ -75,7 +75,7 @@ fn advance_era<S: Smr>(smr: &S, ctx: &mut S::ThreadCtx, n: u64) {
 /// Config that never scans on its own: the test chooses the scan point.
 fn quiet_config() -> SmrConfig {
     SmrConfig::for_tests()
-        .with_epoch_freqs(1, usize::MAX)
+        .with_epoch_freq(1)
         .with_watermarks(1 << 20, 8)
         .with_scan_heartbeat_ops(0)
 }

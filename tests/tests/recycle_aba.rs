@@ -51,7 +51,7 @@ fn force_reuse<S: Smr>(smr: &S, ctx: &mut S::ThreadCtx, mk: impl Fn(u64) -> Node
 
 #[test]
 fn hazard_eras_restamps_birth_era_on_reuse() {
-    let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freqs(1, 4));
+    let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freq(1));
     let mut ctx = smr.register(0);
     // Churn so the era has advanced well past the first allocation's birth.
     for i in 0..64 {
@@ -73,7 +73,7 @@ fn hazard_eras_restamps_birth_era_on_reuse() {
 
 #[test]
 fn ibr_restamps_birth_era_on_reuse() {
-    let smr = Ibr::new(SmrConfig::for_tests().with_epoch_freqs(1, 4));
+    let smr = Ibr::new(SmrConfig::for_tests().with_epoch_freq(1));
     let mut ctx = smr.register(0);
     for i in 0..64 {
         smr.begin_op(&mut ctx);
@@ -95,7 +95,7 @@ fn ibr_restamps_birth_era_on_reuse() {
 /// era puts the reader's announced era inside the record's lifetime.
 #[test]
 fn hazard_eras_does_not_free_protected_recycled_record_early() {
-    let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freqs(1, 4));
+    let smr = HazardEras::new(SmrConfig::for_tests().with_epoch_freq(1));
     let mut owner = smr.register(0);
     let mut reader = smr.register(1);
 
@@ -172,7 +172,7 @@ fn ibr_marked_chain_successor_recycle_keeps_intervals_disjoint() {
     // each allocation advance the era.
     let smr = Ibr::new(
         SmrConfig::for_tests()
-            .with_epoch_freqs(1, usize::MAX)
+            .with_epoch_freq(1)
             .with_watermarks(1 << 20, 8)
             .with_scan_heartbeat_ops(0),
     );

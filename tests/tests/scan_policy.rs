@@ -1,7 +1,8 @@
-//! The adaptive scan trigger ([`smr_common::ScanPolicy`]): short trials must
-//! return memory under every reclaiming scheme, and the extra
+//! The scan triggers (`smr_common::reclaim`, "Scan triggers"): short trials
+//! must return memory under every reclaiming scheme, the extra
 //! heartbeat-triggered scans must never weaken the per-scheme garbage bounds
-//! asserted in `garbage_bound.rs`.
+//! asserted in `garbage_bound.rs`, and the retire path must not scan more
+//! often than the paced HiWatermark allows.
 
 use smr_common::SmrConfig;
 use smr_harness::families::HarrisListFamily;
@@ -109,4 +110,54 @@ fn heartbeat_scan_count_is_bounded_by_ops() {
             bound
         );
     }
+}
+
+/// The retire path is paced: every scan re-arms the next retire-path cue at
+/// least `lo_watermark` retires past the bag it left, so over a trial a
+/// thread runs at most one retire-path scan per `lo_watermark` retires, on
+/// top of its heartbeat scans and its last scan at deregistration. A
+/// per-retire cadence that scans a bag far below the HiWatermark breaks
+/// this bound by the ratio of the two periods.
+#[test]
+fn retire_path_scans_are_paced_by_the_lo_watermark() {
+    let config = SmrConfig::default().with_max_threads(16);
+    let spec = WorkloadSpec::new(
+        WorkloadMix::UPDATE_HEAVY,
+        512,
+        2,
+        StopCondition::TotalOps(40_000),
+    );
+    let paced = [
+        SmrKind::Hp,
+        SmrKind::Nbr,
+        SmrKind::Ibr,
+        SmrKind::He,
+        SmrKind::Wfe,
+        SmrKind::Rcu,
+        SmrKind::EpochPop,
+        SmrKind::HpPop,
+    ];
+    let mut over = Vec::new();
+    for kind in paced {
+        let r = run_with::<HarrisListFamily>(kind, &spec, config.clone());
+        let t = &r.smr_totals;
+        assert!(
+            t.retires > 2 * config.hi_watermark as u64,
+            "{}: {} retires are too few to cross the HiWatermark",
+            kind.label(),
+            t.retires
+        );
+        let bound =
+            t.heartbeat_scans + t.retires / config.lo_watermark as u64 + 2 * spec.threads as u64;
+        if t.reclaim_scans > bound {
+            over.push(format!(
+                "{}: {} scans > {bound} ({} heartbeat, {} retires)",
+                kind.label(),
+                t.reclaim_scans,
+                t.heartbeat_scans,
+                t.retires
+            ));
+        }
+    }
+    assert!(over.is_empty(), "retire-path scans not paced: {over:?}");
 }
