@@ -86,7 +86,7 @@ pub mod neutralize;
 pub use guard::{Neutralized, OpResult, ReadPhase, SmrHandle};
 pub use nbr::{Nbr, NbrCtx};
 pub use nbr_plus::{NbrPlus, NbrPlusCtx};
-pub use neutralize::{NeutralizationCore, SignalSlot};
+pub use neutralize::{NeutralizationCore, RgpProgress, SignalSlot};
 
 // Re-export the framework types users need to implement their own nodes.
 pub use smr_common::{Atomic, NodeHeader, Shared, Smr, SmrConfig, SmrNode};

@@ -5,7 +5,7 @@
 //! piggyback on *relaxed grace periods* (RGPs) induced by other threads:
 //!
 //! * When a thread's limbo bag crosses the **LoWatermark** it bookmarks its
-//!   current bag tail and snapshots every thread's announcement timestamp.
+//!   current bag tail and snapshots every peer's announcement timestamp.
 //! * A thread whose bag reaches the **HiWatermark** announces an RGP (odd
 //!   timestamp), broadcasts signals, verifies the handshake, announces the RGP
 //!   complete (even timestamp), and reclaims — exactly like NBR plus the
@@ -15,13 +15,20 @@
 //!   through a complete RGP since the snapshot, every thread has been
 //!   neutralized since the bookmark, so the waiter reclaims every unreserved
 //!   record it retired before the bookmark — **without sending any signals**.
+//! * **Late bookmarks** (a deviation from Algorithm 2, which bookmarks once):
+//!   while that re-read finds every tracked timestamp where the snapshot left
+//!   it, the snapshot still describes the present, so the bookmark moves up
+//!   to the bag tail read just before the re-read. The RGP a waiter finally
+//!   rides then frees its whole bag as of its last quiet check, not only the
+//!   prefix it held when it crossed the LoWatermark (DESIGN.md, "NBR+ on top
+//!   of S1").
 //!
 //! In the best case all `n` threads reclaim after a single RGP (`n-1`
 //! signals). `ThreadStats::signals_sent` makes this effect visible
 //! (`garbage_bound::nbr_plus_piggybacks_instead_of_signalling` asserts it;
 //! the standing benchmark reports `core.signals_per_free`).
 
-use crate::neutralize::NeutralizationCore;
+use crate::neutralize::{NeutralizationCore, RgpProgress};
 use smr_common::trace::{self, TraceKind};
 use smr_common::{Magazine, ReclaimLocal, Retired, Shared, Smr, SmrConfig, SmrNode, ThreadStats};
 
@@ -36,10 +43,12 @@ pub struct NbrPlusCtx {
     /// True until the thread (re-)enters the LoWatermark region
     /// (`firstLoWmEntryFlag` of Algorithm 2).
     first_lo_wm_entry: bool,
-    /// Bag length at the moment the LoWatermark was entered (`bookmarkTail`).
+    /// Bag length at the moment the LoWatermark was entered (`bookmarkTail`),
+    /// moved up to the bag tail at every quiet announcement check.
     bookmark: usize,
-    /// Announcement-timestamp snapshot taken at the LoWatermark (`scanTS`).
-    scan_snapshot: Vec<u64>,
+    /// `(tid, announce_ts)` of every peer registered when the LoWatermark was
+    /// entered (`scanTS`); reserved at `register`.
+    scan_snapshot: Vec<(usize, u64)>,
     /// Retires since the last announcement scan (amortization counter).
     lo_wm_scan_tick: u64,
     /// True once the op-exit heartbeat has deferred its broadcast to an
@@ -109,22 +118,24 @@ impl NbrPlus {
         freed
     }
 
-    /// The piggyback core (ungated): if some *other* thread completed an RGP
-    /// since this thread's LoWatermark snapshot, free the bookmark prefix —
-    /// every record in it was retired before the snapshot, so the observed
-    /// RGP proves it unreachable (Lemma 9), no signals needed. It is a scan
-    /// like any other to the pipeline (counted, timed, restarts the
-    /// heartbeat window so the next op exit does not immediately re-fire
-    /// and broadcast over the bag remainder); records the prologue adopts
-    /// land past the bookmark and wait for the next broadcast.
-    fn piggyback_if_rgp_elapsed(&self, ctx: &mut NbrPlusCtx) -> usize {
-        if ctx.first_lo_wm_entry
-            || !self
-                .core
-                .rgp_elapsed_since(ctx.local.tid(), &ctx.scan_snapshot)
-        {
-            return 0;
+    /// What the peers did since this thread's LoWatermark snapshot;
+    /// `Quiet` when it holds none.
+    fn rgp_progress(&self, ctx: &NbrPlusCtx) -> RgpProgress {
+        if ctx.first_lo_wm_entry {
+            return RgpProgress::Quiet;
         }
+        self.core.rgp_progress_since(&ctx.scan_snapshot)
+    }
+
+    /// Rides a peer's RGP that completed since the snapshot: frees the
+    /// bookmark prefix — every record in it was retired before the
+    /// timestamp loads the RGP is measured against, so the RGP proves it
+    /// unreachable (Lemma 9), no signals needed. It is a scan like any other
+    /// to the pipeline (counted, timed, restarts the heartbeat window so the
+    /// next op exit does not immediately re-fire and broadcast over the bag
+    /// remainder); records the prologue adopts land past the bookmark and
+    /// wait for the next RGP.
+    fn ride(&self, ctx: &mut NbrPlusCtx) -> usize {
         let bookmark = ctx.bookmark;
         let freed = self.core.reclaim().scan(&mut ctx.local, |local, _tail| {
             self.reclaim_freeable(local, bookmark)
@@ -134,14 +145,17 @@ impl NbrPlus {
         freed
     }
 
-    /// LoWatermark path: bookmark, snapshot, and opportunistically reclaim if
-    /// some other thread completed an RGP since the snapshot (the
-    /// announcement scan is amortized over [`LO_WM_SCAN_PERIOD`] retires).
+    /// LoWatermark path: bookmark and snapshot on entry, then every
+    /// [`LO_WM_SCAN_PERIOD`] retires one pass over the snapshot. A peer's
+    /// completed RGP is ridden; a begun one holds the bookmark; a quiet pass
+    /// moves the bookmark to the tail read before it, since the pass's
+    /// loads are a snapshot taken after every record up to that tail was
+    /// retired.
     fn try_reclaim_at_lo_watermark(&self, ctx: &mut NbrPlusCtx) -> usize {
         if ctx.first_lo_wm_entry {
             ctx.bookmark = ctx.local.limbo.len();
             self.core
-                .snapshot_announcements_into(&mut ctx.scan_snapshot);
+                .snapshot_announcements_into(ctx.local.tid(), &mut ctx.scan_snapshot);
             ctx.first_lo_wm_entry = false;
             ctx.lo_wm_scan_tick = 0;
             return 0;
@@ -150,7 +164,15 @@ impl NbrPlus {
         if ctx.lo_wm_scan_tick % LO_WM_SCAN_PERIOD != 0 {
             return 0;
         }
-        self.piggyback_if_rgp_elapsed(ctx)
+        let tail = ctx.local.limbo.len();
+        match self.core.rgp_progress_since(&ctx.scan_snapshot) {
+            RgpProgress::Elapsed => self.ride(ctx),
+            RgpProgress::InFlight => 0,
+            RgpProgress::Quiet => {
+                ctx.bookmark = tail;
+                0
+            }
+        }
     }
 }
 
@@ -175,7 +197,7 @@ impl Smr for NbrPlus {
             local: self.core.register(tid),
             first_lo_wm_entry: true,
             bookmark: 0,
-            scan_snapshot: Vec::new(),
+            scan_snapshot: Vec::with_capacity(self.config().max_threads),
             lo_wm_scan_tick: 0,
             heartbeat_deferred: false,
         }
@@ -227,34 +249,36 @@ impl Smr for NbrPlus {
         // memory in short trials) without any signals; the broadcast is the
         // fallback, and the retire-path HiWatermark scan remains the
         // bounded-garbage backstop.
-        if self.core.reclaim().heartbeat_due(&mut ctx.local) {
-            if self.piggyback_if_rgp_elapsed(ctx) > 0 {
-                // Rode a peer's completed RGP — no signals.
-            } else if !ctx.heartbeat_deferred
-                && !ctx.first_lo_wm_entry
-                && self.core.reclaim().can_defer_broadcast(&ctx.local)
-                && self
-                    .core
-                    .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
+        if !self.core.reclaim().heartbeat_due(&mut ctx.local) {
+            return;
+        }
+        let settled = match self.rgp_progress(ctx) {
+            // Rode a peer's completed RGP — no signals.
+            RgpProgress::Elapsed => self.ride(ctx) > 0,
+            // A peer's grace period is mid-handshake (typically: we just
+            // acked its ping, its other peers have not yet). Broadcasting
+            // now would stack signals onto it *and* throw away our
+            // bookmark; ride the RGP when it lands instead (the gated
+            // LoWatermark check on the retire path, or the next
+            // heartbeat). Deferral is bounded to ONE heartbeat window —
+            // `InFlight` can persist indefinitely on a stale odd-snapshot
+            // signal (the peer completed the RGP we cannot credit and went
+            // quiet), and a thread that stops retiring would otherwise hold
+            // its garbage forever. Restarting the window here also keeps
+            // the heartbeat from re-firing (and re-scanning the registry)
+            // on every subsequent op exit.
+            RgpProgress::InFlight
+                if !ctx.heartbeat_deferred
+                    && self.core.reclaim().can_defer_broadcast(&ctx.local) =>
             {
-                // A peer's grace period is mid-handshake (typically: we just
-                // acked its ping, its other peers have not yet). Broadcasting
-                // now would stack signals onto it *and* throw away our
-                // bookmark; ride the RGP when it lands instead (the gated
-                // LoWatermark check on the retire path, or the next
-                // heartbeat). Deferral is bounded to ONE heartbeat window —
-                // `rgp_in_flight_since` can stay true indefinitely on a
-                // stale odd-snapshot signal (the peer completed the RGP we
-                // cannot credit and went quiet), and a thread that stops
-                // retiring would otherwise hold its garbage forever.
-                // Restarting the window here also keeps the heartbeat from
-                // re-firing (and re-scanning the registry) on every
-                // subsequent op exit.
                 ctx.heartbeat_deferred = true;
                 ctx.local.note_scan();
-            } else {
-                self.reclaim_at_hi_watermark(ctx);
+                true
             }
+            _ => false,
+        };
+        if !settled {
+            self.reclaim_at_hi_watermark(ctx);
         }
     }
 
@@ -280,17 +304,15 @@ impl Smr for NbrPlus {
             // peer's RGP has *begun* but not yet completed, defer our own
             // broadcast for a bounded bag overshoot (`hi + lo`) — our ack
             // at the next checkpoint is part of what completes it.
-            if self.piggyback_if_rgp_elapsed(ctx) > 0 && !reclaim.at_hi_watermark(&ctx.local) {
+            let settled = match self.rgp_progress(ctx) {
                 // Rode a peer's completed RGP back below the mark.
-            } else if !ctx.first_lo_wm_entry
-                && reclaim.can_defer_broadcast(&ctx.local)
-                && self
-                    .core
-                    .rgp_in_flight_since(ctx.local.tid(), &ctx.scan_snapshot)
-            {
+                RgpProgress::Elapsed => self.ride(ctx) > 0 && !reclaim.at_hi_watermark(&ctx.local),
                 // A peer's grace period is mid-handshake; keep running so it
-                // can complete, then piggyback on it.
-            } else {
+                // can complete, then ride it.
+                RgpProgress::InFlight => reclaim.can_defer_broadcast(&ctx.local),
+                RgpProgress::Quiet => false,
+            };
+            if !settled {
                 self.reclaim_at_hi_watermark(ctx);
             }
         } else if reclaim.at_lo_watermark(&ctx.local) {
@@ -461,6 +483,145 @@ mod tests {
     }
 
     #[test]
+    fn quiet_checks_move_the_bookmark_to_the_bag_tail() {
+        let smr = new_nbr_plus();
+        let cfg = smr.config().clone();
+        let period = LO_WM_SCAN_PERIOD as usize;
+        let mut waiter = smr.register(0);
+        let mut peer = smr.register(1);
+
+        // Cross the LoWatermark (bookmark + snapshot), then two more
+        // announcement checks' worth of retires while the peer is quiet:
+        // the last check finds the snapshot unchanged at the bag tail.
+        alloc_and_retire(&smr, &mut waiter, cfg.lo_watermark);
+        alloc_and_retire(&smr, &mut waiter, 2 * period);
+        let before_rgp = smr.limbo_len(&waiter);
+        assert_eq!(before_rgp, cfg.lo_watermark + 2 * period);
+
+        // The peer completes a real RGP (it signals the quiescent waiter).
+        alloc_and_retire(&smr, &mut peer, cfg.hi_watermark);
+        assert_eq!(smr.neutralization().slot(1).announce_ts(), 2);
+
+        // The waiter's next check rides it and frees everything retired
+        // before its last quiet check, not only the LoWatermark prefix.
+        alloc_and_retire(&smr, &mut waiter, period);
+        let s = smr.thread_stats(&waiter);
+        assert_eq!(s.rgp_reclaims, 1);
+        assert_eq!(s.signals_sent, 0);
+        assert_eq!(s.frees as usize, before_rgp);
+        assert_eq!(smr.limbo_len(&waiter), period);
+
+        smr.unregister(&mut peer);
+        smr.unregister(&mut waiter);
+    }
+
+    #[test]
+    fn a_peer_that_departs_after_its_rgp_is_not_credited_for_later_retires() {
+        let smr = new_nbr_plus();
+        let cfg = smr.config().clone();
+        let period = LO_WM_SCAN_PERIOD as usize;
+        let mut waiter = smr.register(0);
+        let mut peer = smr.register(1);
+
+        // The waiter snapshots the peer at the LoWatermark.
+        alloc_and_retire(&smr, &mut waiter, cfg.lo_watermark);
+        let before_rgp = smr.limbo_len(&waiter);
+
+        // The peer completes an RGP and departs before the waiter checks.
+        alloc_and_retire(&smr, &mut peer, cfg.hi_watermark);
+        smr.unregister(&mut peer);
+
+        // Records retired from here on were retired after that RGP; the
+        // check that follows must see the departed peer move, not call the
+        // snapshot quiet and bookmark them.
+        alloc_and_retire(&smr, &mut waiter, period);
+        let mut peer = smr.register(1);
+        alloc_and_retire(&smr, &mut waiter, period);
+        let s = smr.thread_stats(&waiter);
+        assert!(
+            s.frees as usize <= before_rgp,
+            "freed {} records, only {before_rgp} were retired before the RGP",
+            s.frees
+        );
+        assert_eq!(s.signals_sent, 0);
+
+        smr.unregister(&mut peer);
+        smr.unregister(&mut waiter);
+    }
+
+    #[test]
+    fn an_aborted_rgp_lets_the_bookmark_advance_but_is_never_credited() {
+        let mut cfg = SmrConfig::for_tests().with_max_threads(4);
+        cfg.ack_spin_limit = 16;
+        let smr = NbrPlus::new(cfg);
+        let cfg = smr.config().clone();
+        let period = LO_WM_SCAN_PERIOD as usize;
+        let mut waiter = smr.register(0);
+        let mut peer = smr.register(1);
+        let mut silent_reader = smr.register(2);
+
+        alloc_and_retire(&smr, &mut waiter, cfg.lo_watermark);
+        // The peer's broadcast times out on a reader that never
+        // acknowledges, and its announcement rolls back.
+        smr.begin_read_phase(&mut silent_reader);
+        alloc_and_retire(&smr, &mut peer, cfg.hi_watermark);
+        assert_eq!(smr.thread_stats(&peer).ping_concessions, 1);
+        assert_eq!(smr.neutralization().slot(1).announce_ts(), 0);
+
+        // The waiter's checks find the snapshot unchanged: nothing is
+        // credited, and the bookmark follows the tail.
+        alloc_and_retire(&smr, &mut waiter, 2 * period);
+        let before_rgp = smr.limbo_len(&waiter);
+        let s = smr.thread_stats(&waiter);
+        assert_eq!(s.rgp_reclaims, 0, "an aborted RGP must not be credited");
+        assert_eq!(s.frees, 0);
+
+        // Once a verified RGP lands, the ride frees the advanced prefix.
+        assert!(smr.checkpoint(&mut silent_reader));
+        smr.end_op(&mut silent_reader);
+        smr.flush(&mut peer);
+        alloc_and_retire(&smr, &mut waiter, period);
+        let s = smr.thread_stats(&waiter);
+        assert_eq!(s.rgp_reclaims, 1);
+        assert_eq!(s.frees as usize, before_rgp);
+        assert!(before_rgp > cfg.lo_watermark);
+
+        smr.unregister(&mut silent_reader);
+        smr.unregister(&mut peer);
+        smr.unregister(&mut waiter);
+    }
+
+    #[test]
+    fn a_peer_registered_after_the_snapshot_is_credited_only_from_the_next() {
+        let smr = new_nbr_plus();
+        let cfg = smr.config().clone();
+        let period = LO_WM_SCAN_PERIOD as usize;
+        let mut waiter = smr.register(0);
+
+        // The waiter snapshots an empty peer set.
+        alloc_and_retire(&smr, &mut waiter, cfg.lo_watermark);
+        let mut peer = smr.register(1);
+        alloc_and_retire(&smr, &mut peer, cfg.hi_watermark);
+        alloc_and_retire(&smr, &mut waiter, 2 * period);
+        let s = smr.thread_stats(&waiter);
+        assert_eq!(s.rgp_reclaims, 0, "an untracked peer must not be credited");
+        assert_eq!(s.frees, 0);
+
+        // The waiter empties its bag with its own broadcast and crosses
+        // the LoWatermark again: this snapshot tracks the peer.
+        let to_hi = cfg.hi_watermark - smr.limbo_len(&waiter);
+        alloc_and_retire(&smr, &mut waiter, to_hi);
+        assert_eq!(smr.limbo_len(&waiter), 0);
+        alloc_and_retire(&smr, &mut waiter, cfg.lo_watermark);
+        alloc_and_retire(&smr, &mut peer, cfg.hi_watermark);
+        alloc_and_retire(&smr, &mut waiter, period);
+        assert_eq!(smr.thread_stats(&waiter).rgp_reclaims, 1);
+
+        smr.unregister(&mut peer);
+        smr.unregister(&mut waiter);
+    }
+
+    #[test]
     fn lo_watermark_does_not_reclaim_without_rgp() {
         let smr = new_nbr_plus();
         let cfg = smr.config().clone();
@@ -580,5 +741,40 @@ mod tests {
             assert!(smr.limbo_len(&ctx) <= bound);
         }
         smr.unregister(&mut ctx);
+    }
+
+    #[test]
+    fn garbage_stays_bounded_while_riding_a_peers_rgps() {
+        let smr = new_nbr_plus();
+        let cfg = smr.config().clone();
+        // The same bound as above: riding never lets the bag past it.
+        let bound = cfg.hi_watermark
+            + cfg.max_reservations * (cfg.max_threads - 1)
+            + (smr_common::RETIRE_BATCH_CAP - 1);
+        for k in [1, 3, 5, 11, 29, 64] {
+            let mut ctx = smr.register(0);
+            let mut peer = smr.register(1);
+            for i in 0..(cfg.hi_watermark * 8) {
+                let p = smr.alloc(
+                    &mut ctx,
+                    Node {
+                        header: NodeHeader::new(),
+                        key: i as u64,
+                    },
+                );
+                unsafe { smr.retire(&mut ctx, p) };
+                assert!(smr.limbo_len(&ctx) <= bound, "k={k}");
+                if i % k == k - 1 {
+                    // One retire and a flush: the peer's RGP.
+                    alloc_and_retire(&smr, &mut peer, 1);
+                    smr.flush(&mut peer);
+                }
+            }
+            if k < cfg.hi_watermark {
+                assert!(smr.thread_stats(&ctx).rgp_reclaims > 0, "k={k}");
+            }
+            smr.unregister(&mut peer);
+            smr.unregister(&mut ctx);
+        }
     }
 }

@@ -328,57 +328,72 @@ impl NeutralizationCore {
         self.slot(tid).announce_ts.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Snapshot of every thread's announcement timestamp (Algorithm 2,
-    /// line 15) into a reusable buffer (the LoWatermark path re-enters per
+    /// Snapshot of the announcement timestamps of every registered thread
+    /// other than `observer` (Algorithm 2, line 15), as `(tid, announce_ts)`
+    /// pairs, into a reusable buffer (the LoWatermark path re-enters per
     /// retire burst; a fresh vector per snapshot would put malloc back on
-    /// the reclamation path). Index = tid; inactive slots report their last
-    /// value, which is harmless (they cannot regress).
-    pub fn snapshot_announcements_into(&self, out: &mut Vec<u64>) {
+    /// the reclamation path). The snapshot holds exactly the peers it can
+    /// credit: a thread that registers later is never credited and never
+    /// counts as in flight, and a tracked peer is read from its slot
+    /// whether or not it is still registered, so a peer that completes a
+    /// grace period and then departs (or departs and re-registers) is
+    /// still seen to have moved.
+    pub fn snapshot_announcements_into(&self, observer: usize, out: &mut Vec<(usize, u64)>) {
         out.clear();
-        out.extend(self.slots.iter().map(|s| s.announce_ts()));
+        out.extend(
+            self.registry()
+                .active_tids()
+                .filter(|&tid| tid != observer)
+                .map(|tid| (tid, self.slot(tid).announce_ts())),
+        );
     }
 
-    /// True if, relative to `snapshot`, some *other* thread has completed an
-    /// entire relaxed grace period (begun **and** verified after the snapshot
-    /// was taken) — Algorithm 2, lines 17–23.
-    pub fn rgp_elapsed_since(&self, observer: usize, snapshot: &[u64]) -> bool {
-        for tid in self.registry().active_tids() {
-            if tid == observer || tid >= snapshot.len() {
-                continue;
-            }
-            let snap = snapshot[tid];
-            // If the snapshot caught an odd value (mid-broadcast), the RGP that
-            // was in flight may have begun before our bookmark, so we need the
-            // *next* full RGP: require one more increment than the paper's
-            // "+2" (which assumes an even snapshot).
+    /// Classifies what the peers tracked by `snapshot` did since it was
+    /// taken (Algorithm 2, lines 17–23), with one `SeqCst` load per peer:
+    ///
+    /// * [`RgpProgress::Elapsed`] — some peer began **and** verified an
+    ///   entire relaxed grace period after the snapshot: `+2` past an even
+    ///   snapshot value, `+3` past an odd one (the broadcast that was in
+    ///   flight may have begun before the snapshot, so the *next* full one
+    ///   is needed).
+    /// * [`RgpProgress::InFlight`] — no such peer, but some peer's
+    ///   timestamp has advanced: a grace period has begun and is not yet
+    ///   creditable. An aborted broadcast rolls its timestamp back, so a
+    ///   timed-out peer stops counting here.
+    /// * [`RgpProgress::Quiet`] — no tracked timestamp is above its
+    ///   snapshot value. The loads of this pass are then themselves a valid
+    ///   snapshot, taken now, whose credit rule is no weaker than the stored
+    ///   one (a rolled-back value only raises the bar), so the caller may
+    ///   treat everything it retired before the pass as retired before the
+    ///   snapshot.
+    pub fn rgp_progress_since(&self, snapshot: &[(usize, u64)]) -> RgpProgress {
+        let mut progress = RgpProgress::Quiet;
+        for &(tid, snap) in snapshot {
+            let now = self.slot(tid).announce_ts();
             let required = if snap % 2 == 0 { snap + 2 } else { snap + 3 };
-            if self.slot(tid).announce_ts() >= required {
-                return true;
+            if now >= required {
+                return RgpProgress::Elapsed;
+            }
+            if now > snap {
+                progress = RgpProgress::InFlight;
             }
         }
-        false
+        progress
     }
+}
 
-    /// True if any *other* thread's announcement timestamp has advanced past
-    /// `snapshot` at all — a grace period has at least *begun* since the
-    /// snapshot (it may still be mid-handshake, i.e. not yet creditable by
-    /// [`NeutralizationCore::rgp_elapsed_since`]). NBR+ uses this at the
-    /// HiWatermark to defer its own broadcast instead of stacking `n−1`
-    /// redundant signals onto a grace period that is about to complete.
-    /// An aborted broadcast rolls its timestamp back, so a timed-out peer
-    /// stops registering here and the deferring thread falls through to its
-    /// own broadcast.
-    pub fn rgp_in_flight_since(&self, observer: usize, snapshot: &[u64]) -> bool {
-        for tid in self.registry().active_tids() {
-            if tid == observer || tid >= snapshot.len() {
-                continue;
-            }
-            if self.slot(tid).announce_ts() > snapshot[tid] {
-                return true;
-            }
-        }
-        false
-    }
+/// What the peers of an announcement snapshot did since it was taken
+/// ([`NeutralizationCore::rgp_progress_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RgpProgress {
+    /// No tracked peer's timestamp moved up: the snapshot still describes
+    /// the present.
+    Quiet,
+    /// A tracked peer began a grace period that cannot be credited yet.
+    InFlight,
+    /// A tracked peer completed a verified grace period that began after
+    /// the snapshot.
+    Elapsed,
 }
 
 #[cfg(test)]
@@ -411,9 +426,9 @@ mod tests {
         reserved
     }
 
-    fn snapshot_announcements(core: &NeutralizationCore) -> Vec<u64> {
+    fn snapshot_announcements(core: &NeutralizationCore, observer: usize) -> Vec<(usize, u64)> {
         let mut out = Vec::new();
-        core.snapshot_announcements_into(&mut out);
+        core.snapshot_announcements_into(observer, &mut out);
         out
     }
 
@@ -492,22 +507,45 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_tracks_only_active_peers_other_than_the_observer() {
+        let core = core_with(8);
+        for tid in [0, 3, 5, 6] {
+            core.register(tid);
+        }
+        core.announce_rgp_begin(5);
+        core.announce_rgp_end(5);
+        // A slot that was used and left keeps its timestamp; it must not be
+        // tracked.
+        let mut departed = core.register(7);
+        core.announce_rgp_begin(7);
+        core.unregister(&mut departed);
+        assert_eq!(
+            snapshot_announcements(&core, 3),
+            vec![(0, 0), (5, 2), (6, 0)]
+        );
+    }
+
+    #[test]
     fn rgp_detection_requires_begin_and_verified_end() {
         let core = core_with(3);
         core.register(0);
         core.register(1);
         core.register(2);
-        let snap = snapshot_announcements(&core);
-        assert!(!core.rgp_elapsed_since(2, &snap));
+        let snap = snapshot_announcements(&core, 2);
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Quiet);
         core.announce_rgp_begin(0);
-        assert!(
-            !core.rgp_elapsed_since(2, &snap),
-            "an RGP that has only begun must not be observable"
+        assert_eq!(
+            core.rgp_progress_since(&snap),
+            RgpProgress::InFlight,
+            "an RGP that has only begun must not be creditable"
         );
         core.announce_rgp_end(0);
-        assert!(core.rgp_elapsed_since(2, &snap));
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Elapsed);
         // The sender itself must not count its own RGP.
-        assert!(!core.rgp_elapsed_since(0, &snap));
+        let own = snapshot_announcements(&core, 0);
+        core.announce_rgp_begin(0);
+        core.announce_rgp_end(0);
+        assert_eq!(core.rgp_progress_since(&own), RgpProgress::Quiet);
     }
 
     #[test]
@@ -516,16 +554,22 @@ mod tests {
         core.register(0);
         core.register(1);
         core.announce_rgp_begin(0); // observer snapshots mid-broadcast
-        let snap = snapshot_announcements(&core);
+        let snap = snapshot_announcements(&core, 1);
+        assert_eq!(
+            core.rgp_progress_since(&snap),
+            RgpProgress::Quiet,
+            "a broadcast already in flight at the snapshot has not moved"
+        );
         core.announce_rgp_end(0);
-        assert!(
-            !core.rgp_elapsed_since(1, &snap),
+        assert_eq!(
+            core.rgp_progress_since(&snap),
+            RgpProgress::InFlight,
             "completing the in-flight RGP is not enough for an odd snapshot"
         );
         core.announce_rgp_begin(0);
-        assert!(!core.rgp_elapsed_since(1, &snap));
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::InFlight);
         core.announce_rgp_end(0);
-        assert!(core.rgp_elapsed_since(1, &snap));
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Elapsed);
     }
 
     #[test]
@@ -533,14 +577,47 @@ mod tests {
         let core = core_with(2);
         core.register(0);
         core.register(1);
-        let snap = snapshot_announcements(&core);
+        let snap = snapshot_announcements(&core, 1);
         core.announce_rgp_begin(0);
         core.announce_rgp_abort(0);
-        assert!(!core.rgp_elapsed_since(1, &snap));
+        assert_eq!(
+            core.rgp_progress_since(&snap),
+            RgpProgress::Quiet,
+            "a rolled-back RGP leaves the snapshot describing the present"
+        );
+        // An odd snapshot whose broadcast aborts reads below its value:
+        // still quiet, never credited.
+        core.announce_rgp_begin(0);
+        let odd = snapshot_announcements(&core, 1);
+        core.announce_rgp_abort(0);
+        assert_eq!(core.rgp_progress_since(&odd), RgpProgress::Quiet);
         // A later, successful RGP is still detected.
         core.announce_rgp_begin(0);
         core.announce_rgp_end(0);
-        assert!(core.rgp_elapsed_since(1, &snap));
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Elapsed);
+        assert_eq!(
+            core.rgp_progress_since(&odd),
+            RgpProgress::InFlight,
+            "an odd snapshot needs the full RGP after the one it caught"
+        );
+    }
+
+    #[test]
+    fn rgp_progress_follows_tracked_peers_only() {
+        let core = core_with(4);
+        core.register(0);
+        let mut peer = core.register(1);
+        let snap = snapshot_announcements(&core, 0);
+        // A peer that registers after the snapshot is not tracked.
+        core.register(2);
+        core.announce_rgp_begin(2);
+        core.announce_rgp_end(2);
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Quiet);
+        // A tracked peer that completes an RGP and departs is still seen.
+        core.announce_rgp_begin(1);
+        core.announce_rgp_end(1);
+        core.unregister(&mut peer);
+        assert_eq!(core.rgp_progress_since(&snap), RgpProgress::Elapsed);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   by seeded Random or PCT strategies.
 //! * [`scenario`] — small Harris-list and hash-map scenarios over the full
 //!   scheme registry, lazy-list and DGT-tree scenarios under NBR, NBR+ and
-//!   DEBRA, plus the replay-banner plumbing the integration tests use.
+//!   the epoch family (and NBR+ in its LoWatermark band,
+//!   [`Params::lo_band`]), plus the replay-banner plumbing the integration
+//!   tests use.
 //!
 //! The crate is **not** a workspace default-member: enabling it turns on the
 //! `check` feature across every scheme crate, and feature unification would
@@ -29,7 +31,8 @@
 //!
 //! A failing cell's banner prints the exact
 //! `run_matrix_one(Scheme::…, Structure::…, Strategy::…, seed, &Params::default())`
-//! call that replays the run; paste it into a test.
+//! call that replays the run (a cell with its own `Params` prints them as a
+//! struct literal); paste it into a test.
 
 pub mod scenario;
 pub mod sched;

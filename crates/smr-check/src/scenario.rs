@@ -11,6 +11,7 @@ use crate::sched::{run_schedule, Outcome, SplitMix64, Strategy};
 use conc_ds::{ConcurrentSet, DgtTree, HarrisList, HmHashMap, LazyList};
 use smr_common::check::{self, SessionConfig, Violation};
 use smr_common::{Smr, SmrConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The full reclaimer matrix under test: the harness's scheme registry
@@ -53,9 +54,9 @@ impl Structure {
 }
 
 /// Scenario shape knobs. The defaults are the exploration-matrix settings;
-/// the resurrect tests override individual fields to aim at a specific
-/// reclamation window.
-#[derive(Debug, Clone)]
+/// the resurrect tests and [`Params::lo_band`] override individual fields
+/// to aim at a specific reclamation window.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Params {
     /// Scheduled worker tasks (the prefill runs on the unscheduled main
     /// thread under tid `workers`).
@@ -70,6 +71,10 @@ pub struct Params {
     /// node flow through the shared depot, where cross-thread recycling —
     /// and therefore ABA-style incarnation reuse — happens).
     pub magazine_cap: usize,
+    /// `(hi, lo)` limbo watermarks.
+    pub watermarks: (usize, usize),
+    /// Operations between op-exit heartbeat scans (0 = off).
+    pub scan_heartbeat_ops: usize,
 }
 
 impl Default for Params {
@@ -80,20 +85,39 @@ impl Default for Params {
             key_range: 6,
             budget: 300_000,
             magazine_cap: 4,
+            watermarks: (4, 2),
+            scan_heartbeat_ops: 1,
         }
     }
 }
 
-/// Reclamation-hostile config: every threshold at its floor so retire →
-/// sweep → free windows open after single-digit operation counts, and all
-/// backoff/heartbeat batching disabled so scheduled steps map 1:1 onto
-/// protocol steps.
+impl Params {
+    /// NBR+'s LoWatermark band: no heartbeat, and a HiWatermark far enough
+    /// above the LoWatermark that a worker takes quiet announcement checks
+    /// (moving its bookmark) and rides a peer's grace period — a peer's
+    /// HiWatermark broadcast or its final flush — before its own bag
+    /// reaches Hi.
+    pub fn lo_band() -> Self {
+        Self {
+            ops_per_worker: 24,
+            watermarks: (16, 2),
+            scan_heartbeat_ops: 0,
+            ..Self::default()
+        }
+    }
+}
+
+/// Reclamation-hostile config: by default every threshold at its floor so
+/// retire → sweep → free windows open after single-digit operation counts,
+/// and all backoff/heartbeat batching disabled so scheduled steps map 1:1
+/// onto protocol steps.
 pub fn quiet_config(params: &Params) -> SmrConfig {
+    let (hi, lo) = params.watermarks;
     let mut cfg = SmrConfig::for_tests()
         .with_max_threads(params.workers + 1)
         .with_epoch_freq(1)
-        .with_watermarks(4, 2)
-        .with_scan_heartbeat_ops(1)
+        .with_watermarks(hi, lo)
+        .with_scan_heartbeat_ops(params.scan_heartbeat_ops)
         .with_signal_cost_ns(0)
         .with_magazine_cap(params.magazine_cap);
     // Short ack spins: under the one-runnable scheduler the awaited thread
@@ -113,6 +137,9 @@ pub struct RunReport {
     pub failure: Option<String>,
     /// The structured oracle violation, if one was recorded.
     pub violation: Option<Violation>,
+    /// Signal-free reclamations by riding a peer's grace period (NBR+'s
+    /// `ThreadStats::rgp_reclaims`), summed over the workers.
+    pub rgp_reclaims: u64,
 }
 
 impl RunReport {
@@ -165,13 +192,16 @@ where
     }
     check::set_current_tid(None);
 
+    let rgp_reclaims = Arc::new(AtomicU64::new(0));
     let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(params.workers);
     for tid in 0..params.workers {
         let ds = Arc::clone(&ds);
+        let rgp_reclaims = Arc::clone(&rgp_reclaims);
         let ops = params.ops_per_worker;
         let key_range = params.key_range;
         tasks.push(Box::new(move || {
-            worker_body(&*ds, tid, ops, key_range, seed);
+            let rides = worker_body(&*ds, tid, ops, key_range, seed);
+            rgp_reclaims.fetch_add(rides, Ordering::Relaxed);
         }));
     }
 
@@ -189,6 +219,7 @@ where
         budget_exhausted,
         failure,
         violation,
+        rgp_reclaims: rgp_reclaims.load(Ordering::Relaxed),
     }
 }
 
@@ -198,7 +229,7 @@ fn worker_body<S: Smr, DS: ConcurrentSet<S>>(
     ops: usize,
     key_range: u64,
     seed: u64,
-) {
+) -> u64 {
     check::set_current_tid(Some(tid));
     let mut rng = SplitMix64(seed ^ (0xD1B5_4A32_D192_ED03u64.wrapping_mul(tid as u64 + 1)));
     let mut ctx = ds.smr().register(tid);
@@ -217,8 +248,10 @@ fn worker_body<S: Smr, DS: ConcurrentSet<S>>(
         }
     }
     ds.smr().flush(&mut ctx);
+    let rides = ds.smr().thread_stats(&ctx).rgp_reclaims;
     ds.smr().unregister(&mut ctx);
     check::set_current_tid(None);
+    rides
 }
 
 /// Dispatches one matrix cell to the concrete scheme/structure pair.
@@ -287,12 +320,18 @@ pub fn replay_banner(
     structure: Structure,
     strategy: Strategy,
     seed: u64,
+    params: &Params,
     report: &RunReport,
 ) -> String {
+    let params = if *params == Params::default() {
+        "Params::default()".to_string()
+    } else {
+        format!("{params:?}")
+    };
     let mut s = format!(
         "--- smr-check failure: {}/{} ---\n\
          replay: run_matrix_one(Scheme::{scheme:?}, Structure::{structure:?}, \
-         Strategy::{strategy:?}, {seed:#x}, &Params::default())\n\
+         Strategy::{strategy:?}, {seed:#x}, &{params})\n\
          steps={} budget_exhausted={}\n",
         scheme.label(),
         structure.label(),

@@ -1,13 +1,14 @@
 //! The seeded exploration sweep: every scheme on the Harris list and the
 //! hash map, and NBR, NBR+, DEBRA, QSBR, RCU, EpochPOP and the leaky
-//! baseline on the lazy list and the DGT tree. Each
+//! baseline on the lazy list and the DGT tree, plus NBR+ on those two in
+//! its LoWatermark band ([`Params::lo_band`]). Each
 //! cell runs a batch of deterministic schedules (a mix of random-switch and
 //! PCT strategies) and must come out oracle-clean.
 //!
 //! Knobs (environment):
 //!
-//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 38-cell
-//!   matrix then runs 3800 schedules).
+//! * `SMR_CHECK_SCHEDULES` — schedules per cell (default 100; the 40-cell
+//!   matrix then runs 4000 schedules).
 //! * `SMR_CHECK_SEED` — base seed (default `0x5EED_CAFE`; accepts `0x...`).
 //!   Each schedule's seed is derived from it per cell, so a reported
 //!   failure is not replayed through this knob: its banner prints the exact
@@ -49,32 +50,40 @@ fn strategy_for(i: u64) -> Strategy {
 }
 
 fn sweep_cell(scheme: Scheme, structure: Structure) {
+    sweep(scheme, structure, &Params::default());
+}
+
+/// Runs one cell's schedules under `params`; returns the summed
+/// `rgp_reclaims` of its runs.
+fn sweep(scheme: Scheme, structure: Structure, params: &Params) -> u64 {
     let schedules = env_u64("SMR_CHECK_SCHEDULES", 100);
     let base_seed = env_u64("SMR_CHECK_SEED", 0x5EED_CAFE);
     let cell_budget = Duration::from_secs(env_u64("SMR_CHECK_CELL_SECS", 30));
-    let params = Params::default();
 
     let start = Instant::now();
     let mut seeds = SplitMix64(base_seed ^ ((scheme as u64) << 8) ^ structure as u64);
     let mut ran = 0u64;
     let mut exhausted = 0u64;
+    let mut rgp_reclaims = 0u64;
     for i in 0..schedules {
         if start.elapsed() > cell_budget {
             break;
         }
         let seed = seeds.next_u64();
         let strategy = strategy_for(i);
-        let report = run_matrix_one(scheme, structure, strategy, seed, &params);
+        let report = run_matrix_one(scheme, structure, strategy, seed, params);
         assert!(
             report.clean(),
             "{}",
-            replay_banner(scheme, structure, strategy, seed, &report)
+            replay_banner(scheme, structure, strategy, seed, params, &report)
         );
         ran += 1;
         exhausted += report.budget_exhausted as u64;
+        rgp_reclaims += report.rgp_reclaims;
     }
     println!(
-        "{}/{}: {ran}/{schedules} schedules clean in {:?} ({exhausted} budget-exhausted)",
+        "{}/{}: {ran}/{schedules} schedules clean in {:?} ({exhausted} budget-exhausted, \
+         {rgp_reclaims} rgp reclaims)",
         scheme.label(),
         structure.label(),
         start.elapsed()
@@ -87,6 +96,28 @@ fn sweep_cell(scheme: Scheme, structure: Structure) {
         scheme.label(),
         structure.label()
     );
+    rgp_reclaims
+}
+
+/// NBR+ in its LoWatermark band: the cell must also show that the ride
+/// path ran, or its clean sweep says nothing about it.
+fn lo_band_cell(structure: Structure) {
+    let rides = sweep(Scheme::NbrPlus, structure, &Params::lo_band());
+    assert!(
+        rides > 0,
+        "NBR+/{}: no worker rode a peer's grace period in the LoWatermark band",
+        structure.label()
+    );
+}
+
+#[test]
+fn nbr_plus_lo_band_lazy_list() {
+    lo_band_cell(Structure::LazyList);
+}
+
+#[test]
+fn nbr_plus_lo_band_dgt_tree() {
+    lo_band_cell(Structure::DgtTree);
 }
 
 // One `<scheme>_list` and one `<scheme>_hash` cell per registry row.

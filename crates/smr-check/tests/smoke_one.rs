@@ -14,7 +14,7 @@ fn one_schedule_per_scheme_list() {
         assert!(
             report.clean(),
             "{}",
-            replay_banner(scheme, Structure::List, strategy, seed, &report)
+            replay_banner(scheme, Structure::List, strategy, seed, &params, &report)
         );
     }
 }
@@ -26,7 +26,14 @@ fn banner_call_replays_the_same_run() {
     let (scheme, structure) = (Scheme::Debra, Structure::HashMap);
     let (strategy, seed) = (Strategy::Pct { depth: 3 }, 0x5EED_CAFE);
     let first = run_matrix_one(scheme, structure, strategy, seed, &Params::default());
-    let banner = replay_banner(scheme, structure, strategy, seed, &first);
+    let banner = replay_banner(
+        scheme,
+        structure,
+        strategy,
+        seed,
+        &Params::default(),
+        &first,
+    );
     assert!(
         banner.contains(
             "run_matrix_one(Scheme::Debra, Structure::HashMap, \

@@ -11,9 +11,11 @@
 //! so a scan allocates nothing and survivors keep their order.
 //!
 //! The bag preserves retire order, which NBR+ relies on: a thread at the
-//! LoWatermark bookmarks the current tail and may later free exactly the
-//! prefix retired before the bookmark (Algorithm 2, lines 14/19). In-place
-//! compaction never reorders survivors, so the bookmark stays valid.
+//! LoWatermark bookmarks the current tail, moves the bookmark up to the tail
+//! while its peers stay quiet, and may later free exactly the prefix retired
+//! before the bookmark (Algorithm 2, lines 14/19). Records only ever join
+//! the bag at its end, and in-place compaction never reorders survivors, so
+//! the bookmark stays valid.
 //!
 //! Reclamation is *sort-then-sweep*: the caller sorts its snapshot of the
 //! announced protections once (hazard addresses, eras, or interval bounds) and
