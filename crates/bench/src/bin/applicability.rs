@@ -22,13 +22,13 @@ fn main() {
     println!("Table 1 — applicability of SMR schemes to the implemented data structures");
     println!("(paper rows LL05, HL01, HM04, DGT15, B17a; `impl` = exercised by this repo's tests)");
     println!();
-    println!("| structure | NBR / NBR+ | EBR family (DEBRA/QSBR/RCU) | HP / IBR / HE |");
+    println!("| structure | NBR / NBR+ | EBR family (DEBRA/QSBR/RCU/EpochPOP) | HP / HP-POP / IBR / HE / WFE |");
     println!("|---|---|---|---|");
-    println!("| lazy list (LL05) | yes, impl | yes, impl | no per the paper (breaks wait-free contains); run here IBR-benchmark-style, impl |");
+    println!("| lazy list (LL05) | yes, impl | yes, impl | **no** (breaks wait-free contains): a Table 1 \"no\" pair; the schedule explorer finds a use-after-free for HP, IBR, HE and WFE, none found yet for HP-POP |");
     println!("| Harris list (HL01) | yes, impl | yes, impl | yes with the Harris-Michael fallback (no marked-chain walk: a scan before the hop frees the chain), impl |");
     println!("| Harris-Michael list (HM04), original | **no** (Φ_read resumes from pred) | yes, impl | yes, impl |");
     println!("| Harris-Michael list, restart-from-root variant (E4) | yes, impl | yes, impl | yes, impl |");
-    println!("| DGT external BST (DGT15) | yes, impl | yes, impl | no per the paper (no marks ⇒ cannot validate); run here with re-read validation, impl |");
+    println!("| DGT external BST (DGT15) | yes, impl | yes, impl | **no** (no marks ⇒ cannot validate): a Table 1 \"no\" pair; the schedule explorer finds a use-after-free for HP, HP-POP, IBR, HE and WFE |");
     println!("| (a,b)-tree (stand-in for Brown's ABTree, B17a) | yes, impl | yes, impl | no per the paper; run here with re-read validation, impl |");
     println!();
     println!("Structures the paper lists as incompatible with NBR and not built here:");

@@ -8,25 +8,25 @@
 //! an era re-read (still a per-access store + fence, which is why the paper
 //! groups HE with the "instrumentation similar to HPs" family).
 //!
-//! **Era-hull scan.** The reclamation scan treats each thread's announced
-//! eras as the contiguous interval `[min, max]` over its slots rather than as
-//! a set of points. The hull closes the gap between two announced eras, but
-//! not a hop made *after* a scan: a scan that saw the hull end below a
-//! chain record's birth era frees it, and the validated re-read of the
-//! frozen `next` still returns its address (`tests/tests/marked_chain_race.rs`,
-//! the scan-before-hop tests). So HE keeps `CAN_TRAVERSE_UNLINKED = false`
-//! and the Harris list restarts instead of walking marked chains under it
-//! (DESIGN.md, "Traversals through unlinked records under the interval
-//! reclaimers").
+//! **Point sweep.** A scan reads the announced eras the way the
+//! hazard-pointer scan reads hazards — one `SeqCst` fence, then two
+//! [`SlotBlock::collect_into`] passes — and keeps a retired record iff some
+//! announced era `e` has `birth ≤ e ≤ retire`, the published HE rule. That
+//! is sound because `protect` returns a pointer only after re-reading the
+//! era it announced, and the pointer came from a link whose owner was
+//! unmarked at the load, so the record was linked at that era. A hop
+//! through a frozen marked chain has no such guarantee, so HE keeps
+//! `CAN_TRAVERSE_UNLINKED = false` and the Harris list restarts instead of
+//! walking marked chains under it (DESIGN.md, "Point eras cover every
+//! record a live path reaches").
 //!
 //! The announced eras live in a [`SlotBlock`], one line-aligned row per
 //! thread, each slot one era word ([`NONE`] when empty).
 
 use smr_common::{
-    Atomic, EraClock, Magazine, ReclaimCore, ReclaimLocal, Registry, Retired, Shared, SlotBlock,
-    Smr, SmrConfig, SmrNode, ThreadStats,
+    Atomic, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock, Smr,
+    SmrConfig, SmrNode, ThreadStats,
 };
-use std::ops::Deref;
 use std::sync::atomic::{fence, Ordering};
 
 /// Slot value meaning "no era announced".
@@ -35,79 +35,30 @@ pub(crate) const NONE: u64 = 0;
 // An era is stored in a slot word as `era as usize`, which must not truncate.
 const _: () = assert!(usize::BITS >= u64::BITS);
 
-/// The era slots HE and WFE both publish into: a [`SlotBlock`] plus the two
-/// era-specific operations, the copy and the hull fold.
-pub(crate) struct EraTable(pub(crate) SlotBlock);
-
-impl Deref for EraTable {
-    type Target = SlotBlock;
-
-    #[inline]
-    fn deref(&self) -> &SlotBlock {
-        &self.0
+/// Copies the era `tid` announced in `src_slot` (not the current one, which
+/// may postdate the record's retirement) into `dst_slot`: that era lies in
+/// the record's lifetime, so it stays protected under `dst_slot`. HE and
+/// WFE share this `protect_copy`.
+///
+/// Era slots are single-writer, so reading our own slots Relaxed is exact;
+/// and when `dst_slot` *already* holds the source era — the common case on
+/// list traversals, where every slot converges to the current era within a
+/// few hops and then stays there until the next era advance — the copy is
+/// idempotent: the value was published by an earlier `SeqCst` store of this
+/// thread and every scan already sees it, so the store (and its full fence
+/// on x86) can be skipped. This removes the per-hop `SeqCst` pair the
+/// Harris list's `left`-promotion paid on every unmarked hop (HE's
+/// harris-list outlier; see DESIGN.md, "Skipping idempotent era
+/// republishes").
+#[inline]
+pub(crate) fn copy_era(slots: &SlotBlock, tid: usize, dst_slot: usize, src_slot: usize) {
+    let row = slots.of(tid);
+    let era = row[src_slot].load(Ordering::Relaxed);
+    if row[dst_slot].load(Ordering::Relaxed) != era {
+        row[dst_slot].store(era, Ordering::SeqCst);
     }
-}
-
-impl EraTable {
-    /// Copies the era announced in `src_slot` (not the current one, which may
-    /// postdate the record's retirement) into `dst_slot`: that era covers the
-    /// record's lifetime, so it stays protected under `dst_slot`.
-    ///
-    /// Era slots are single-writer, so reading our own slots Relaxed is
-    /// exact; and when `dst_slot` *already* holds the source era — the
-    /// common case on list traversals, where every slot converges to the
-    /// current era within a few hops and then stays there until the next
-    /// era advance — the copy is idempotent: the value was published by an
-    /// earlier `SeqCst` store of this thread and every scan already sees
-    /// it, so the store (and its full fence on x86) can be skipped. This
-    /// removes the per-hop `SeqCst` pair the Harris list's `left`-promotion
-    /// paid on every unmarked hop (HE's harris-list outlier; see
-    /// DESIGN.md, "Skipping idempotent era republishes").
-    #[inline]
-    pub(crate) fn copy(&self, tid: usize, dst_slot: usize, src_slot: usize) {
-        let slots = self.of(tid);
-        let era = slots[src_slot].load(Ordering::Relaxed);
-        if slots[dst_slot].load(Ordering::Relaxed) != era {
-            slots[dst_slot].store(era, Ordering::SeqCst);
-        }
-        if era != NONE as usize {
-            smr_common::check::claim_era(tid, dst_slot, era as u64);
-        }
-    }
-
-    /// Snapshots every active thread's announced era *hull* — the contiguous
-    /// interval `[min, max]` over its non-empty slots — pushing one bound
-    /// pair per announcing thread. A helper's cross-thread announce (WFE)
-    /// lands in the owner's slots, which this fold reads.
-    pub(crate) fn collect_hulls(
-        &self,
-        registry: &Registry,
-        lowers: &mut Vec<u64>,
-        uppers: &mut Vec<u64>,
-    ) {
-        for tid in registry.active_tids() {
-            let (mut lo, mut hi) = (u64::MAX, NONE);
-            // Two passes over the thread's slots, folded into one hull,
-            // close the `protect_copy` scan race for an era moved between
-            // slots mid-scan — the same argument (and the same
-            // one-relocation-per-held-record contract) as the
-            // hazard-pointer scan (DESIGN.md, "Validate-after-copy for
-            // moved hazards"); relocations only ever happen between slots
-            // of the same thread, so per-thread double collection suffices.
-            for _ in 0..2 {
-                for s in self.of(tid) {
-                    let e = s.load(Ordering::Acquire) as u64;
-                    if e != NONE {
-                        lo = lo.min(e);
-                        hi = hi.max(e);
-                    }
-                }
-            }
-            if hi != NONE {
-                lowers.push(lo);
-                uppers.push(hi);
-            }
-        }
+    if era != NONE as usize {
+        smr_common::check::claim_era(tid, dst_slot, era as u64);
     }
 }
 
@@ -120,7 +71,7 @@ pub struct HeCtx {
 pub struct HazardEras {
     core: ReclaimCore,
     era: EraClock,
-    slots: EraTable,
+    slots: SlotBlock,
 }
 
 impl HazardEras {
@@ -129,18 +80,21 @@ impl HazardEras {
             // Single-fence scan (see DESIGN.md): one SeqCst fence, then
             // Acquire loads of every announced era.
             fence(Ordering::SeqCst);
-            local.lowers.clear();
-            local.uppers.clear();
-            self.slots
-                .collect_hulls(self.core.registry(), &mut local.lowers, &mut local.uppers);
+            local.addrs.clear();
+            // Two passes close the `protect_copy` race for an era moved
+            // between slots mid-scan, by the hazard-pointer scan's argument
+            // (DESIGN.md, "Validate-after-copy for moved hazards").
+            let registry = self.core.registry();
+            self.slots.collect_into(registry, None, &mut local.addrs);
+            self.slots.collect_into(registry, None, &mut local.addrs);
             // SAFETY: a thread only dereferences records it reached through
-            // live predecessors (`CAN_TRAVERSE_UNLINKED = false`), each
-            // alive at the era it announced for that load, so the record's
-            // lifetime overlaps its announced era hull (DESIGN.md,
-            // "Traversals through unlinked records under the interval
-            // reclaimers"). If no hull overlaps [birth, retire], no thread
-            // can still dereference the record.
-            unsafe { local.sweep_disjoint_intervals() }
+            // live predecessors (`CAN_TRAVERSE_UNLINKED = false`), and
+            // `protect` validated that each was linked at the era it
+            // announced for that load, so `birth ≤ e ≤ retire` for that era
+            // `e` (DESIGN.md, "Point eras cover every record a live path
+            // reaches"). If no announced era lies in [birth, retire], no
+            // thread can still dereference the record.
+            unsafe { local.sweep_outside_eras() }
         });
     }
 }
@@ -150,17 +104,17 @@ impl Smr for HazardEras {
 
     const NAME: &'static str = "HE";
     const USES_PROTECTION: bool = true;
-    // The era hull pins a record on a frozen marked chain only if no scan
-    // ran before the hop that reached it: a scan that saw the hull end below
-    // the record's birth era has already freed it, and the validated re-read
-    // of the frozen `next` still returns its address (`marked_chain_race.rs`,
-    // the scan-before-hop tests; same rule as IBR).
+    // An announced era covers only records linked when it was announced.
+    // A record behind a frozen marked `next` may lie wholly between two of
+    // this thread's eras, or have been freed by a scan before the hop, and
+    // the validated re-read of the frozen `next` still returns its address
+    // (`marked_chain_race.rs`; same rule as IBR).
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
         let core = ReclaimCore::new(config);
         Self {
-            slots: EraTable(SlotBlock::new(core.config())),
+            slots: SlotBlock::new(core.config()),
             core,
             era: EraClock::new(),
         }
@@ -172,8 +126,11 @@ impl Smr for HazardEras {
 
     fn register(&self, tid: usize) -> HeCtx {
         let mut local: ReclaimLocal = self.core.register(tid);
-        local.lowers.reserve_exact(self.core.config().max_threads);
-        local.uppers.reserve_exact(self.core.config().max_threads);
+        let config = self.core.config();
+        // Each of the scan's two passes pushes up to `R·N` eras.
+        let eras = 2 * config.max_reservations * config.max_threads;
+        local.addrs.reserve_exact(eras);
+        local.lowers.reserve_exact(eras);
         self.slots.clear(tid);
         HeCtx { local }
     }
@@ -206,18 +163,17 @@ impl Smr for HazardEras {
             let p = src.load(Ordering::Acquire);
             let era = self.era.now();
             if era == announced {
-                // Mirror the stable announcement (the oracle folds a
-                // thread's era claims into the same [min, max] hull the
-                // reclamation sweep uses).
+                // Mirror the stable announcement (the oracle checks a
+                // thread's era claims as the same points the sweep reads).
                 smr_common::check::claim_era(tid, slot, era);
                 return p;
             }
             slots[slot].store(era as usize, Ordering::SeqCst);
             // Keep the mirrored claim in lockstep with the real slot: the
             // old era stops being announced by the store above, and leaving
-            // it claimed would stretch the oracle's hull beyond what the
-            // real sweep sees (no preempt point sits between the store and
-            // this call, so the pair is scheduler-atomic).
+            // it claimed would make the oracle protect records the real
+            // sweep frees (no preempt point sits between the store and this
+            // call, so the pair is scheduler-atomic).
             smr_common::check::claim_era(tid, slot, era);
             announced = era;
             ctx.local.stats.protect_failures += 1;
@@ -232,7 +188,7 @@ impl Smr for HazardEras {
         src_slot: usize,
         _ptr: Shared<T>,
     ) {
-        self.slots.copy(ctx.local.tid(), dst_slot, src_slot);
+        copy_era(&self.slots, ctx.local.tid(), dst_slot, src_slot);
     }
 
     #[inline]
@@ -361,6 +317,76 @@ mod tests {
         smr.flush(&mut owner);
         assert_eq!(smr.limbo_len(&owner), 0);
 
+        smr.unregister(&mut reader);
+        smr.unregister(&mut owner);
+    }
+
+    #[test]
+    fn point_sweep_frees_lifetimes_strictly_between_announced_eras() {
+        // Every allocation advances the era, and only `flush` scans.
+        let config = SmrConfig::for_tests()
+            .with_epoch_freq(1)
+            .with_watermarks(1 << 20, 8)
+            .with_scan_heartbeat_ops(0);
+        let smr = HazardEras::new(config);
+        let mut owner = smr.register(0);
+        let mut reader = smr.register(1);
+        let node = |key| Node {
+            header: NodeHeader::new(),
+            key,
+        };
+        let cell = Atomic::<Node>::null();
+
+        // The reader announces e1 in slot 0 while `spans_e1` is linked.
+        let spans_e1 = smr.alloc(&mut owner, node(1));
+        cell.store(spans_e1, Ordering::Release);
+        smr.protect(&mut reader, 0, &cell);
+        let e1 = smr.global_era();
+        unsafe { smr.retire(&mut owner, spans_e1) };
+
+        // Born after e1 and retired before e2.
+        let skip = smr.alloc(&mut owner, node(0));
+        unsafe { smr.dealloc_unpublished(&mut owner, skip) };
+        let gaps = 3;
+        for key in 0..gaps {
+            let gap = smr.alloc(&mut owner, node(10 + key));
+            unsafe { smr.retire(&mut owner, gap) };
+        }
+
+        // The reader announces e2 in slot 1 while `spans_e2` is linked.
+        let spans_e2 = smr.alloc(&mut owner, node(2));
+        cell.store(spans_e2, Ordering::Release);
+        smr.protect(&mut reader, 1, &cell);
+        let e2 = smr.global_era();
+        unsafe { smr.retire(&mut owner, spans_e2) };
+        assert!(e1 < e2);
+
+        let contains = |&(b, r): &(u64, u64), e: u64| b <= e && e <= r;
+        let lifetimes = |ctx: &HeCtx| -> Vec<(u64, u64)> {
+            let bag = ctx.local.limbo.iter();
+            bag.map(|r| (r.birth_era(), r.retire_era())).collect()
+        };
+        let before = lifetimes(&owner);
+        assert_eq!(before.len() as u64, gaps + 2);
+        let between = |&(b, r): &(u64, u64)| e1 < b && r < e2;
+        assert_eq!(before.iter().filter(|l| between(l)).count() as u64, gaps);
+
+        smr.flush(&mut owner);
+        let after = lifetimes(&owner);
+        assert_eq!(smr.thread_stats(&owner).frees, gaps, "the gap records go");
+        assert_eq!(after.len(), 2);
+        assert!(
+            after.iter().any(|l| contains(l, e1)),
+            "kept by e1: {after:?}"
+        );
+        assert!(
+            after.iter().any(|l| contains(l, e2)),
+            "kept by e2: {after:?}"
+        );
+
+        smr.clear_protections(&mut reader);
+        smr.flush(&mut owner);
+        assert_eq!(smr.limbo_len(&owner), 0);
         smr.unregister(&mut reader);
         smr.unregister(&mut owner);
     }

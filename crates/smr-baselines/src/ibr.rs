@@ -174,10 +174,7 @@ impl Smr for Ibr {
         let e = self.era.now();
         self.slots[tid].lower.store(e, Ordering::SeqCst);
         self.slots[tid].upper.store(e, Ordering::SeqCst);
-        // Mirror the interval as two era claims (pseudo-slot 0 = lower,
-        // 1 = upper); the oracle's hull over them is exactly [lower, upper].
-        smr_common::check::claim_era(tid, 0, e);
-        smr_common::check::claim_era(tid, 1, e);
+        smr_common::check::claim_interval(tid, e, e);
     }
 
     #[inline]
@@ -210,21 +207,20 @@ impl Smr for Ibr {
     #[inline]
     fn protect<T: SmrNode>(&self, ctx: &mut IbrCtx, _slot: usize, src: &Atomic<T>) -> Shared<T> {
         let tid = ctx.local.tid();
-        let upper = &self.slots[tid].upper;
+        let IntervalSlot { lower, upper } = &*self.slots[tid];
         let mut announced = upper.load(Ordering::Relaxed);
         loop {
             let p = src.load(Ordering::Acquire);
             let e = self.era.now();
             if announced != IDLE && e <= announced {
-                smr_common::check::claim_era(tid, 1, announced);
                 return p;
             }
             upper.store(e, Ordering::SeqCst);
             // Mirror the grown interval immediately (scheduler-atomic with
-            // the store above): the claim hull must track the real
+            // the store above): the claimed interval must track the real
             // announcement or later loop iterations under-claim the records
             // this thread is about to dereference.
-            smr_common::check::claim_era(tid, 1, e);
+            smr_common::check::claim_interval(tid, lower.load(Ordering::Relaxed), e);
             announced = e;
             ctx.local.stats.protect_failures += 1;
         }

@@ -1,12 +1,13 @@
 //! WFE — Wait-Free Eras (Nikolaev & Ravindran, PPoPP 2020).
 //!
 //! The tree's first *robust* reclaimer: era reservations exactly like hazard
-//! eras (per-thread era slots, era-hull reclamation sweep), plus a **helping
+//! eras (per-thread era slots, the same point sweep), plus a **helping
 //! protocol** on the `protect` slow path so a thread whose announce-validate
 //! loop keeps losing to era advances is finished by its peers instead of
 //! retrying unboundedly. Garbage stays bounded regardless of stalled threads
-//! — a stalled reader pins only the records whose lifetime overlaps its
-//! announced hull, never the unbounded suffix an epoch-family scheme pins.
+//! — a stalled reader pins only the records whose lifetime contains one of
+//! its announced eras, never the unbounded suffix an epoch-family scheme
+//! pins.
 //!
 //! # Substitution: lock-serialized helping instead of double-wide CAS
 //!
@@ -25,7 +26,7 @@
 //! wait-freedom to lock-freedom across helpers, which the cooperative
 //! checkpoint substitution (DESIGN.md S1) already accepts elsewhere. The
 //! *robustness* property — bounded garbage under stalled threads — is
-//! unaffected: it comes from the era-hull reservations, not from the helping
+//! unaffected: it comes from the era reservations, not from the helping
 //! mechanics.
 //!
 //! The critical sections under the help lock contain **no instrumentation
@@ -33,7 +34,7 @@
 //! [`Atomic::raw_word`]), so under the deterministic explorer the lock is
 //! scheduler-atomic, the same discipline as the recycling depot mutex.
 
-use crate::hazard_eras::{EraTable, NONE};
+use crate::hazard_eras::{copy_era, NONE};
 use smr_common::trace::{self, TraceKind};
 use smr_common::{
     Atomic, CachePadded, EraClock, Magazine, ReclaimCore, ReclaimLocal, Retired, Shared, SlotBlock,
@@ -88,7 +89,7 @@ pub struct WfeCtx {
 pub struct Wfe {
     core: ReclaimCore,
     era: EraClock,
-    slots: EraTable,
+    slots: SlotBlock,
     boards: Vec<CachePadded<HelpBoard>>,
     /// Serializes era advances with help fulfilment: any holder sees a
     /// frozen era, so announce-then-load fulfilment cannot be invalidated.
@@ -184,23 +185,22 @@ impl Wfe {
 
     fn scan_and_reclaim(&self, ctx: &mut WfeCtx) {
         self.core.scan(&mut ctx.local, |local, _tail| {
-            // Single-fence scan (see DESIGN.md): one SeqCst fence, then
-            // Acquire loads of every announced era.
+            // HE's scan: one SeqCst fence, two collection passes (the
+            // `protect_copy` race), then the point sweep.
             fence(Ordering::SeqCst);
-            local.lowers.clear();
-            local.uppers.clear();
-            self.slots
-                .collect_hulls(self.core.registry(), &mut local.lowers, &mut local.uppers);
-            // SAFETY: same era-hull argument as hazard eras (DESIGN.md,
-            // "Traversals through unlinked records under the interval
-            // reclaimers"): a thread can only dereference records whose
-            // lifetime overlaps its announced hull, including records a
-            // helper announced on its behalf (the helper's era is stored in
-            // the owner's slots before the pointer is ever handed back).
-            // No overlapping hull ⇒ no live reference. The sweep is
+            local.addrs.clear();
+            let registry = self.core.registry();
+            self.slots.collect_into(registry, None, &mut local.addrs);
+            self.slots.collect_into(registry, None, &mut local.addrs);
+            // SAFETY: same point-era argument as hazard eras (DESIGN.md,
+            // "Point eras cover every record a live path reaches"), which
+            // also covers records a helper loaded on a thread's behalf: the
+            // helper stores the frozen era in the owner's slot before its
+            // load, so the record was linked at that era. No announced era
+            // in [birth, retire] ⇒ no live reference. The sweep is
             // ownership-agnostic (each record carries its own eras), so
             // adopted orphans flow through it unchanged.
-            unsafe { local.sweep_disjoint_intervals() }
+            unsafe { local.sweep_outside_eras() }
         });
     }
 }
@@ -210,7 +210,7 @@ impl Smr for Wfe {
 
     const NAME: &'static str = "WFE";
     const USES_PROTECTION: bool = true;
-    // Same era-hull sweep as HE, and the same scan-before-hop hole.
+    // Same point sweep as HE, and the same reason not to walk marked chains.
     const CAN_TRAVERSE_UNLINKED: bool = false;
 
     fn new(config: SmrConfig) -> Self {
@@ -219,7 +219,7 @@ impl Smr for Wfe {
             .collect();
         let core = ReclaimCore::new(config);
         Self {
-            slots: EraTable(SlotBlock::new(core.config())),
+            slots: SlotBlock::new(core.config()),
             core,
             era: EraClock::new(),
             boards,
@@ -233,8 +233,11 @@ impl Smr for Wfe {
 
     fn register(&self, tid: usize) -> WfeCtx {
         let mut local: ReclaimLocal = self.core.register(tid);
-        local.lowers.reserve_exact(self.core.config().max_threads);
-        local.uppers.reserve_exact(self.core.config().max_threads);
+        let config = self.core.config();
+        // Each of the scan's two passes pushes up to `R·N` eras.
+        let eras = 2 * config.max_reservations * config.max_threads;
+        local.addrs.reserve_exact(eras);
+        local.lowers.reserve_exact(eras);
         self.slots.clear(tid);
         WfeCtx { local }
     }
@@ -291,7 +294,7 @@ impl Smr for Wfe {
     ) {
         // Same as HE: copy the *announced* era (which covers the record's
         // lifetime), skipping the idempotent republish.
-        self.slots.copy(ctx.local.tid(), dst_slot, src_slot);
+        copy_era(&self.slots, ctx.local.tid(), dst_slot, src_slot);
     }
 
     #[inline]

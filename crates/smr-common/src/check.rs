@@ -16,8 +16,8 @@
 //!   live blocks, and dereferences of freed blocks all panic immediately,
 //!   at the instruction that committed them.
 //! * **Protection-contract oracle** — each scheme mirrors its announcements
-//!   into per-thread *claims*: hazard addresses (HP, HP-POP), per-slot eras
-//!   whose hull forms the announced interval (HE, IBR), a pinned epoch
+//!   into per-thread *claims*: hazard addresses (HP, HP-POP), per-slot era
+//!   points (HE, WFE), an era interval (IBR), a pinned epoch
 //!   (DEBRA, QSBR, RCU, EpochPOP), reservation addresses (NBR, NBR+). Every
 //!   reclamation free (the single [`Retired`](crate::Retired) destroy
 //!   funnel) is checked against *all* claims: freeing a record some thread's
@@ -111,6 +111,9 @@ mod noop {
     /// See the `check`-enabled variant; no-op in this build.
     #[inline(always)]
     pub fn claim_era(_tid: usize, _slot: usize, _era: u64) {}
+    /// See the `check`-enabled variant; no-op in this build.
+    #[inline(always)]
+    pub fn claim_interval(_tid: usize, _lower: u64, _upper: u64) {}
     /// See the `check`-enabled variant; no-op in this build.
     #[inline(always)]
     pub fn claim_reservations(_tid: usize, _addrs: &[usize]) {}
@@ -227,10 +230,11 @@ mod imp {
         /// Hazard-style address claims, by slot (HP, HP-POP, and
         /// `protect_copy` destinations).
         addrs: BTreeMap<usize, usize>,
-        /// Era claims, by slot. The thread's announced interval is the hull
-        /// `[min, max]` over these — exactly the PR-5 era-hull scan's view
-        /// (IBR announces its `[lower, upper]` pair as two pseudo-slots).
+        /// Era claims, by slot (HE, WFE). Each is a point: it covers the
+        /// lifetimes that contain it, exactly what the point sweep keeps.
         eras: BTreeMap<usize, u64>,
+        /// The announced era interval `[lower, upper]` (IBR).
+        interval: Option<(u64, u64)>,
         /// Epoch the thread is pinned at (EBR/POP family), if inside an op.
         pin: Option<u64>,
         /// NBR-style reservation addresses announced by `end_read_phase`.
@@ -262,7 +266,7 @@ mod imp {
     /// with the block's history and the most recent global events.
     #[derive(Debug, Clone)]
     pub struct Violation {
-        /// Short machine-matchable rule name (e.g. `premature-free/era-hull`).
+        /// Short machine-matchable rule name (e.g. `premature-free/hazard`).
         pub rule: String,
         /// Full human-readable description.
         pub message: String,
@@ -559,17 +563,27 @@ mod imp {
                     ));
                     break;
                 }
-                if !claims.eras.is_empty() {
-                    let lo = *claims.eras.values().min().expect("non-empty");
-                    let hi = *claims.eras.values().max().expect("non-empty");
-                    // Interval overlap, exactly the era-hull sweep's test:
-                    // the record survives iff `hi ≥ birth && lo ≤ retire`.
-                    if hi >= birth && lo <= retire {
+                // Point membership, exactly the HE/WFE sweep's test: the
+                // record survives iff some era lies in `[birth, retire]`.
+                if let Some(e) = claims.eras.values().find(|&&e| birth <= e && e <= retire) {
+                    failure = Some((
+                        "premature-free/era-point".into(),
+                        format!(
+                            "record {addr:#x} (lifetime [{birth}, {retire}]) freed while \
+                             thread {t}'s announced era {e} lies inside it"
+                        ),
+                    ));
+                    break;
+                }
+                // Interval overlap, exactly IBR's sweep test: the record
+                // survives iff `upper ≥ birth && lower ≤ retire`.
+                if let Some((lo, up)) = claims.interval {
+                    if up >= birth && lo <= retire {
                         failure = Some((
-                            "premature-free/era-hull".into(),
+                            "premature-free/era-interval".into(),
                             format!(
                                 "record {addr:#x} (lifetime [{birth}, {retire}]) freed while \
-                                 thread {t}'s announced era hull [{lo}, {hi}] overlaps it"
+                                 thread {t}'s announced era interval [{lo}, {up}] overlaps it"
                             ),
                         ));
                         break;
@@ -671,12 +685,21 @@ mod imp {
         });
     }
 
-    /// Thread `tid` announced era `era` in `slot`. The thread's protected
-    /// interval is the hull over all of its era slots.
+    /// Thread `tid` announced era `era` in `slot`. Each announced era
+    /// protects the records whose lifetime contains it.
     pub fn claim_era(tid: usize, slot: usize, era: u64) {
         with_session(|s| {
             claims(s, tid).eras.insert(slot, era);
             s.note(format!("t{tid} era[{slot}] = {era}"));
+        });
+    }
+
+    /// Thread `tid` announced the era interval `[lower, upper]`, replacing
+    /// any previous one. It protects every lifetime it overlaps.
+    pub fn claim_interval(tid: usize, lower: u64, upper: u64) {
+        with_session(|s| {
+            claims(s, tid).interval = Some((lower, upper));
+            s.note(format!("t{tid} interval = [{lower}, {upper}]"));
         });
     }
 
@@ -692,7 +715,7 @@ mod imp {
         });
     }
 
-    /// Thread `tid` dropped all address/era/reservation claims (op exit,
+    /// Thread `tid` dropped all address/era/interval/reservation claims (op exit,
     /// `clear_protections`, deregistration). The epoch pin is separate —
     /// see [`unpin_epoch`].
     pub fn clear_claims(tid: usize) {
@@ -700,6 +723,7 @@ mod imp {
             let c = claims(s, tid);
             c.addrs.clear();
             c.eras.clear();
+            c.interval = None;
             c.reservations.clear();
             s.note(format!("t{tid} clear claims"));
         });
@@ -753,36 +777,46 @@ mod imp {
             drop(guard);
         }
 
-        #[test]
-        fn era_hull_rule_matches_interval_overlap() {
+        /// Reclaims a record with lifetime `[10, 12]` under `claim` and
+        /// returns the rule it tripped, if any.
+        fn reclaim_rule_under(claim: impl FnOnce()) -> Option<String> {
             let guard = session("unit");
             set_current_tid(Some(0));
             on_raw_alloc(0x2000);
             on_node_alloc(0x2000, 10);
             on_retire(0x2000, 10, 12);
-            // Hull [9, 11] overlaps [10, 12] → violation.
-            claim_era(1, 0, 9);
-            claim_era(1, 1, 11);
-            assert!(std::panic::catch_unwind(|| on_reclaim(0x2000)).is_err());
-            assert_eq!(
-                take_violation().expect("recorded").rule,
-                "premature-free/era-hull"
-            );
+            claim();
+            let tripped = std::panic::catch_unwind(|| on_reclaim(0x2000)).is_err();
+            let rule = take_violation().map(|v| v.rule);
+            assert_eq!(tripped, rule.is_some());
             set_current_tid(None);
             drop(guard);
+            rule
+        }
 
-            // Disjoint hull: free passes.
-            let guard = session("unit2");
-            set_current_tid(Some(0));
-            on_raw_alloc(0x2000);
-            on_node_alloc(0x2000, 10);
-            on_retire(0x2000, 10, 12);
-            claim_era(1, 0, 14);
-            claim_era(1, 1, 15);
-            on_reclaim(0x2000);
-            assert!(take_violation().is_none());
-            set_current_tid(None);
-            drop(guard);
+        #[test]
+        fn era_point_rule_is_point_membership() {
+            // Eras 9 and 14 bracket [10, 12] but neither lies inside it.
+            let rule = reclaim_rule_under(|| {
+                claim_era(1, 0, 9);
+                claim_era(1, 1, 14);
+            });
+            assert_eq!(rule, None);
+            let rule = reclaim_rule_under(|| {
+                claim_era(1, 0, 9);
+                claim_era(1, 1, 12);
+            });
+            assert_eq!(rule.as_deref(), Some("premature-free/era-point"));
+        }
+
+        #[test]
+        fn era_interval_rule_is_interval_overlap() {
+            // The interval [9, 14] contains [10, 12] although neither bound
+            // lies inside it.
+            let rule = reclaim_rule_under(|| claim_interval(1, 9, 14));
+            assert_eq!(rule.as_deref(), Some("premature-free/era-interval"));
+            let rule = reclaim_rule_under(|| claim_interval(1, 13, 15));
+            assert_eq!(rule, None);
         }
 
         #[test]

@@ -216,17 +216,11 @@ impl LimboBag {
 
     /// Frees every record whose lifetime `[birth, retire]` is disjoint from
     /// every announced interval, given the interval **lower bounds and upper
-    /// bounds each sorted separately** — the sweep both interval-based
-    /// schemes share: IBR (2GEIBR) passes its announced `[lower, upper]`
-    /// pairs, hazard eras the per-thread hull `[min slot era, max slot era]`.
-    ///
-    /// There is deliberately no point-era ("outside eras") sweep any more:
-    /// sweeping announced eras as points instead of intervals frees records
-    /// whose lifetimes fall *between* two of a traversing thread's
-    /// announcements, which is unsound the moment a traversal follows a
-    /// frozen pointer out of an unlinked record (the marked-chain race —
-    /// DESIGN.md, "Traversals through unlinked records under the interval
-    /// reclaimers").
+    /// bounds each sorted separately** — the sweep every era-based scheme
+    /// shares: IBR (2GEIBR) passes its announced `[lower, upper]` pairs,
+    /// hazard eras and WFE each announced era `e` as the degenerate interval
+    /// `[e, e]` (`ReclaimLocal::sweep_outside_eras`), which pins exactly the
+    /// lifetimes containing `e`.
     ///
     /// An interval `[lo, up]` overlaps `[birth, retire]` iff
     /// `lo ≤ retire ∧ up ≥ birth`. Since every valid interval has `lo ≤ up`,
@@ -405,17 +399,17 @@ mod tests {
         unsafe { bag.reclaim_all(&mut stats, &mut mag) };
     }
 
-    /// The hazard-eras hull sweep is the interval sweep with degenerate
-    /// (single-era) hulls allowed: a point hull pins exactly the lifetimes
-    /// containing it, and a record strictly *between* two hulls is freed.
+    /// The hazard-eras point sweep is the interval sweep with degenerate
+    /// (single-era) intervals: a point `[e, e]` pins exactly the lifetimes
+    /// containing `e`, and a record strictly *between* two points is freed.
     #[test]
-    fn degenerate_hulls_behave_like_point_eras() {
+    fn degenerate_intervals_behave_like_point_eras() {
         let mut bag = LimboBag::new();
         // Lifetimes: [0,1] [2,4] [5,5] [3,8] [9,10]
         for &(k, b, r) in &[(0, 0, 1), (1, 2, 4), (2, 5, 5), (3, 3, 8), (4, 9, 10)] {
             bag.push(retire_interval(k, b, r));
         }
-        // Two single-era hulls: [4,4] and [9,9].
+        // Two single-era intervals: [4,4] and [9,9].
         let bounds = vec![4, 9];
         let mut stats = ThreadStats::default();
         let mut mag = Magazine::disabled();

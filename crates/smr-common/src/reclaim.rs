@@ -90,9 +90,10 @@ pub struct ReclaimLocal {
     pub mag: Magazine,
     /// The thread's counters.
     pub stats: ThreadStats,
-    /// Sweep scratch: reserved / hazard addresses. A scheme that collects
-    /// them reserves room for its whole frontier at `register`, so a scan
-    /// never allocates (likewise `lowers` / `uppers`).
+    /// Sweep scratch: reserved / hazard addresses, or announced era slot
+    /// words. A scheme that collects them reserves room for its whole
+    /// frontier at `register`, so a scan never allocates (likewise
+    /// `lowers` / `uppers`).
     pub addrs: Vec<usize>,
     /// Sweep scratch: announced interval lower bounds.
     pub lowers: Vec<u64>,
@@ -177,6 +178,27 @@ impl ReclaimLocal {
         self.limbo.reclaim_disjoint_intervals(
             &self.lowers,
             &self.uppers,
+            &mut self.stats,
+            &mut self.mag,
+        )
+    }
+
+    /// Frees every record whose `[birth, retire]` lifetime contains none
+    /// of the eras collected in `addrs` (one era per slot word): the
+    /// interval sweep with each era as the degenerate interval `[e, e]`.
+    /// The eras are copied into `lowers`, which serves as both bound lists.
+    ///
+    /// # Safety
+    /// [`LimboBag::reclaim_disjoint_intervals`]'s contract: `addrs` holds
+    /// every era announced at the scan's linearization point.
+    #[inline]
+    pub unsafe fn sweep_outside_eras(&mut self) -> usize {
+        self.lowers.clear();
+        self.lowers.extend(self.addrs.iter().map(|&e| e as u64));
+        self.lowers.sort_unstable();
+        self.limbo.reclaim_disjoint_intervals(
+            &self.lowers,
+            &self.lowers,
             &mut self.stats,
             &mut self.mag,
         )

@@ -1,6 +1,7 @@
 //! The bounded-garbage property (Lemma 10 / experiment E2) across crates:
-//! NBR, NBR+, HP and IBR must keep unreclaimed records bounded even with a
-//! thread stalled inside an operation, while DEBRA/RCU must not.
+//! NBR, NBR+, HP, HP-POP, IBR and WFE must keep unreclaimed records bounded
+//! even with a thread stalled inside an operation, while DEBRA, QSBR, RCU
+//! and EpochPOP must not. HE has no row here.
 
 use smr_common::SmrConfig;
 use smr_harness::families::{DgtTreeFamily, LazyListFamily};
@@ -102,11 +103,13 @@ fn ibr_bounds_garbage_with_stalled_thread() {
 
 #[test]
 fn wfe_bounds_garbage_with_stalled_thread() {
-    // WFE is the tree's first *robust* reclaimer: like IBR/HE its stalled
-    // reader pins at most the records whose lifetime overlaps its announced
-    // era hull — bounded by the live set at the stall point — and unlike the
-    // epoch family the bound is constant in trial length. Two trial lengths
-    // prove the constancy.
+    // WFE is the tree's first *robust* reclaimer. The stalled reader here
+    // (`stalled_worker`: `begin_op` and `begin_read_phase` only) announces
+    // no era, so it pins nothing. `live_at_stall` is headroom for the
+    // workers instead: one descheduled in mid-operation pins the records
+    // whose lifetime contains one of its announced eras, up to the live set
+    // at that point. Unlike the epoch family the bound is constant in trial
+    // length; two trial lengths prove the constancy.
     let config = cfg();
     let key_range = 4_096u64;
     let live_at_stall = 2 * (key_range / 2); // prefill = key_range / 2

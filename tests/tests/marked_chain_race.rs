@@ -18,28 +18,31 @@
 //! read A.next → B  @ era e2        -- A.next is frozen by A's mark, so the
 //! (validated protect)                 hop lands on the unlinked B; e2 > r
 //!                                  scan
-//! deref B                          -- must still be alive!
+//! deref B                          -- safe only if the scan kept B
 //! ```
 //!
 //! B's lifetime `[b, r]` lies **strictly between** R's two announced eras:
-//! `e1 < b ≤ r < e2`. A reclaimer that checks announced eras as *points*
-//! (the original hazard-eras sweep) covers B with neither era and frees it
-//! while R holds a validated pointer. A reclaimer that pins the *contiguous
-//! interval* between its announced bounds (IBR; HE via the per-thread era
-//! hull) keeps B: the hull `[e1, e2] ⊇ [b, r]`. The `…_pins_the_unlinked_chain`
-//! tests run this order, 1 000 seeded era paddings each.
+//! `e1 < b ≤ r < e2`. A reclaimer that pins the *contiguous interval*
+//! between its announced bounds (IBR) keeps B: `[e1, e2] ⊇ [b, r]`. One that
+//! checks announced eras as *points* (hazard eras and WFE, the published HE
+//! rule) covers B with neither era and frees it while R holds a validated
+//! pointer. `ibr_marked_chain_traversal_pins_the_unlinked_chain` and the
+//! `…_hop_then_scan_frees_the_frozen_successor` tests run this order, 1 000
+//! seeded era paddings each, and assert each scheme's outcome; under HE and
+//! WFE, B is never dereferenced.
 //!
-//! Moving W's scan to just *before* R's hop breaks every interval rule: R's
-//! interval is still `[e1, e1]` when the scan reads it, B is freed, and the
-//! validated hop through A's frozen `next` still returns B's address. The
-//! `…_scan_before_hop_frees_the_frozen_successor` tests assert exactly that
-//! (never dereferencing B); it is why IBR, HE and WFE keep
-//! `CAN_TRAVERSE_UNLINKED = false`.
+//! Moving W's scan to just *before* R's hop breaks every rule: R's
+//! announcement is still `[e1, e1]` when the scan reads it, B is freed, and
+//! the validated hop through A's frozen `next` still returns B's address.
+//! The `…_scan_before_hop_frees_the_frozen_successor` tests assert exactly
+//! that (never dereferencing B). That order is why IBR keeps
+//! `CAN_TRAVERSE_UNLINKED = false`, and both orders are why HE and WFE do:
+//! the Harris list restarts instead of making this hop under them.
 //!
 //! The writer-side steps use only public `Smr` API calls, and the traverser
 //! side issues the exact `protect` sequence the Harris list's `search` emits.
 
-use smr_baselines::{HazardEras, Ibr};
+use smr_baselines::{HazardEras, Ibr, Wfe};
 use smr_common::{Atomic, NodeHeader, Smr, SmrConfig};
 use std::sync::atomic::Ordering;
 
@@ -80,17 +83,29 @@ fn quiet_config() -> SmrConfig {
         .with_scan_heartbeat_ops(0)
 }
 
+/// Where W's scan falls relative to R's hop through A, and what the
+/// scheme's sweep must then keep.
+#[derive(Clone, Copy)]
+enum Order {
+    /// The scan runs just before the hop: R's announcement still ends at
+    /// e1 < birth(B), so every sweep frees B, and the hop that follows still
+    /// returns B's address because A's `next` is frozen. Nothing R can
+    /// announce after loading a pointer protects a record freed before the
+    /// load; B is never dereferenced.
+    ScanBeforeHop,
+    /// The hop, then the scan. `pins_gap` says whether the sweep covers a
+    /// lifetime lying strictly between R's two eras: IBR's interval does,
+    /// HE's and WFE's points do not.
+    HopThenScan { pins_gap: bool },
+}
+
 /// One forced interleaving. `pad` varies the era distances between the four
 /// checkpoints (seeded by the caller); the gap shape `e1 < birth ≤ retire
 /// < e2` holds for every positive padding, so each iteration is the same
 /// race with differently spaced eras.
 ///
-/// `scan_before_hop` moves W's scan to just *before* R's hop through A:
-/// R's interval then still ends at e1 < birth(B), so the scan frees B, and
-/// the hop that follows still returns B's address because A's `next` is
-/// frozen. Nothing R can announce after loading a pointer protects a
-/// record freed before the load; B is never dereferenced in that variant.
-fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3], scan_before_hop: bool) {
+/// `order` places W's scan relative to R's hop through A (see [`Order`]).
+fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3], order: Order) {
     let mut w = smr.register(0);
     let mut r = smr.register(1);
 
@@ -131,34 +146,49 @@ fn run_interleaving<S: Smr>(smr: &S, pad: [u64; 3], scan_before_hop: bool) {
     // W: era keeps moving, so B's whole lifetime is now in the past.
     advance_era(smr, &mut w, pad[2]);
 
-    if scan_before_hop {
-        // W: the scan runs while R's interval still ends at e1 < birth(B).
-        smr.flush(&mut w);
-        assert_eq!(smr.limbo_len(&w), 1, "B freed, A kept by R's interval");
-        // R: the validated hop through A's frozen `next` still yields B.
-        let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
-        assert_eq!(rb.untagged_usize(), b.untagged_usize());
-    } else {
-        // R: the traversal hops through the *unlinked* A. A's next is frozen
-        // by the mark, so the validated protect returns B — at an era
-        // strictly greater than B's retire era.
-        let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
-        assert_eq!(rb.untagged_usize(), b.untagged_usize());
+    match order {
+        Order::ScanBeforeHop => {
+            // W: the scan runs while R's announcement still ends at
+            // e1 < birth(B).
+            smr.flush(&mut w);
+            assert_eq!(smr.limbo_len(&w), 1, "B freed, A kept by R's era e1");
+            // R: the validated hop through A's frozen `next` still yields B.
+            let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
+            assert_eq!(rb.untagged_usize(), b.untagged_usize());
+        }
+        Order::HopThenScan { pins_gap } => {
+            // R: the traversal hops through the *unlinked* A. A's next is
+            // frozen by the mark, so the validated protect returns B — at an
+            // era strictly greater than B's retire era.
+            let rb = smr.protect(&mut r, 1, unsafe { &ra.deref().next });
+            assert_eq!(rb.untagged_usize(), b.untagged_usize());
 
-        // W: reclamation scan. R's announced eras are e1 (covering A) and
-        // e2 > retire(B); only the contiguous hull [e1, e2] covers B.
-        smr.flush(&mut w);
-
-        assert_eq!(
-            smr.limbo_len(&w),
-            2,
-            "both chain records must survive the scan while the traverser's \
-             announced interval spans their lifetimes"
-        );
-        // The deref the Harris list would do next. If B had been freed, the
-        // recycling magazine re-issues its block to the next allocation
-        // (LIFO), so a stale key here is the use-after-free made visible.
-        assert_eq!(unsafe { rb.with_tag(0).deref().key }, 20);
+            // W: reclamation scan. R's announced eras are e1 (covering A)
+            // and e2 > retire(B); only the interval [e1, e2] covers B.
+            smr.flush(&mut w);
+            if pins_gap {
+                assert_eq!(
+                    smr.limbo_len(&w),
+                    2,
+                    "both chain records must survive the scan while the \
+                     traverser's announced interval spans their lifetimes"
+                );
+                // The deref the Harris list would do next. If B had been
+                // freed, the recycling magazine re-issues its block to the
+                // next allocation (LIFO), so a stale key here is the
+                // use-after-free made visible.
+                assert_eq!(unsafe { rb.with_tag(0).deref().key }, 20);
+            } else {
+                // B is not dereferenced: it is freed, and the Harris list
+                // never makes this hop under a point sweep.
+                assert_eq!(
+                    smr.limbo_len(&w),
+                    1,
+                    "neither announced era lies in B's lifetime, so the point \
+                     sweep frees B and keeps only A (pinned by e1)"
+                );
+            }
+        }
     }
 
     // Wind down: once R lets go, the chain must be reclaimable.
@@ -187,47 +217,61 @@ fn seeded_paddings(iterations: u64) -> impl Iterator<Item = [u64; 3]> {
     })
 }
 
-/// The reproducer proper. Red on the pre-fix hazard-eras scan (point-era
-/// sweep frees B on the very first iteration); green for ≥ 1 000 seeded
-/// iterations with the per-thread era-hull scan.
+/// The hop, then the scan, under hazard eras: the point sweep frees B, whose
+/// lifetime lies between R's two eras, and keeps A.
 #[test]
-fn hazard_eras_marked_chain_traversal_pins_the_unlinked_chain() {
+fn hazard_eras_hop_then_scan_frees_the_frozen_successor() {
     for pad in seeded_paddings(1_000) {
         let smr = HazardEras::new(quiet_config());
-        run_interleaving(&smr, pad, false);
+        run_interleaving(&smr, pad, Order::HopThenScan { pins_gap: false });
+    }
+}
+
+/// The same order under WFE, which shares HE's point sweep.
+#[test]
+fn wfe_hop_then_scan_frees_the_frozen_successor() {
+    for pad in seeded_paddings(1_000) {
+        let smr = Wfe::new(quiet_config());
+        run_interleaving(&smr, pad, Order::HopThenScan { pins_gap: false });
     }
 }
 
 /// The same interleaving under IBR: the announced `[lower, upper]` interval
-/// is contiguous by construction, so this holds pre- and post-fix — the
-/// evidence that the residual race was the era-gap, not interval
-/// reclamation per se.
+/// is contiguous by construction, so it spans B's lifetime and keeps the
+/// whole chain.
 #[test]
 fn ibr_marked_chain_traversal_pins_the_unlinked_chain() {
     for pad in seeded_paddings(1_000) {
         let smr = Ibr::new(quiet_config());
-        run_interleaving(&smr, pad, false);
+        run_interleaving(&smr, pad, Order::HopThenScan { pins_gap: true });
     }
 }
 
-/// The scan-before-hop variant under hazard eras: the validated protect
-/// returns B's address after B was freed. This is why the interval schemes
-/// keep `CAN_TRAVERSE_UNLINKED = false` and the Harris list restarts
-/// instead of walking a marked chain under them.
+/// The scan-before-hop order under hazard eras: the validated protect
+/// returns B's address after B was freed.
 #[test]
 fn hazard_eras_scan_before_hop_frees_the_frozen_successor() {
     for pad in seeded_paddings(100) {
         let smr = HazardEras::new(quiet_config());
-        run_interleaving(&smr, pad, true);
+        run_interleaving(&smr, pad, Order::ScanBeforeHop);
     }
 }
 
-/// The same scan-before-hop variant under IBR: the contiguous interval
+/// The same scan-before-hop order under WFE.
+#[test]
+fn wfe_scan_before_hop_frees_the_frozen_successor() {
+    for pad in seeded_paddings(100) {
+        let smr = Wfe::new(quiet_config());
+        run_interleaving(&smr, pad, Order::ScanBeforeHop);
+    }
+}
+
+/// The same scan-before-hop order under IBR: the contiguous interval
 /// `[e1, e1]` announced before the hop does not reach B's birth.
 #[test]
 fn ibr_scan_before_hop_frees_the_frozen_successor() {
     for pad in seeded_paddings(100) {
         let smr = Ibr::new(quiet_config());
-        run_interleaving(&smr, pad, true);
+        run_interleaving(&smr, pad, Order::ScanBeforeHop);
     }
 }
